@@ -209,6 +209,32 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// serverError maps an error from submitting work to the server — a job, a
+// session open, a delta, a session solve — onto an HTTP status.
+func serverError(w http.ResponseWriter, err error) {
+	after, shed := maxsat.RetryAfter(err)
+	switch {
+	case errors.Is(err, maxsat.ErrServerClosed):
+		// Draining or shut down: tell keep-alive clients to reconnect
+		// elsewhere, not to retry on this connection.
+		w.Header().Set("Connection", "close")
+		httpError(w, http.StatusServiceUnavailable, "%v", err)
+	case shed:
+		// Shed, not failed (queue full, rate limited, over quota, session
+		// limit): 429 plus the server's retry hint.
+		w.Header().Set("Retry-After", strconv.Itoa(max(1, int(math.Ceil(after.Seconds())))))
+		httpError(w, http.StatusTooManyRequests, "%v", err)
+	case errors.Is(err, maxsat.ErrSessionsDisabled):
+		httpError(w, http.StatusForbidden, "%v", err)
+	case errors.Is(err, maxsat.ErrSessionBusy):
+		httpError(w, http.StatusConflict, "%v", err)
+	case errors.Is(err, maxsat.ErrSessionClosed):
+		httpError(w, http.StatusGone, "%v", err)
+	default:
+		httpError(w, http.StatusBadRequest, "%v", err)
+	}
+}
+
 // solve admits a job. The body is a DIMACS .cnf or .wcnf instance; options
 // travel as query parameters: alg, enc, jobs, share, pre, timeout, and
 // wait=1 to block until the result instead of returning the job handle.
@@ -226,27 +252,7 @@ func (d *daemon) solve(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := d.srv.SubmitAs(clientFrom(r), formula, opts)
 	if err != nil {
-		switch {
-		case errors.Is(err, maxsat.ErrServerClosed):
-			// Draining or shut down: tell keep-alive clients to reconnect
-			// elsewhere, not to retry on this connection.
-			w.Header().Set("Connection", "close")
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, maxsat.ErrServerQueueFull),
-			errors.Is(err, maxsat.ErrServerRateLimited),
-			errors.Is(err, maxsat.ErrServerOverQuota):
-			// Shed, not failed: 429 plus the server's retry hint.
-			if after, ok := maxsat.RetryAfter(err); ok {
-				secs := int(math.Ceil(after.Seconds()))
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-			}
-			httpError(w, http.StatusTooManyRequests, "%v", err)
-		default:
-			httpError(w, http.StatusBadRequest, "%v", err)
-		}
+		serverError(w, err)
 		return
 	}
 	withModel := r.URL.Query().Get("model") != "0"

@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"errors"
 	"io"
-	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -78,35 +76,6 @@ func parseOptionalWCNF(w http.ResponseWriter, r *http.Request, limit int64) (*ma
 	return maxsat.ParseWCNF(bytes.NewReader(body))
 }
 
-// sessionError maps the session error vocabulary onto HTTP statuses.
-func (d *daemon) sessionError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, maxsat.ErrServerClosed):
-		w.Header().Set("Connection", "close")
-		httpError(w, http.StatusServiceUnavailable, "%v", err)
-	case errors.Is(err, maxsat.ErrSessionLimit),
-		errors.Is(err, maxsat.ErrServerRateLimited),
-		errors.Is(err, maxsat.ErrServerOverQuota),
-		errors.Is(err, maxsat.ErrServerQueueFull):
-		if after, ok := maxsat.RetryAfter(err); ok {
-			secs := int(math.Ceil(after.Seconds()))
-			if secs < 1 {
-				secs = 1
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
-		}
-		httpError(w, http.StatusTooManyRequests, "%v", err)
-	case errors.Is(err, maxsat.ErrSessionsDisabled):
-		httpError(w, http.StatusForbidden, "%v", err)
-	case errors.Is(err, maxsat.ErrSessionBusy):
-		httpError(w, http.StatusConflict, "%v", err)
-	case errors.Is(err, maxsat.ErrSessionClosed):
-		httpError(w, http.StatusGone, "%v", err)
-	default:
-		httpError(w, http.StatusBadRequest, "%v", err)
-	}
-}
-
 // ownedSession resolves {id} to a session owned by the requesting client;
 // it writes the error response itself when the lookup fails.
 func (d *daemon) ownedSession(w http.ResponseWriter, r *http.Request) (*maxsat.Session, bool) {
@@ -140,7 +109,7 @@ func (d *daemon) sessionOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	sess, err := d.srv.OpenSessionAs(r.Context(), clientFrom(r), base, opts)
 	if err != nil {
-		d.sessionError(w, err)
+		serverError(w, err)
 		return
 	}
 	view := sessionView(sess)
@@ -195,7 +164,7 @@ func (d *daemon) sessionDelta(w http.ResponseWriter, r *http.Request) {
 		delta.Reweights = append(delta.Reweights, maxsat.SessionReweight{Soft: i, Weight: maxsat.Weight(n)})
 	}
 	if err := sess.Push(delta); err != nil {
-		d.sessionError(w, err)
+		serverError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, sessionView(sess))
@@ -208,7 +177,7 @@ func (d *daemon) sessionSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := sess.Solve(r.Context())
 	if err != nil {
-		d.sessionError(w, err)
+		serverError(w, err)
 		return
 	}
 	withModel := r.URL.Query().Get("model") != "0"

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"repro"
@@ -185,5 +186,29 @@ func TestSessionHTTPErrors(t *testing.T) {
 	}
 	if code := sessionReq(t, ts, "DELETE", base, nil, "", nil); code != http.StatusOK {
 		t.Fatalf("close: status %d", code)
+	}
+
+	// A rate-limited session solve is shed like a rate-limited /solve: the
+	// open and the first solve take the bucket's two tokens, so the second
+	// solve gets 429 with a Retry-After hint.
+	limited := newTestServer(t, maxsat.ServerConfig{RatePerSec: 0.001, Burst: 2})
+	if code := sessionReq(t, limited, "POST", "/sessions?alg=msu3", []byte("1 1 0\n"), "", &sess); code != http.StatusCreated {
+		t.Fatalf("rate-limited server open: status %d", code)
+	}
+	solve := fmt.Sprintf("/sessions/%d/solve?wait=1", sess.ID)
+	if code := sessionReq(t, limited, "POST", solve, nil, "", nil); code != http.StatusOK {
+		t.Fatalf("first solve: status %d", code)
+	}
+	resp, err := http.Post(limited.URL+solve, "text/plain", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("rate-limited solve: status %d, want 429", resp.StatusCode)
+	}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || secs < 1 {
+		t.Fatalf("rate-limited solve: Retry-After %q, want whole seconds >= 1",
+			resp.Header.Get("Retry-After"))
 	}
 }

@@ -3,12 +3,14 @@ package serve
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/opt"
+	"repro/internal/proof"
 )
 
 // fakeClock is an injectable clock for the token-bucket tests.
@@ -331,5 +333,209 @@ func TestCloseRacesSubscriber(t *testing.T) {
 	}
 	if _, done := h.Result(); !done {
 		t.Fatal("job has no terminal result after Close")
+	}
+}
+
+// matrixReplayID is the journaled job ID the replay origin recovers.
+const matrixReplayID = 50
+
+// matrixCounters are the Stats counters the admission table decides.
+type matrixCounters struct {
+	Submitted, SessionSolves, CacheHits, CacheMisses, SessionHits,
+	CertRejected, Coalesced, Replayed, RateLimited int64
+}
+
+func matrixDeltas(after, before Stats) matrixCounters {
+	return matrixCounters{after.Submitted - before.Submitted,
+		after.SessionSolves - before.SessionSolves, after.CacheHits - before.CacheHits,
+		after.CacheMisses - before.CacheMisses, after.SessionHits - before.SessionHits,
+		after.CertRejected - before.CertRejected, after.Coalesced - before.Coalesced,
+		after.Replayed - before.Replayed, after.RateLimited - before.RateLimited}
+}
+
+// certifyingSession is certifying() as a session solve that never uses a
+// retained engine.
+func certifyingSession(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant, _ opt.Incremental) (opt.Result, bool) {
+	return certifying()(ctx, w, shared, g), false
+}
+
+// TestAdmissionMatrix drives every origin (one-shot Submit, Session.Solve,
+// journal replay through Recover) through every disposition (fresh run,
+// verified cache hit, cache hit on a corrupted certificate, coalesce onto a
+// blocked in-flight job, rate-limited shed) and checks what the admission
+// table promises: the Stats deltas, the handle's Cached flag, and the audit
+// events. Every origin submits contradiction() for client "c" under
+// OptsKey "k".
+func TestAdmissionMatrix(t *testing.T) {
+	type audit struct{ action, detail string }
+	type row struct {
+		origin, disposition string
+		want                matrixCounters
+		cached              bool
+		audits              []audit
+	}
+	const sessionRun = "session solve engine=scratch delta=2 clauses"
+	rejected := audit{"cache", "certificate-rejected"}
+	rows := []row{
+		{"one-shot", "fresh", matrixCounters{Submitted: 1, CacheMisses: 1},
+			false, []audit{{"submit", "run slots=1"}}},
+		{"one-shot", "hit", matrixCounters{Submitted: 1, CacheHits: 1},
+			true, []audit{{"submit", "cache-hit"}}},
+		{"one-shot", "corrupt", matrixCounters{Submitted: 1, CacheMisses: 1, CertRejected: 1},
+			false, []audit{rejected, {"submit", "run slots=1"}}},
+		{"one-shot", "coalesce", matrixCounters{Submitted: 1, CacheMisses: 1, Coalesced: 1},
+			false, []audit{{"submit", "coalesced"}}},
+		{"one-shot", "rate-limited", matrixCounters{Submitted: 1, RateLimited: 1},
+			false, []audit{{"shed", "rate-limited"}}},
+
+		{"session", "fresh", matrixCounters{Submitted: 1, SessionSolves: 1, CacheMisses: 1},
+			false, []audit{{"submit", sessionRun}}},
+		{"session", "hit", matrixCounters{Submitted: 1, SessionSolves: 1, CacheHits: 1, SessionHits: 1},
+			true, []audit{{"submit", "session cache-hit"}}},
+		{"session", "corrupt", matrixCounters{Submitted: 1, SessionSolves: 1, CacheMisses: 1, CertRejected: 1},
+			false, []audit{rejected, {"submit", sessionRun}}},
+		{"session", "coalesce", matrixCounters{Submitted: 1, SessionSolves: 1, CacheMisses: 1, Coalesced: 1},
+			false, []audit{{"submit", "session coalesced"}}},
+		{"session", "rate-limited", matrixCounters{Submitted: 1, SessionSolves: 1, RateLimited: 1},
+			false, []audit{{"shed", "rate-limited"}}},
+
+		{"replay", "fresh", matrixCounters{CacheMisses: 1, Replayed: 1},
+			false, []audit{{"recover", "replayed"}}},
+		{"replay", "hit", matrixCounters{CacheHits: 1},
+			true, []audit{{"recover", "completed from recovered store"}}},
+		{"replay", "corrupt", matrixCounters{CacheMisses: 1, CertRejected: 1, Replayed: 1},
+			false, []audit{rejected, {"recover", "replayed"}}},
+		{"replay", "coalesce", matrixCounters{CacheMisses: 1, Coalesced: 1, Replayed: 1},
+			false, []audit{{"recover", "coalesced onto running replay"}}},
+	}
+	for _, r := range rows {
+		t.Run(r.origin+"/"+r.disposition, func(t *testing.T) {
+			var (
+				mu     sync.Mutex
+				events []AuditEvent
+			)
+			cfg := Config{Workers: 2, Audit: func(e AuditEvent) {
+				mu.Lock()
+				events = append(events, e)
+				mu.Unlock()
+			}}
+			// The job that fills the cache is the first one admitted, so its
+			// ID follows the journal's highest ID on a replaying server.
+			fillID := uint64(1)
+			if r.origin == "replay" {
+				path := filepath.Join(t.TempDir(), "journal.log")
+				jl := openJournalT(t, path, nil)
+				if err := jl.record(matrixReplayID, contradiction(),
+					JobSpec{OptsKey: "k", Client: "c", Payload: []byte("x")}); err != nil {
+					t.Fatal(err)
+				}
+				jl.Close()
+				jl = openJournalT(t, path, nil)
+				defer jl.Close()
+				cfg.Journal = jl
+				fillID = matrixReplayID + 1
+			}
+			switch r.disposition {
+			case "corrupt":
+				cfg.Faults = &Faults{CorruptCert: func(id uint64) int {
+					if id == fillID {
+						return 0 // the format magic: a guaranteed rejection
+					}
+					return -1
+				}}
+			case "rate-limited":
+				cfg.RatePerSec, cfg.Burst = 1, 1
+			}
+			s := New(cfg)
+			defer s.Close() // also unblocks the coalesce row's blocker on failure
+			s.now = (&fakeClock{t: time.Unix(1000, 0)}).now
+
+			release := make(chan struct{})
+			switch r.disposition {
+			case "hit", "corrupt":
+				fill := mustSubmit(t, s, JobSpec{Formula: contradiction(), OptsKey: "fill",
+					Solve: certifying()})
+				if fill.ID() != fillID {
+					t.Fatalf("cache filler got ID %d, want %d", fill.ID(), fillID)
+				}
+				waitResult(t, fill)
+			case "coalesce":
+				mustSubmit(t, s, JobSpec{Formula: contradiction(), OptsKey: "k",
+					Client: "c", Solve: blocker(release)})
+			case "rate-limited":
+				if r.origin == "one-shot" { // a session's open takes the token
+					mustSubmit(t, s, JobSpec{Formula: contradiction(), OptsKey: "prior",
+						Client: "c", Solve: optimal(1)})
+				}
+			}
+			var sess *Session
+			if r.origin == "session" {
+				sess = mustOpen(t, s, SessionSpec{Base: contradiction(), OptsKey: "k",
+					Client: "c", Solve: certifyingSession})
+				defer sess.Close()
+			}
+
+			before := s.Stats()
+			mu.Lock()
+			mark := len(events)
+			mu.Unlock()
+			var h *Handle
+			var err error
+			switch r.origin {
+			case "one-shot":
+				h, err = s.Submit(JobSpec{Formula: contradiction(), OptsKey: "k",
+					Client: "c", Solve: certifying()})
+			case "session":
+				h, err = sess.Solve(context.Background())
+			case "replay":
+				if err = s.Recover(replayCertifying); err == nil {
+					var ok bool
+					if h, ok = s.Job(matrixReplayID); !ok {
+						t.Fatalf("replayed job %d not addressable", matrixReplayID)
+					}
+				}
+			}
+			if r.disposition == "rate-limited" {
+				if !errors.Is(err, ErrRateLimited) {
+					t.Fatalf("err = %v, want ErrRateLimited", err)
+				}
+				if wait, ok := RetryAfter(err); !ok || wait <= 0 {
+					t.Fatalf("RetryAfter = %v %v, want a positive hint", wait, ok)
+				}
+			} else {
+				if err != nil {
+					t.Fatalf("admission: %v", err)
+				}
+				close(release)
+				res := waitResult(t, h)
+				if res.Cached != r.cached {
+					t.Errorf("Cached = %t, want %t", res.Cached, r.cached)
+				}
+				if r.disposition == "corrupt" {
+					if len(res.Certificate) == 0 {
+						t.Error("fallback solve carries no certificate")
+					} else if err := proof.CheckBytes(contradiction(), res.Certificate); err != nil {
+						t.Errorf("fallback certificate rejected: %v", err)
+					}
+				}
+			}
+			if got := matrixDeltas(s.Stats(), before); got != r.want {
+				t.Errorf("Stats deltas = %+v, want %+v", got, r.want)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for _, want := range r.audits {
+				found := false
+				for _, e := range events[mark:] {
+					if e.Client == "c" && e.Action == want.action && e.Detail == want.detail {
+						found = true
+						break
+					}
+				}
+				if !found {
+					t.Errorf("no %q/%q audit event for client c in %+v", want.action, want.detail, events[mark:])
+				}
+			}
+		})
 	}
 }

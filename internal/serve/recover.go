@@ -1,12 +1,5 @@
 package serve
 
-import (
-	"context"
-
-	"repro/internal/opt"
-	"repro/internal/proof"
-)
-
 // Recover re-enqueues the journal's incomplete jobs after a restart. For
 // each pending submission the rebuild callback turns the durable payload
 // back into a runnable JobSpec (the serving layer cannot persist SolveFunc
@@ -14,10 +7,13 @@ import (
 // no longer rebuilds — an options format from a newer binary, say — are
 // marked done and audited rather than wedging recovery.
 //
-// Replay is idempotent by construction: a job whose certified answer was
-// already durable completes instantly from the re-validated cache, and
-// duplicate pending entries for the same formula coalesce onto one run with
-// every original job ID preserved — so clients polling GET /jobs/{id} from
+// Each replayed job keeps its pre-crash ID, and the per-client admission
+// bounds (rate limit, quota, queue depth) do not apply — those guard new
+// work, and this work was already admitted by the previous life. Replay is
+// idempotent by construction: a job whose certified answer was already
+// durable completes instantly from the re-validated cache, and duplicate
+// pending entries for the same formula coalesce onto one run with every
+// original job ID preserved — so clients polling GET /jobs/{id} from
 // before the crash find their job either finished or running, never gone.
 //
 // Recover returns once every pending job is re-enqueued (not once they
@@ -38,124 +34,9 @@ func (s *Server) Recover(rebuild func(RecoveredJob) (JobSpec, error)) error {
 		if spec.Formula == nil {
 			spec.Formula = rj.Formula
 		}
-		if _, err := s.Resubmit(rj.ID, spec); err != nil {
+		if _, err := s.admit(admission{spec: spec, origin: replay, id: rj.ID, detail: "replayed"}); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Resubmit is Submit for journal replay: the job keeps its pre-crash ID,
-// and the per-client admission bounds (rate limit, quota, queue depth) do
-// not apply — those guard new work, and this work was already admitted by
-// the previous life. A pending entry whose answer is in the (re-validated)
-// cache completes instantly; one whose formula is already in flight
-// coalesces, registering the recovered ID as an alias of the running job.
-// The returned handle carries no cancellation vote.
-func (s *Server) Resubmit(id uint64, spec JobSpec) (*Handle, error) {
-	if spec.Formula == nil || spec.Solve == nil {
-		return nil, ErrBadSpec
-	}
-	fkey := keyFor(spec.Formula)
-	key := jobKey{formulaKey: fkey, opts: spec.OptsKey}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if s.nextID < id {
-		s.nextID = id
-	}
-	if j, ok := s.jobs[id]; ok {
-		// The ID is already registered (a double replay): hand back the
-		// existing job.
-		s.mu.Unlock()
-		return noVoteHandle(s, j), nil
-	}
-
-	// The recovered result store may already hold this job's answer; the
-	// cache entries it seeded were re-proved at load, and the hit path
-	// re-validates against this exact formula just as Submit does.
-	if res, meta, ok := s.cache.get(fkey); ok {
-		s.mu.Unlock()
-		modelOK := res.Model == nil || opt.VerifyModel(spec.Formula, res)
-		certOK := true
-		if modelOK && len(res.Certificate) > 0 {
-			certOK = proof.CheckBytes(spec.Formula, res.Certificate) == nil
-		}
-		s.mu.Lock()
-		if modelOK && certOK {
-			s.stats.CacheHits++
-			h := s.doneJobIDLocked(id, key, Result{Result: res, Meta: meta, Cached: true})
-			s.mu.Unlock()
-			if s.cfg.Journal != nil {
-				s.cfg.Journal.markDone(id)
-			}
-			s.audit(AuditEvent{Client: spec.Client, Action: "recover", JobID: id,
-				Detail: "completed from recovered store"})
-			return spendVote(h), nil
-		}
-		if !certOK {
-			s.cache.remove(fkey)
-			s.stats.CertRejected++
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-	}
-
-	if j, ok := s.inflight[key]; ok {
-		j.aliases = append(j.aliases, id)
-		s.jobs[id] = j
-		s.stats.Coalesced++
-		s.stats.Replayed++
-		s.mu.Unlock()
-		s.audit(AuditEvent{Client: spec.Client, Action: "recover", JobID: id,
-			Detail: "coalesced onto running replay"})
-		return noVoteHandle(s, j), nil
-	}
-
-	slots := spec.Slots
-	if slots < 1 {
-		slots = 1
-	}
-	if slots > s.cfg.Workers {
-		slots = s.cfg.Workers
-	}
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	j := &job{
-		id:      id,
-		key:     key,
-		spec:    spec,
-		slots:   slots,
-		client:  spec.Client,
-		bounds:  opt.NewBounds(),
-		cancel:  cancel,
-		journal: s.cfg.Journal != nil,
-		refs:    1,
-		done:    make(chan struct{}),
-	}
-	j.bounds.SetObserver(j.emit)
-	s.inflight[key] = j
-	s.jobs[j.id] = j
-	s.queued++
-	s.stats.Replayed++
-	s.wg.Add(1)
-	s.mu.Unlock()
-	s.audit(AuditEvent{Client: spec.Client, Action: "recover", JobID: id, Detail: "replayed"})
-
-	j.w = spec.Formula.Clone()
-	go s.run(ctx, j)
-	return noVoteHandle(s, j), nil
-}
-
-func noVoteHandle(s *Server, j *job) *Handle {
-	return spendVote(&Handle{s: s, j: j})
-}
-
-func spendVote(h *Handle) *Handle {
-	h.once.Do(func() {})
-	return h
 }

@@ -30,7 +30,7 @@ func newSema(n int) *sema {
 }
 
 // acquire blocks until n slots are granted or ctx is cancelled. n is clamped
-// to the semaphore's capacity by the caller (Server.Submit), so every
+// to the semaphore's capacity by the caller (Server.admit), so every
 // acquire can eventually be satisfied.
 func (s *sema) acquire(ctx context.Context, n int) error {
 	s.mu.Lock()

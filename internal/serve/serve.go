@@ -53,7 +53,6 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/opt"
-	"repro/internal/proof"
 	"repro/internal/sat"
 )
 
@@ -201,6 +200,10 @@ type Stats struct {
 	Submitted   int64 `json:"submitted"`
 	Completed   int64 `json:"completed"`
 	Cancelled   int64 `json:"cancelled"`
+	// CacheHits + CacheMisses counts every verified-cache lookup, whatever
+	// its origin — one-shot, session solve or journal replay — so
+	// hits/(hits+misses) is the hit ratio (cmd/maxsatbench reports it as
+	// serve.cache_hit_ratio).
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	Coalesced   int64 `json:"coalesced"`
@@ -385,7 +388,6 @@ type job struct {
 	w       *cnf.WCNF
 	spec    JobSpec
 	slots   int
-	client  string
 	charged bool // holds one unit of the client's in-flight quota
 	bounds  *opt.Bounds
 	cancel  context.CancelFunc
@@ -402,10 +404,10 @@ type job struct {
 	// leased marks a session solve: the job runs on its session's pinned
 	// worker slot, so run neither acquires nor releases pool slots.
 	leased bool
-	// reused records whether the winning attempt came from the session's
-	// retained solver (set by the session solve wrapper, read by run when it
-	// assembles the Result).
-	reused atomic.Bool
+	// reused, on a session solve, records whether the winning attempt came
+	// from the session's retained solver (set by the session solve wrapper,
+	// read by run when it assembles the Result); nil on other jobs.
+	reused *atomic.Bool
 
 	mu   sync.Mutex
 	st   State
@@ -430,160 +432,7 @@ type Handle struct {
 // by the global queue bound or the per-client admission bounds fails with a
 // *ShedError carrying a retry hint (see admission.go).
 func (s *Server) Submit(spec JobSpec) (*Handle, error) {
-	if spec.Formula == nil || spec.Solve == nil {
-		return nil, ErrBadSpec
-	}
-	fkey := keyFor(spec.Formula)
-	key := jobKey{formulaKey: fkey, opts: spec.OptsKey}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	s.stats.Submitted++
-
-	// Rate limit before anything else — even a cache hit costs a token, so
-	// a client hammering the server with resubmissions of a solved formula
-	// is still throttled.
-	if s.cfg.RatePerSec > 0 {
-		if wait, ok := s.takeTokenLocked(spec.Client); !ok {
-			s.stats.RateLimited++
-			s.mu.Unlock()
-			s.audit(AuditEvent{Client: spec.Client, Action: "shed", Detail: "rate-limited"})
-			return nil, &ShedError{Reason: ErrRateLimited, RetryAfter: wait}
-		}
-	}
-
-	// Cache next: a verified verdict answers any submission of the formula.
-	if res, meta, ok := s.cache.get(fkey); ok {
-		// Defeat fingerprint collisions and storage corruption: a cached
-		// model must verify against the formula actually submitted, and a
-		// cached certificate must re-validate end to end with the
-		// independent proof checker — the stored bytes, not the solve that
-		// produced them, are what the hit serves. Both checks run outside
-		// the server lock (the entry is already a private copy; lru.get
-		// copies the model and certificate).
-		s.mu.Unlock()
-		modelOK := res.Model == nil || opt.VerifyModel(spec.Formula, res)
-		certOK := true
-		if modelOK && len(res.Certificate) > 0 {
-			certOK = proof.CheckBytes(spec.Formula, res.Certificate) == nil
-		}
-		if modelOK && certOK {
-			s.mu.Lock()
-			s.stats.CacheHits++
-			h := s.doneJobLocked(key, Result{Result: res, Meta: meta, Cached: true})
-			s.mu.Unlock()
-			s.audit(AuditEvent{Client: spec.Client, Action: "submit", JobID: h.j.id, Detail: "cache-hit"})
-			return h, nil
-		}
-		if !certOK {
-			s.audit(AuditEvent{Client: spec.Client, Action: "cache", Detail: "certificate-rejected"})
-		}
-		s.mu.Lock()
-		if !certOK {
-			// A corrupt certificate is a property of the stored entry, not
-			// of a colliding submission: evict it so it is never served or
-			// re-consulted, and fall through to a fresh solve.
-			s.cache.remove(fkey)
-			s.stats.CertRejected++
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-	}
-	s.stats.CacheMisses++
-
-	// Coalesce onto an identical in-flight job.
-	if j, ok := s.inflight[key]; ok {
-		j.mu.Lock()
-		j.refs++
-		j.mu.Unlock()
-		s.stats.Coalesced++
-		s.mu.Unlock()
-		s.audit(AuditEvent{Client: spec.Client, Action: "submit", JobID: j.id, Detail: "coalesced"})
-		return &Handle{s: s, j: j}, nil
-	}
-
-	// Only submissions that will occupy workers count against the
-	// per-client in-flight quota (cache hits and coalesces above occupy
-	// none).
-	if s.cfg.ClientQuota > 0 {
-		if c, ok := s.clients[spec.Client]; ok && c.inflight >= s.cfg.ClientQuota {
-			s.stats.QuotaDenied++
-			retry := s.shedRetryAfter()
-			s.mu.Unlock()
-			s.audit(AuditEvent{Client: spec.Client, Action: "shed", Detail: "over-quota"})
-			return nil, &ShedError{Reason: ErrOverQuota, RetryAfter: retry}
-		}
-	}
-
-	if s.cfg.QueueDepth > 0 && s.queued+s.running >= s.cfg.QueueDepth {
-		retry := s.shedRetryAfter()
-		s.mu.Unlock()
-		s.audit(AuditEvent{Client: spec.Client, Action: "shed", Detail: "queue-full"})
-		return nil, &ShedError{Reason: ErrQueueFull, RetryAfter: retry}
-	}
-
-	slots := spec.Slots
-	if slots < 1 {
-		slots = 1
-	}
-	if slots > s.cfg.Workers {
-		slots = s.cfg.Workers
-	}
-	slots, degraded := s.degradeLocked(slots)
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	s.nextID++
-	j := &job{
-		id:      s.nextID,
-		key:     key,
-		spec:    spec,
-		slots:   slots,
-		client:  spec.Client,
-		charged: true,
-		bounds:  opt.NewBounds(),
-		cancel:  cancel,
-		refs:    1,
-		done:    make(chan struct{}),
-	}
-	s.clientLocked(spec.Client).inflight++
-	j.bounds.SetObserver(j.emit)
-	s.inflight[key] = j
-	s.jobs[j.id] = j
-	s.queued++
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	detail := fmt.Sprintf("run slots=%d", slots)
-	if degraded {
-		detail += " degraded"
-	}
-	s.audit(AuditEvent{Client: spec.Client, Action: "submit", JobID: j.id, Detail: detail})
-
-	// The formula snapshot is O(formula), so it is taken outside the server
-	// lock. Safe unpublished: only the run goroutine (started below, so the
-	// write happens-before its reads) ever touches j.w — coalesced handles
-	// and pollers never do.
-	j.w = spec.Formula.Clone()
-
-	// Journal the submission (fsynced) before the job can produce any
-	// observable progress: once the caller has the job ID in hand, a crash
-	// must not forget the job. A journal write failure is audited but does
-	// not fail the submission — availability over durability for the job
-	// record itself (results have their own, stricter path).
-	if s.cfg.Journal != nil && len(spec.Payload) > 0 {
-		if err := s.cfg.Journal.record(j.id, j.w, spec); err != nil {
-			s.audit(AuditEvent{Client: spec.Client, Action: "journal", JobID: j.id,
-				Detail: "append failed: " + err.Error()})
-		} else {
-			j.journal = true
-		}
-	}
-	go s.run(ctx, j)
-	return &Handle{s: s, j: j}, nil
+	return s.admit(admission{spec: spec, origin: oneShot})
 }
 
 // degradeLocked is the overload-degradation ladder: past the high-water mark
@@ -615,16 +464,9 @@ func (s *Server) degradeLocked(slots int) (int, bool) {
 	return granted, true
 }
 
-// doneJobLocked registers an already-completed job (cache hit) so that
-// poll-style clients can still address it by ID. Caller holds s.mu.
-func (s *Server) doneJobLocked(key jobKey, res Result) *Handle {
-	s.nextID++
-	return s.doneJobIDLocked(s.nextID, key, res)
-}
-
-// doneJobIDLocked is doneJobLocked with a caller-chosen ID (journal replay
-// preserves the IDs clients already hold). Caller holds s.mu.
-func (s *Server) doneJobIDLocked(id uint64, key jobKey, res Result) *Handle {
+// doneJobLocked registers an already-completed job (cache hit) under id so
+// that poll-style clients can still address it. Caller holds s.mu.
+func (s *Server) doneJobLocked(id uint64, key jobKey, res Result) *Handle {
 	j := &job{
 		id:   id,
 		key:  key,
@@ -717,20 +559,21 @@ func (s *Server) run(ctx context.Context, j *job) {
 		if err != nil {
 			reason = err.Error()
 		}
-		s.audit(AuditEvent{Client: j.client, Action: "retry", JobID: j.id,
+		s.audit(AuditEvent{Client: j.spec.Client, Action: "retry", JobID: j.id,
 			Detail: fmt.Sprintf("attempt %d after %s", attempt+1, reason)})
 		s.sleep(runCtx, s.cfg.RetryBackoff<<attempt)
 	}
 	if !j.leased {
 		s.sem.release(slots)
 	}
+	reused := j.reused != nil && j.reused.Load()
 	s.mu.Lock()
 	s.running--
-	if j.leased && j.reused.Load() {
+	if reused {
 		s.stats.SessionReused++
 	}
 	s.mu.Unlock()
-	s.finish(j, Result{Result: res, Meta: j.spec.Meta, Err: err, Reused: j.reused.Load()},
+	s.finish(j, Result{Result: res, Meta: j.spec.Meta, Err: err, Reused: reused},
 		ctx.Err() != nil)
 }
 
@@ -755,7 +598,7 @@ func (s *Server) attempt(runCtx context.Context, j *job, g Grant) (opt.Result, e
 		s.mu.Lock()
 		s.stats.Stalled++
 		s.mu.Unlock()
-		s.audit(AuditEvent{Client: j.client, Action: "stall", JobID: j.id,
+		s.audit(AuditEvent{Client: j.spec.Client, Action: "stall", JobID: j.id,
 			Detail: fmt.Sprintf("no progress for %s", s.cfg.StallTimeout)})
 		if err == nil {
 			err = fmt.Errorf("serve: solver stalled: no progress for %s", s.cfg.StallTimeout)
@@ -832,7 +675,7 @@ func (s *Server) finish(j *job, res Result, cancelled bool) {
 	}
 	if j.charged {
 		j.charged = false
-		s.releaseClientLocked(j.client)
+		s.releaseClientLocked(j.spec.Client)
 	}
 	detail := res.Status.String()
 	wasCancelled := cancelled && res.Err == nil && res.Status == opt.StatusUnknown
@@ -864,7 +707,7 @@ func (s *Server) finish(j *job, res Result, cancelled bool) {
 	}
 	s.stats.CacheSize = s.cache.len()
 	s.retainLocked(j.id)
-	// Snapshot under s.mu: Resubmit appends aliases in the same critical
+	// Snapshot under s.mu: admit appends aliases in the same critical
 	// section that finds the job in the inflight map, and the map entry was
 	// just deleted above — so this copy is complete and race-free.
 	aliases := append([]uint64(nil), j.aliases...)
@@ -880,7 +723,7 @@ func (s *Server) finish(j *job, res Result, cancelled bool) {
 	// injected inside the store itself.
 	if cacheable && s.cfg.Store != nil && len(res.Certificate) > 0 && !res.Cached {
 		if err := s.cfg.Store.save(j.w, res.Result, res.Meta); err != nil {
-			s.audit(AuditEvent{Client: j.client, Action: "store", JobID: j.id,
+			s.audit(AuditEvent{Client: j.spec.Client, Action: "store", JobID: j.id,
 				Detail: "append failed: " + err.Error()})
 		}
 	}
@@ -893,7 +736,7 @@ func (s *Server) finish(j *job, res Result, cancelled bool) {
 			s.cfg.Journal.markDone(id)
 		}
 	}
-	s.audit(AuditEvent{Client: j.client, Action: "result", JobID: j.id, Detail: detail})
+	s.audit(AuditEvent{Client: j.spec.Client, Action: "result", JobID: j.id, Detail: detail})
 
 	// A proved optimum closes the bounds; make sure subscribers see the
 	// closing improvement even if the winning publish bypassed the shared
@@ -901,16 +744,19 @@ func (s *Server) finish(j *job, res Result, cancelled bool) {
 	if res.Status == opt.StatusOptimal {
 		j.emit(Event{LB: res.Cost, UB: res.Cost, HasLB: true, HasUB: true})
 	}
+	// done closes under j.mu together with the state change, so a reader
+	// that sees Done — or a subscriber whose channel closed — always finds
+	// the result published.
 	j.mu.Lock()
 	j.st = Done
 	j.res = res
 	subs := j.subs
 	j.subs = nil
+	close(j.done)
 	j.mu.Unlock()
 	for _, ch := range subs {
 		close(ch)
 	}
-	close(j.done)
 }
 
 // retainLocked evicts completed jobs beyond the retention bound from the
@@ -1112,7 +958,7 @@ func (h *Handle) Cancel() {
 		if last {
 			detail = "last-vote"
 		}
-		h.s.audit(AuditEvent{Client: h.j.client, Action: "cancel", JobID: h.j.id, Detail: detail})
+		h.s.audit(AuditEvent{Client: h.j.spec.Client, Action: "cancel", JobID: h.j.id, Detail: detail})
 		if last && h.j.cancel != nil {
 			h.j.cancel()
 		}

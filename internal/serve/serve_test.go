@@ -622,3 +622,23 @@ func TestSemaAcquireCancel(t *testing.T) {
 	}
 	sem.release(1)
 }
+
+// TestSubscriptionCloseImpliesResult checks the order in which a job
+// completes: by the time a subscriber's channel closes, the result is
+// published, so a streamer that reads Result on close (the daemon's SSE
+// handler) always has a final event to send.
+func TestSubscriptionCloseImpliesResult(t *testing.T) {
+	s := New(Config{Workers: 2, CacheEntries: -1})
+	defer s.Close()
+	for i := range 2000 {
+		release := make(chan struct{})
+		h := mustSubmit(t, s, JobSpec{Formula: contradiction(), Solve: blocker(release)})
+		sub := h.Subscribe()
+		close(release)
+		for range sub {
+		}
+		if _, done := h.Result(); !done {
+			t.Fatalf("iteration %d: subscription closed before the result was published", i)
+		}
+	}
+}

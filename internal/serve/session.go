@@ -34,11 +34,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/opt"
-	"repro/internal/proof"
 )
 
 // Session errors.
@@ -171,28 +171,14 @@ func (s *Server) OpenSession(ctx context.Context, spec SessionSpec) (*Session, e
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if s.cfg.RatePerSec > 0 {
-		if wait, ok := s.takeTokenLocked(spec.Client); !ok {
-			s.stats.RateLimited++
-			s.mu.Unlock()
-			s.audit(AuditEvent{Client: spec.Client, Action: "shed", Detail: "rate-limited"})
-			return nil, &ShedError{Reason: ErrRateLimited, RetryAfter: wait}
-		}
+	if err := s.chargeRateLocked(spec.Client); err != nil {
+		return nil, err
 	}
-	if s.cfg.ClientQuota > 0 {
-		if c, ok := s.clients[spec.Client]; ok && c.inflight >= s.cfg.ClientQuota {
-			s.stats.QuotaDenied++
-			retry := s.shedRetryAfter()
-			s.mu.Unlock()
-			s.audit(AuditEvent{Client: spec.Client, Action: "shed", Detail: "over-quota"})
-			return nil, &ShedError{Reason: ErrOverQuota, RetryAfter: retry}
-		}
+	if err := s.checkQuotaLocked(spec.Client); err != nil {
+		return nil, err
 	}
 	if len(s.sessions) >= max {
-		retry := s.shedRetryAfter()
-		s.mu.Unlock()
-		s.audit(AuditEvent{Client: spec.Client, Action: "shed", Detail: "session-limit"})
-		return nil, &ShedError{Reason: ErrSessionLimit, RetryAfter: retry}
+		return nil, s.shedLocked(spec.Client, "session-limit", ErrSessionLimit, s.shedRetryAfter())
 	}
 	s.mu.Unlock()
 
@@ -222,11 +208,9 @@ func (s *Server) OpenSession(ctx context.Context, spec SessionSpec) (*Session, e
 		return nil, ErrClosed
 	}
 	if len(s.sessions) >= max {
-		retry := s.shedRetryAfter()
-		s.mu.Unlock()
+		err := s.shedLocked(spec.Client, "session-limit", ErrSessionLimit, s.shedRetryAfter())
 		s.sem.release(1)
-		s.audit(AuditEvent{Client: spec.Client, Action: "shed", Detail: "session-limit"})
-		return nil, &ShedError{Reason: ErrSessionLimit, RetryAfter: retry}
+		return nil, err
 	}
 	s.nextID++
 	sess.id = s.nextID
@@ -444,8 +428,12 @@ func (sess *Session) snapshotLocked() *cnf.WCNF {
 // Solve submits a delta solve of the accumulated formula. It returns a job
 // handle immediately — the solve is admitted, journaled, cached, verified,
 // and audited exactly like a one-shot Submit of the accumulated snapshot,
-// so its answer is interchangeable with a one-shot answer. Only one solve
-// may be in flight per session (ErrSessionBusy).
+// so its answer is interchangeable with a one-shot answer. A verified cache
+// hit is the restart-recovery path working: a reopened session replaying
+// deltas finds its pre-crash certified answer without touching a solver. A
+// solve may also coalesce onto an identical in-flight job (one-shot or from
+// another session); the retained engine sits that solve out but stays
+// valid. Only one solve may be in flight per session (ErrSessionBusy).
 func (sess *Session) Solve(ctx context.Context) (*Handle, error) {
 	s := sess.s
 	sess.mu.Lock()
@@ -482,7 +470,30 @@ func (sess *Session) Solve(ctx context.Context) (*Handle, error) {
 	sess.solves++
 	sess.mu.Unlock()
 
-	h, err := s.submitSession(sess, snap, retained, grew)
+	engine := "scratch"
+	if retained != nil {
+		engine = retained.Name()
+	}
+	spec := sess.spec
+	reused := new(atomic.Bool)
+	h, err := s.admit(admission{
+		spec: JobSpec{Formula: snap, OptsKey: spec.OptsKey, Slots: 1, Timeout: spec.Timeout,
+			Meta: spec.Meta, Client: spec.Client, Payload: spec.Payload,
+			Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
+				// Retries run degraded and from scratch: whatever sank the warm
+				// attempt (an engine bug included), the rerun must not repeat it.
+				r := retained
+				if g.Attempt > 0 {
+					r = nil
+				}
+				res, warm := spec.Solve(ctx, w, shared, g, r)
+				reused.Store(warm)
+				return res
+			}},
+		origin: inSession,
+		detail: fmt.Sprintf("session solve engine=%s delta=%d clauses", engine, grew),
+		reused: reused,
+	})
 	if err != nil {
 		sess.mu.Lock()
 		sess.solving = false
@@ -515,148 +526,6 @@ func (sess *Session) watchSolve(j *job) {
 	if teardown {
 		sess.s.teardownSession(sess, evict)
 	}
-}
-
-// submitSession admits one delta solve. It mirrors Submit's disposition
-// ladder — rate token, verified cache, coalesce, fresh job — with three
-// session differences: a cache hit also counts Stats.SessionHits, the fresh
-// job is leased (it runs on the session's pinned slot, bypassing QueueDepth
-// and the per-solve quota charge), and the SolveFunc wraps the session's
-// retained engine.
-func (s *Server) submitSession(sess *Session, snap *cnf.WCNF, retained opt.Incremental, grew int) (*Handle, error) {
-	spec := sess.spec
-	fkey := keyFor(snap)
-	key := jobKey{formulaKey: fkey, opts: spec.OptsKey}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	s.stats.Submitted++
-	s.stats.SessionSolves++
-
-	if s.cfg.RatePerSec > 0 {
-		if wait, ok := s.takeTokenLocked(spec.Client); !ok {
-			s.stats.RateLimited++
-			s.mu.Unlock()
-			s.audit(AuditEvent{Client: spec.Client, Action: "shed", Detail: "rate-limited"})
-			return nil, &ShedError{Reason: ErrRateLimited, RetryAfter: wait}
-		}
-	}
-
-	// Verified-cache check, same double validation as Submit: the model
-	// must verify against the accumulated snapshot and the certificate must
-	// re-check end to end. A hit here is the restart-recovery path working:
-	// a reopened session replaying deltas finds its pre-crash certified
-	// answer without touching a solver.
-	if res, meta, ok := s.cache.get(fkey); ok {
-		s.mu.Unlock()
-		modelOK := res.Model == nil || opt.VerifyModel(snap, res)
-		certOK := true
-		if modelOK && len(res.Certificate) > 0 {
-			certOK = proof.CheckBytes(snap, res.Certificate) == nil
-		}
-		if modelOK && certOK {
-			s.mu.Lock()
-			s.stats.CacheHits++
-			s.stats.SessionHits++
-			h := s.doneJobLocked(key, Result{Result: res, Meta: meta, Cached: true})
-			s.mu.Unlock()
-			s.audit(AuditEvent{Client: spec.Client, Action: "submit", JobID: h.j.id,
-				Detail: "session cache-hit"})
-			return h, nil
-		}
-		if !certOK {
-			s.audit(AuditEvent{Client: spec.Client, Action: "cache", Detail: "certificate-rejected"})
-		}
-		s.mu.Lock()
-		if !certOK {
-			s.cache.remove(fkey)
-			s.stats.CertRejected++
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
-	}
-	s.stats.CacheMisses++
-
-	// Coalesce onto an identical in-flight job (one-shot or from another
-	// session). The retained engine sits this solve out but stays valid.
-	if j, ok := s.inflight[key]; ok {
-		j.mu.Lock()
-		j.refs++
-		j.mu.Unlock()
-		s.stats.Coalesced++
-		s.mu.Unlock()
-		s.audit(AuditEvent{Client: spec.Client, Action: "submit", JobID: j.id,
-			Detail: "session coalesced"})
-		return &Handle{s: s, j: j}, nil
-	}
-
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	s.nextID++
-	j := &job{
-		id:     s.nextID,
-		key:    key,
-		w:      snap, // already a private clone — no second copy
-		slots:  1,
-		client: spec.Client,
-		bounds: opt.NewBounds(),
-		cancel: cancel,
-		refs:   1,
-		leased: true,
-		done:   make(chan struct{}),
-	}
-	j.spec = JobSpec{
-		Formula: snap,
-		OptsKey: spec.OptsKey,
-		Slots:   1,
-		Timeout: spec.Timeout,
-		Meta:    spec.Meta,
-		Client:  spec.Client,
-		Payload: spec.Payload,
-		Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
-			// Retries run degraded and from scratch: whatever sank the warm
-			// attempt (an engine bug included), the rerun must not repeat it.
-			r := retained
-			if g.Attempt > 0 {
-				r = nil
-			}
-			res, reused := spec.Solve(ctx, w, shared, g, r)
-			j.reused.Store(reused)
-			return res
-		},
-	}
-	j.bounds.SetObserver(j.emit)
-	s.inflight[key] = j
-	s.jobs[j.id] = j
-	s.queued++
-	s.wg.Add(1)
-	s.mu.Unlock()
-
-	warm := "scratch"
-	if retained != nil {
-		warm = retained.Name()
-	}
-	s.audit(AuditEvent{Client: spec.Client, Action: "submit", JobID: j.id,
-		Detail: fmt.Sprintf("session solve engine=%s delta=%d clauses", warm, grew)})
-
-	// Journal the accumulated snapshot: a crash mid-solve replays it as a
-	// one-shot job under the same ID, so a client polling across the
-	// restart sees its delta solve finish (sessions themselves do not
-	// survive — see the package comment).
-	if s.cfg.Journal != nil && len(spec.Payload) > 0 {
-		if err := s.cfg.Journal.record(j.id, j.w, j.spec); err != nil {
-			s.audit(AuditEvent{Client: spec.Client, Action: "journal", JobID: j.id,
-				Detail: "append failed: " + err.Error()})
-		} else {
-			j.journal = true
-		}
-	}
-	go s.run(ctx, j)
-	return &Handle{s: s, j: j}, nil
 }
 
 // Close ends the session: the retained engine is dropped and the pinned

@@ -242,75 +242,94 @@ func (s *Server) SubmitAs(client string, w *WCNF, o Options) (*Job, error) {
 // byte-identical admission treatment (same OptsKey, same slots, same solve
 // closure) as its original submission.
 func (s *Server) jobSpec(client string, w *WCNF, o Options) (serve.JobSpec, Algorithm, error) {
-	// Validate exactly like Solve would, and resolve AlgoAuto so that an
-	// explicit and an automatic submission of the same instance coalesce.
+	spec, o, err := s.canonical(client, w, o)
+	if err != nil {
+		return spec, o.Algorithm, err
+	}
+	spec.Formula = w
+	spec.Solve = func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g serve.Grant) opt.Result {
+		return solveFresh(ctx, w, shared, attemptOptions(o, g))
+	}
+	return spec, o.Algorithm, nil
+}
+
+// canonical validates o against w exactly like Solve would and returns it
+// in the canonical form the serving layer keys on, together with the
+// JobSpec fields that follow from it (all but the formula and the solve
+// closure). Shared by one-shot jobs, replayed jobs and sessions.
+func (s *Server) canonical(client string, w *WCNF, o Options) (serve.JobSpec, Options, error) {
+	// Resolve AlgoAuto so that an explicit and an automatic submission of
+	// the same instance coalesce.
 	_, algo, err := buildSolver(w, o)
 	if err != nil {
-		return serve.JobSpec{}, algo, err
+		return serve.JobSpec{}, o, err
 	}
 	o.Algorithm = algo
-	slots := 1
+	spec := serve.JobSpec{Slots: 1, Timeout: o.Timeout, Meta: algo, Client: client}
 	if algo == AlgoPortfolio {
-		if slots = o.Parallelism; slots <= 0 {
-			slots = portfolio.LineupSize(w.Weighted())
+		if o.Parallelism <= 0 {
+			// Canonicalize for coalescing, like AlgoAuto above: Parallelism 0
+			// and an explicit full-line-up request describe identical work.
+			o.Parallelism = portfolio.LineupSize(w.Weighted())
 		}
-		// Canonicalize for coalescing, like AlgoAuto above: Parallelism 0
-		// and an explicit full-line-up request describe identical work.
-		o.Parallelism = slots
+		spec.Slots = o.Parallelism
 	}
 	if o.MemoryBudget == 0 {
 		o.MemoryBudget = s.defaultMem
 	}
-	timeout := o.Timeout
 	o.Timeout = 0 // the serving layer owns the deadline
-	var payload []byte
+	spec.OptsKey = optsKey(o, spec.Timeout)
 	if s.jl != nil {
-		payload = encodeWireOptions(o, timeout)
+		spec.Payload = encodeWireOptions(o, spec.Timeout)
 	}
-	return serve.JobSpec{
-		Formula: w,
-		OptsKey: optsKey(o, timeout),
-		Slots:   slots,
-		Timeout: timeout,
-		Meta:    algo,
-		Client:  client,
-		Payload: payload,
-		Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g serve.Grant) opt.Result {
-			ro := o
-			if algo == AlgoPortfolio {
-				ro.Parallelism = g.Slots
-			}
-			if g.Attempt > 0 {
-				// Server-side retry of a transient failure: whatever sank the
-				// previous attempt — memory pressure, a racing member's bug,
-				// sharing-induced state — the rerun gets a smaller target.
-				// Solo line-up, no cross-member traffic, memory budget halved
-				// per extra attempt.
-				ro.Parallelism = 1
-				ro.ShareClauses = false
-				if ro.MemoryBudget > 0 {
-					ro.MemoryBudget >>= g.Attempt
-				}
-			}
-			solver, _, err := buildSolver(w, ro)
-			if err != nil {
-				// Unreachable: the spec was validated above on the same
-				// formula and options.
-				return opt.Result{Status: opt.StatusUnknown, Cost: -1}
-			}
-			r := solver.Solve(ctx, w, shared)
-			if ro.Certify && (r.Status == opt.StatusOptimal || r.Status == opt.StatusUnsat) {
-				// Best effort under the job's own deadline: a solve that
-				// finishes but cannot be certified (deadline expired
-				// mid-pass) is served uncertified rather than discarded —
-				// the certificate endpoint then reports none.
-				if cert, err := opt.Certify(ctx, w, r, opt.Options{MemBytes: ro.MemoryBudget}); err == nil {
-					r.Certificate = cert
-				}
-			}
-			return r
-		},
-	}, algo, nil
+	return spec, o, nil
+}
+
+// attemptOptions is o as attempt g of a served solve runs it: a portfolio
+// races exactly the members it was granted, and a server-side retry of a
+// transient failure runs degraded — whatever sank the previous attempt
+// (memory pressure, a racing member's bug, sharing-induced state), the
+// rerun gets a smaller target. Solo line-up, no cross-member traffic,
+// memory budget halved per extra attempt.
+func attemptOptions(o Options, g serve.Grant) Options {
+	if o.Algorithm == AlgoPortfolio {
+		o.Parallelism = g.Slots
+	}
+	if g.Attempt > 0 {
+		o.Parallelism = 1
+		o.ShareClauses = false
+		if o.MemoryBudget > 0 {
+			o.MemoryBudget >>= g.Attempt
+		}
+	}
+	return o
+}
+
+// solveFresh is a served from-scratch solve of w under one attempt's
+// options, certified when they ask for it.
+func solveFresh(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, o Options) opt.Result {
+	solver, _, err := buildSolver(w, o)
+	if err != nil {
+		// Unreachable for one-shot jobs: the spec was validated on the same
+		// formula and options. A session reaches it only when deltas made
+		// the accumulation weighted under a unit-weight-only algorithm,
+		// which Session.Push rejects first.
+		return opt.Result{Status: opt.StatusUnknown, Cost: -1}
+	}
+	return certifyServed(ctx, w, solver.Solve(ctx, w, shared), o)
+}
+
+// certifyServed attaches a certificate to a proved verdict when o asks for
+// one. Best effort under the job's own deadline: a solve that finishes but
+// cannot be certified (deadline expired mid-pass) is served uncertified
+// rather than discarded — the certificate endpoint then reports none.
+func certifyServed(ctx context.Context, w *cnf.WCNF, r opt.Result, o Options) opt.Result {
+	if o.Certify && (r.Status == opt.StatusOptimal || r.Status == opt.StatusUnsat) {
+		if cert, err := opt.Certify(ctx, w, r, opt.Options{MemBytes: o.MemoryBudget}); err == nil {
+			r.Certificate = cert
+		}
+	}
+	return r
 }
 
 // wireOptions is the durable subset of Options journaled with a submission:

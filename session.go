@@ -6,7 +6,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/opt"
-	"repro/internal/portfolio"
 	"repro/internal/serve"
 )
 
@@ -92,24 +91,9 @@ func (s *Server) OpenSessionAs(ctx context.Context, client string, base *WCNF, o
 	if base == nil {
 		base = cnf.NewWCNF(0)
 	}
-	_, algo, err := buildSolver(base, o)
+	spec, o, err := s.canonical(client, base, o)
 	if err != nil {
 		return nil, err
-	}
-	o.Algorithm = algo
-	if algo == AlgoPortfolio {
-		if o.Parallelism <= 0 {
-			o.Parallelism = portfolio.LineupSize(base.Weighted())
-		}
-	}
-	if o.MemoryBudget == 0 {
-		o.MemoryBudget = s.defaultMem
-	}
-	timeout := o.Timeout
-	o.Timeout = 0 // the serving layer owns each solve's deadline
-	var payload []byte
-	if s.jl != nil {
-		payload = encodeWireOptions(o, timeout)
 	}
 	// The warm engine handles unweighted accumulations for every algorithm:
 	// it is an msu3-style incremental climb, whose optimum (the thing
@@ -124,12 +108,12 @@ func (s *Server) OpenSessionAs(ctx context.Context, client string, base *WCNF, o
 	}
 	ss, err := s.s.OpenSession(ctx, serve.SessionSpec{
 		Base:     base,
-		OptsKey:  optsKey(o, timeout),
-		Timeout:  timeout,
-		Meta:     algo,
+		OptsKey:  spec.OptsKey,
+		Timeout:  spec.Timeout,
+		Meta:     spec.Meta,
 		Client:   client,
-		Payload:  payload,
-		Solve:    s.sessionSolve(o, algo),
+		Payload:  spec.Payload,
+		Solve:    sessionSolve(o),
 		Retained: retained,
 	})
 	if err != nil {
@@ -138,52 +122,26 @@ func (s *Server) OpenSessionAs(ctx context.Context, client string, base *WCNF, o
 		}
 		return nil, err
 	}
-	return &Session{s: ss, algo: algo}, nil
+	return &Session{s: ss, algo: o.Algorithm}, nil
 }
 
 // sessionSolve builds the session's solve closure: warm path first when the
 // serving layer offers the retained engine, from-scratch fallback otherwise
 // — with the same degraded-retry profile and certification post-pass as
 // one-shot jobs, so session results are bit-for-bit interchangeable.
-func (s *Server) sessionSolve(o Options, algo Algorithm) serve.SessionSolveFunc {
-	certify := func(ctx context.Context, w *cnf.WCNF, r *opt.Result) {
-		if o.Certify && (r.Status == opt.StatusOptimal || r.Status == opt.StatusUnsat) {
-			if cert, err := opt.Certify(ctx, w, *r, opt.Options{MemBytes: o.MemoryBudget}); err == nil {
-				r.Certificate = cert
-			}
-		}
-	}
+func sessionSolve(o Options) serve.SessionSolveFunc {
 	return func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g serve.Grant, retained opt.Incremental) (opt.Result, bool) {
+		ro := attemptOptions(o, g)
 		if retained != nil && g.Attempt == 0 {
 			r := retained.SolveDelta(ctx, w, shared)
 			if r.Status == opt.StatusOptimal || r.Status == opt.StatusUnsat || ctx.Err() != nil {
-				certify(ctx, w, &r)
-				return r, true
+				return certifyServed(ctx, w, r, ro), true
 			}
 			// The engine answered Unknown while the solve is still wanted
 			// (it poisoned itself, or exhausted a per-call budget): fall
 			// through to a from-scratch run of the same snapshot.
 		}
-		ro := o
-		if algo == AlgoPortfolio {
-			ro.Parallelism = g.Slots
-		}
-		if g.Attempt > 0 {
-			ro.Parallelism = 1
-			ro.ShareClauses = false
-			if ro.MemoryBudget > 0 {
-				ro.MemoryBudget >>= g.Attempt
-			}
-		}
-		solver, _, err := buildSolver(w, ro)
-		if err != nil {
-			// Reachable only when deltas made the accumulation weighted under
-			// a unit-weight-only algorithm; Session.Push rejects that first.
-			return opt.Result{Status: opt.StatusUnknown, Cost: -1}, false
-		}
-		r := solver.Solve(ctx, w, shared)
-		certify(ctx, w, &r)
-		return r, false
+		return solveFresh(ctx, w, shared, ro), false
 	}
 }
 
