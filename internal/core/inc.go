@@ -10,19 +10,19 @@ import (
 	"repro/internal/sat"
 )
 
-// Inc is the retained msu3-style engine behind serving sessions: one CDCL
-// solver, one selector per soft clause, and one growing totalizer kept alive
-// across delta solves of a growing formula. Where MSU3.Solve pays the whole
-// lower-bound climb on every call, Inc resumes each SolveDelta from the
-// relaxed set, lower bound, learnt clauses and kept trail of the previous one
-// — sound because Absorb only ever adds clauses (see opt.Incremental).
+// Inc is the one msu3 engine (MSU3 documents the search and its soundness):
+// one CDCL solver, one selector per soft clause, and one growing totalizer.
+// MSU3.Solve runs it once; a serving session keeps it across delta solves of
+// a growing formula, each SolveDelta resuming from the relaxed set, lower
+// bound, learnt clauses and kept trail of the previous one — sound because
+// Absorb only ever adds clauses (see opt.Incremental).
 //
-// Variable discipline: the solver interleaves formula variables with
-// selectors and totalizer variables, so an external formula variable that
-// first appears in a delta cannot be used as a solver index directly. vmap
-// translates external variables to solver variables (identity for the base
-// prefix, fresh allocations for delta growth) and externalModel translates
-// the witness back.
+// Variable layout: base variables keep their numbers and the base selectors
+// follow in soft order, the layout loadSoft gives msu4, so the two share one
+// clause-sharing scope. Delta clauses interleave with selectors and
+// totalizer variables, so vmap gives an external variable first seen in a
+// delta a fresh solver variable, and externalModel translates the witness
+// back.
 //
 // Totalizer growth: the totalizer is built with headroom for the soft count
 // at the time of its construction. When later deltas add enough soft clauses
@@ -32,44 +32,48 @@ import (
 // their own variables), exactly like a one-shot totalizer that was built too
 // small would be unsound to keep querying.
 type Inc struct {
-	opts  opt.Options
-	s     *sat.Solver
-	vmap  []cnf.Var // external formula var → solver var
-	softs []*softClause
-	owner map[cnf.Var]*softClause
+	opts     opt.Options
+	disjoint bool // open every solve with MSU3.DisjointPhase's core extraction
+	s        *sat.Solver
+	vmap     []cnf.Var // external formula var → solver var
+	softs    []*softClause
+	owner    map[cnf.Var]*softClause
 
 	tot       *card.IncTotalizer
 	totLimit  int
 	relaxedIn []cnf.Lit // blocking literals already fed to tot
 
 	lb      int
-	hardOK  bool // accumulated hard clauses still satisfiable at level 0
-	broken  bool // a recovered panic poisoned the retained state
+	broken  bool // poisoned by a recovered panic, a weighted soft or Close
 	assumps []cnf.Lit
+	scratch cnf.Clause
 }
 
-// NewInc returns a retained engine loaded with the base formula. Soft
-// clauses must have unit weight; the caller routes weighted instances away
-// from the retained path.
+// NewInc returns an engine loaded with the base formula (nil starts empty).
+// Soft clauses must have unit weight; the caller routes weighted instances
+// away from the retained path. The engine copies what it keeps, so the
+// caller may reuse base afterwards.
 func NewInc(o opt.Options, base *cnf.WCNF) *Inc {
 	m := &Inc{
-		opts:   o,
-		s:      sat.New(),
-		owner:  make(map[cnf.Var]*softClause),
-		hardOK: true,
+		opts:  o,
+		s:     sat.New(),
+		owner: make(map[cnf.Var]*softClause),
 	}
-	if base != nil {
-		var hards []cnf.Clause
-		var softs []cnf.WClause
-		for _, c := range base.Clauses {
-			if c.Hard() {
-				hards = append(hards, c.Clause)
-			} else {
-				softs = append(softs, c)
-			}
-		}
-		m.Absorb(hards, softs)
+	if base == nil {
+		return m
 	}
+	m.s.EnsureVars(base.NumVars)
+	m.vmap = make([]cnf.Var, base.NumVars)
+	for v := range m.vmap {
+		m.vmap[v] = cnf.Var(v)
+	}
+	for _, c := range base.Clauses {
+		m.add(c.Clause, c.Weight)
+	}
+	// Same sharing scope as msu4: formula plus the (identically numbered)
+	// selector block; the totalizer is assumption-bounded, so every addition
+	// stays a conservative extension of that scope.
+	o.AttachExchange(m.s, base.NumVars+len(m.softs))
 	return m
 }
 
@@ -89,44 +93,47 @@ func (m *Inc) solverLit(l cnf.Lit) cnf.Lit {
 	return cnf.NewLit(m.vmap[v], l.Sign())
 }
 
+// add loads one base or delta clause: a hard clause as it is, a unit-weight
+// soft clause as a selector-guarded shell (ω ∨ ¬sel).
+func (m *Inc) add(c cnf.Clause, w cnf.Weight) {
+	if m.broken {
+		return
+	}
+	if w != cnf.HardWeight && w != 1 {
+		// Weighted softs never reach the retained path; treat one as
+		// poisoning so the caller falls back for good.
+		m.broken = true
+		return
+	}
+	m.scratch = m.scratch[:0]
+	for _, l := range c {
+		m.scratch = append(m.scratch, m.solverLit(l))
+	}
+	if w == cnf.HardWeight {
+		// A level-0 conflict is permanent under add-only deltas; the solver
+		// keeps it (sat.Solver.Okay).
+		m.s.AddClause(m.scratch...)
+		return
+	}
+	sc := &softClause{lits: m.scratch.Clone(), selector: m.s.NewVar()}
+	// A shell can never conflict: ¬sel is fresh and unassigned.
+	m.s.AddClause(append(m.scratch, sc.blocking())...)
+	m.softs = append(m.softs, sc)
+	m.owner[sc.selector] = sc
+}
+
 // Absorb implements opt.Incremental: it adds the delta's hard clauses and
 // unit-weight soft shells to the retained solver. Adding clauses backtracks
 // the solver to level 0 internally, which safely discards the kept trail for
 // the next solve while keeping every learnt clause.
 func (m *Inc) Absorb(hards []cnf.Clause, softs []cnf.WClause) bool {
-	if m.broken {
-		return false
-	}
-	scratch := make([]cnf.Lit, 0, 8)
 	for _, c := range hards {
-		scratch = scratch[:0]
-		for _, l := range c {
-			scratch = append(scratch, m.solverLit(l))
-		}
-		if !m.s.AddClause(scratch...) {
-			// Hard clauses unsatisfiable — permanent under add-only deltas.
-			m.hardOK = false
-		}
+		m.add(c, cnf.HardWeight)
 	}
 	for _, c := range softs {
-		if c.Weight != 1 {
-			// Weighted deltas never reach the retained path; treat one as
-			// poisoning so the caller falls back for good.
-			m.broken = true
-			return false
-		}
-		scratch = scratch[:0]
-		for _, l := range c.Clause {
-			scratch = append(scratch, m.solverLit(l))
-		}
-		sel := m.s.NewVar()
-		shell := append(append(cnf.Clause(nil), scratch...), cnf.NegLit(sel))
-		m.s.AddClause(shell...)
-		sc := &softClause{lits: append(cnf.Clause(nil), scratch...), selector: sel, index: len(m.softs)}
-		m.softs = append(m.softs, sc)
-		m.owner[sel] = sc
+		m.add(c.Clause, c.Weight)
 	}
-	return true
+	return !m.broken
 }
 
 // externalModel translates a solver-space model back to the external
@@ -143,7 +150,7 @@ func (m *Inc) externalModel(model cnf.Assignment, n int) cnf.Assignment {
 	return out
 }
 
-// SolveDelta implements opt.Incremental: the msu3 main loop resumed from the
+// SolveDelta implements opt.Incremental: the msu3 loop resumed from the
 // retained relaxed set and lower bound. A panic anywhere inside is recovered
 // into StatusUnknown and poisons the engine (the serving layer then falls
 // back to from-scratch solves and retires it at the next Absorb).
@@ -158,22 +165,30 @@ func (m *Inc) SolveDelta(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (
 		}
 		res.Elapsed = time.Since(start)
 	}()
-	if m.broken {
-		return res
+	if !m.broken {
+		m.solve(ctx, w, shared, nil, &res)
 	}
-	if !m.hardOK {
-		res.Status = opt.StatusUnsat
-		return res
-	}
-	m.s.SetBudget(m.opts.Budget(ctx))
+	return res
+}
 
+// solve is the msu3 main loop over the accumulated formula, sized by w. A
+// non-nil prep lifts improved models to the original formula before they
+// are published.
+func (m *Inc) solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, prep *opt.Prep, res *opt.Result) {
+	if !m.s.Okay() {
+		res.Status = opt.StatusUnsat
+		return
+	}
+	m.opts.ConfigureSolver(ctx, m.s)
+	// The disjoint phase imposes no bound and ends at its first SAT outcome.
+	disjoint := m.disjoint
 	for {
 		if ctx.Err() != nil {
-			finishUnknown(&res, cnf.Weight(m.lb))
-			return res
+			finishUnknown(res, cnf.Weight(m.lb))
+			return
 		}
-		if adoptClosed(shared, &res, cnf.Weight(m.lb)) {
-			return res
+		if adoptClosed(shared, res, cnf.Weight(m.lb)) {
+			return
 		}
 		// The totalizer must be able to express the current bound whenever a
 		// bound is genuinely needed (lb < relaxed count). If soft growth has
@@ -183,8 +198,9 @@ func (m *Inc) SolveDelta(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (
 			m.tot = card.NewIncTotalizer(m.s, m.relaxedIn, m.totLimit)
 		}
 		// Enforced selectors first (in stable soft order), the bound literal
-		// last: between session solves the assumption prefix repeats, so the
-		// solver's kept trail carries the propagated selector prefix over.
+		// last: when only the bound moves between calls, within a solve or
+		// between session solves, the solver's kept trail carries the
+		// propagated selector prefix over.
 		m.assumps = m.assumps[:0]
 		for _, c := range m.softs {
 			if !c.relaxed {
@@ -192,7 +208,7 @@ func (m *Inc) SolveDelta(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (
 			}
 		}
 		boundLit := cnf.LitUndef
-		if m.tot != nil {
+		if m.tot != nil && !disjoint {
 			if bl, need := m.tot.Bound(m.lb); need {
 				boundLit = bl
 				m.assumps = append(m.assumps, bl)
@@ -204,26 +220,30 @@ func (m *Inc) SolveDelta(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (
 
 		switch st {
 		case sat.Unknown:
-			finishUnknown(&res, cnf.Weight(m.lb))
-			return res
+			finishUnknown(res, cnf.Weight(m.lb))
+			return
 
 		case sat.Sat:
 			res.SatCalls++
+			if disjoint && len(m.relaxedIn) > 0 {
+				// Relaxed clauses ran unbounded: the bounded search takes
+				// over at the credited lower bound.
+				disjoint = false
+				continue
+			}
 			model := m.s.Model()
-			cost := modelCost(m.softs, model)
 			res.Status = opt.StatusOptimal
-			res.Cost = cnf.Weight(cost)
+			res.Cost = cnf.Weight(modelCost(m.softs, model))
 			res.LowerBound = res.Cost
 			res.Model = m.externalModel(model, w.NumVars)
-			shared.PublishUB(res.Cost, res.Model)
-			return res
+			prep.PublishUB(shared, res.Cost, res.Model)
+			return
 
 		case sat.Unsat:
 			res.UnsatCalls++
-			coreLits := m.s.Core()
 			var newBlocking []cnf.Lit
 			sawBound := false
-			for _, l := range coreLits {
+			for _, l := range m.s.Core() {
 				if l == boundLit {
 					sawBound = true
 					continue
@@ -234,31 +254,40 @@ func (m *Inc) SolveDelta(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (
 			}
 			switch {
 			case len(newBlocking) > 0:
+				// Fresh soft clauses entered a core: relax them and retry
+				// at the same bound (a disjoint core also credits one).
+				if !sawBound {
+					// Implied by hard clauses and shells alone (the bound
+					// took no part in the refutation): shareable.
+					m.s.ShareClause(newBlocking...)
+				}
 				if m.tot == nil {
 					m.totLimit = len(m.softs) + 1
 					m.tot = card.NewIncTotalizer(m.s, nil, m.totLimit)
 				}
 				m.tot.AddInputs(newBlocking)
 				m.relaxedIn = append(m.relaxedIn, newBlocking...)
+				if disjoint {
+					m.lb++
+					shared.PublishLB(cnf.Weight(m.lb))
+				}
 			case sawBound:
+				// Core is {bound} (possibly with hard/relaxed context):
+				// the bound itself is too tight.
 				m.lb++
 				shared.PublishLB(cnf.Weight(m.lb))
 			default:
+				// Unsatisfiable without any assumption: hard clauses
+				// conflict.
 				res.Status = opt.StatusUnsat
-				return res
+				return
 			}
 		}
 	}
 }
 
 // Close implements opt.Incremental: the retained solver state is dropped.
-func (m *Inc) Close() {
-	m.s = nil
-	m.softs = nil
-	m.owner = nil
-	m.tot = nil
-	m.broken = true
-}
+func (m *Inc) Close() { *m = Inc{broken: true} }
 
 // TrailReused exposes the solver's cumulative trail-reuse counter — the
 // levels of propagation carried between consecutive solves — for tests and

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/brute"
 	"repro/internal/cnf"
+	"repro/internal/gen"
 	"repro/internal/opt"
 )
 
@@ -166,5 +168,108 @@ func TestIncTrailReuse(t *testing.T) {
 	}
 	if m.TrailReused() == 0 {
 		t.Fatal("expected trail reuse across the bound climb, got none")
+	}
+}
+
+// TestMSU3IsSessionWithoutDeltas checks that a session's first solve of a
+// formula is the one-shot msu3 search, counter for counter: both run the
+// one Inc engine over the same variable and clause layout. The first twelve
+// suite instances are order-sensitive enough to show a layout mismatch;
+// rand3-v20-r6.0-s105, for one, takes 128 conflicts when the hard clauses
+// load before the softs, against 114 in formula order.
+func TestMSU3IsSessionWithoutDeltas(t *testing.T) {
+	ctx := context.Background()
+	for _, in := range gen.Suite(1)[:12] {
+		if in.W.Weighted() {
+			continue
+		}
+		m := NewInc(opt.Options{}, in.W)
+		got := m.SolveDelta(ctx, in.W, nil)
+		m.Close()
+		want := NewMSU3(opt.Options{}).Solve(ctx, in.W, nil)
+		type counters struct {
+			st              opt.Status
+			cost            cnf.Weight
+			iters, sat, uns int
+			conflicts       int64
+		}
+		c := func(r opt.Result) counters {
+			return counters{r.Status, r.Cost, r.Iterations, r.SatCalls, r.UnsatCalls, r.Conflicts}
+		}
+		if c(got) != c(want) {
+			t.Errorf("%s: session first solve %+v, one-shot msu3 %+v", in.Name, c(got), c(want))
+		}
+	}
+}
+
+// TestIncDoesNotAliasBase overwrites the caller's base in place after
+// opening the engine: a session caller may reuse its formula, so the engine
+// must have copied every literal it keeps.
+func TestIncDoesNotAliasBase(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	for iter := 0; iter < 30; iter++ {
+		base := randomWCNF(rng, 3+rng.Intn(6), 3+rng.Intn(8), true)
+		w := base.Clone()
+		m := NewInc(opt.Options{}, base)
+		for _, c := range base.Clauses {
+			for i := range c.Clause {
+				c.Clause[i] = c.Clause[i].Neg()
+			}
+		}
+		want, _, feasible := brute.MinCostWCNF(w)
+		r := m.SolveDelta(context.Background(), w, nil)
+		m.Close()
+		if !feasible {
+			if r.Status != opt.StatusUnsat {
+				t.Fatalf("iter %d: status %v, want UNSAT", iter, r.Status)
+			}
+			continue
+		}
+		if r.Status != opt.StatusOptimal || r.Cost != want {
+			t.Fatalf("iter %d: status %v cost %d, want OPTIMAL %d", iter, r.Status, r.Cost, want)
+		}
+		if !opt.VerifyModel(w, r) {
+			t.Fatalf("iter %d: model does not witness cost %d", iter, r.Cost)
+		}
+	}
+}
+
+// recordingExchange is a clause-sharing bus that records exports and
+// offers no imports.
+type recordingExchange struct{ exported [][]cnf.Lit }
+
+func (x *recordingExchange) Export(lits []cnf.Lit, _ int32) {
+	x.exported = append(x.exported, slices.Clone(lits))
+}
+func (x *recordingExchange) Import(func([]cnf.Lit, int32)) {}
+func (x *recordingExchange) Pending() int                  { return 0 }
+
+// TestMSU3SharesAlignedCores checks msu3's side of the portfolio sharing
+// contract on the paper's example: the selectors sit at NumVars+i, as in
+// every loadSoft-based member, so the first core ({ω1, ω2, ω3}, found with
+// no bound in play) leaves as the blocking clause ¬s1 ∨ ¬s2 ∨ ¬s3 over
+// DIMACS variables 5..7, and nothing outside the scope is exported.
+func TestMSU3SharesAlignedCores(t *testing.T) {
+	w := paperExample2()
+	x := &recordingExchange{}
+	r := NewMSU3(opt.Options{Exchange: x, ShareVars: w.NumVars}).Solve(context.Background(), w, nil)
+	if r.Status != opt.StatusOptimal || r.Cost != 2 {
+		t.Fatalf("status %v cost %d, want OPTIMAL 2", r.Status, r.Cost)
+	}
+	if len(x.exported) == 0 {
+		t.Fatal("msu3 exported nothing: the engine did not attach the sharing bus")
+	}
+	first := slices.Clone(x.exported[0])
+	slices.Sort(first)
+	if want := []cnf.Lit{lit(-5), lit(-6), lit(-7)}; !slices.Equal(first, want) {
+		t.Fatalf("first export %v, want the first core's blocking literals %v", first, want)
+	}
+	scope := w.NumVars + w.NumClauses()
+	for _, c := range x.exported {
+		for _, l := range c {
+			if int(l.Var()) >= scope {
+				t.Fatalf("export %v leaves the formula+selector scope of %d variables", c, scope)
+			}
+		}
 	}
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"time"
 
-	"repro/internal/card"
 	"repro/internal/cnf"
 	"repro/internal/opt"
-	"repro/internal/sat"
 )
 
 // MSU3 is the UNSAT-driven lower-bound search of the companion report
@@ -43,7 +41,10 @@ func NewMSU3(o opt.Options) *MSU3 { return &MSU3{Opts: o} }
 // Name implements opt.Solver.
 func (m *MSU3) Name() string { return "msu3" }
 
-// Solve implements opt.Solver. Soft clauses must have unit weight.
+// Solve implements opt.Solver. Soft clauses must have unit weight. A
+// one-shot solve is a session with no deltas: Solve runs the Inc engine once
+// over the (optionally preprocessed) formula. Unlike Inc.SolveDelta it lets
+// a panic through, for the serving layer to count and retry.
 func (m *MSU3) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res opt.Result) {
 	requireUnweighted(w, "msu3")
 	start := time.Now()
@@ -57,158 +58,8 @@ func (m *MSU3) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 	}
 	defer prep.Finish(&res)
 
-	s := sat.New()
-	m.Opts.ConfigureSolver(ctx, s)
-	softs, ok := loadSoft(s, w)
-	if !ok {
-		res.Status = opt.StatusUnsat
-		return res
-	}
-	owner := selectorOwner(softs)
-	// Same sharing scope as msu4: formula plus the (identically numbered)
-	// selector block; msu3's totalizer is assumption-bounded, so every
-	// addition stays a conservative extension of that scope.
-	m.Opts.AttachExchange(s, w.NumVars+len(softs))
-	tot := card.NewIncTotalizer(s, nil, len(softs)+1)
-
-	lb := 0
-	var assumps []cnf.Lit
-
-	if m.DisjointPhase {
-		// Phase 1: disjoint core extraction. Solve with every unrelaxed
-		// soft clause enforced and no bound; each UNSAT core is disjoint
-		// from everything already relaxed, so it raises the lower bound by
-		// one. Stop at the first SAT/empty-core outcome.
-	disjoint:
-		for ctx.Err() == nil {
-			if adoptClosed(shared, &res, cnf.Weight(lb)) {
-				return res
-			}
-			assumps = assumps[:0]
-			for _, c := range softs {
-				if !c.relaxed {
-					assumps = append(assumps, c.assumption())
-				}
-			}
-			st := s.Solve(assumps...)
-			res.Iterations++
-			res.Observe(s.Stats())
-			switch st {
-			case sat.Unknown:
-				finishUnknown(&res, cnf.Weight(lb))
-				return res
-			case sat.Sat:
-				if lb == 0 {
-					// Everything satisfiable: optimum 0, done.
-					model := s.Model()
-					res.SatCalls++
-					res.Status = opt.StatusOptimal
-					res.Cost = 0
-					res.Model = snapshotModel(model, w.NumVars)
-					return res
-				}
-				res.SatCalls++
-				break disjoint
-			case sat.Unsat:
-				res.UnsatCalls++
-				coreLits := s.Core()
-				if len(coreLits) == 0 {
-					res.Status = opt.StatusUnsat
-					return res
-				}
-				var newBlocking []cnf.Lit
-				for _, l := range coreLits {
-					c := owner[l.Var()]
-					c.relaxed = true
-					newBlocking = append(newBlocking, c.blocking())
-				}
-				// Disjoint-phase cores hold with no bound assumed: their
-				// at-least-one clause is implied by hard clauses and shells
-				// alone and is safe to hand to the sharing members.
-				s.ShareClause(newBlocking...)
-				tot.AddInputs(newBlocking)
-				lb++
-				shared.PublishLB(cnf.Weight(lb))
-			}
-		}
-	}
-	for {
-		if ctx.Err() != nil {
-			finishUnknown(&res, cnf.Weight(lb))
-			return res
-		}
-		if adoptClosed(shared, &res, cnf.Weight(lb)) {
-			return res
-		}
-		// Enforced selectors first, the bound literal last: when only the
-		// bound moves between calls the solver's trail reuse keeps the
-		// whole propagated selector prefix.
-		assumps = assumps[:0]
-		for _, c := range softs {
-			if !c.relaxed {
-				assumps = append(assumps, c.assumption())
-			}
-		}
-		boundLit := cnf.LitUndef
-		if bl, need := tot.Bound(lb); need {
-			boundLit = bl
-			assumps = append(assumps, bl)
-		}
-		st := s.Solve(assumps...)
-		res.Iterations++
-		res.Observe(s.Stats())
-
-		switch st {
-		case sat.Unknown:
-			finishUnknown(&res, cnf.Weight(lb))
-			return res
-
-		case sat.Sat:
-			res.SatCalls++
-			model := s.Model()
-			cost := modelCost(softs, model)
-			res.Status = opt.StatusOptimal
-			res.Cost = cnf.Weight(cost)
-			res.LowerBound = res.Cost
-			res.Model = snapshotModel(model, w.NumVars)
-			prep.PublishUB(shared, res.Cost, res.Model)
-			return res
-
-		case sat.Unsat:
-			res.UnsatCalls++
-			coreLits := s.Core()
-			var newBlocking []cnf.Lit
-			sawBound := false
-			for _, l := range coreLits {
-				if l == boundLit {
-					sawBound = true
-					continue
-				}
-				c := owner[l.Var()]
-				c.relaxed = true
-				newBlocking = append(newBlocking, c.blocking())
-			}
-			switch {
-			case len(newBlocking) > 0:
-				// Fresh soft clauses entered a core: relax them and retry
-				// at the same bound.
-				if !sawBound {
-					// Implied by hard clauses and shells alone (the bound
-					// took no part in the refutation): shareable.
-					s.ShareClause(newBlocking...)
-				}
-				tot.AddInputs(newBlocking)
-			case sawBound:
-				// Core is {bound} (possibly with hard/relaxed context):
-				// the bound itself is too tight.
-				lb++
-				shared.PublishLB(cnf.Weight(lb))
-			default:
-				// Unsatisfiable without any assumption: hard clauses
-				// conflict.
-				res.Status = opt.StatusUnsat
-				return res
-			}
-		}
-	}
+	inc := NewInc(m.Opts, w)
+	inc.disjoint = m.DisjointPhase
+	inc.solve(ctx, w, shared, prep, &res)
+	return res
 }

@@ -228,6 +228,9 @@ type admission struct {
 	// reused, for a session solve, is set by spec.Solve when the session's
 	// retained engine answered.
 	reused *atomic.Bool
+	// hold, for a replay, collects the run start instead of making it, so
+	// Recover registers every pending job before any of them runs.
+	hold *[]func()
 }
 
 // admit is the one admission routine behind Submit, Session.Solve and
@@ -418,6 +421,11 @@ func (s *Server) admit(a admission) (*Handle, error) {
 			j.journal = true
 		}
 	}
-	go s.run(ctx, j)
+	start := func() { go s.run(ctx, j) }
+	if a.hold != nil {
+		*a.hold = append(*a.hold, start)
+	} else {
+		start()
+	}
 	return &Handle{s: s, j: j}, nil
 }

@@ -23,6 +23,16 @@ func (s *Server) Recover(rebuild func(RecoveredJob) (JobSpec, error)) error {
 	if s.cfg.Journal == nil {
 		return nil
 	}
+	// Hold every run start until all pending jobs are registered: a replay
+	// that finished before its duplicate was admitted would turn the
+	// duplicate into a cache hit instead of a coalesce. Held jobs start on
+	// every return, error returns included, because Close waits for them.
+	var held []func()
+	defer func() {
+		for _, start := range held {
+			start()
+		}
+	}()
 	for _, rj := range s.cfg.Journal.Pending() {
 		spec, err := rebuild(rj)
 		if err != nil {
@@ -34,7 +44,7 @@ func (s *Server) Recover(rebuild func(RecoveredJob) (JobSpec, error)) error {
 		if spec.Formula == nil {
 			spec.Formula = rj.Formula
 		}
-		if _, err := s.admit(admission{spec: spec, origin: replay, id: rj.ID, detail: "replayed"}); err != nil {
+		if _, err := s.admit(admission{spec: spec, origin: replay, id: rj.ID, detail: "replayed", hold: &held}); err != nil {
 			return err
 		}
 	}

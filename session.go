@@ -86,7 +86,10 @@ func (s *Server) OpenSession(ctx context.Context, base *WCNF, o Options) (*Sessi
 // weighted-capable algorithm explicitly. The call blocks until a worker
 // slot is free to pin (pass a ctx with a deadline on a busy server); it
 // holds one rate token and one unit of the client's in-flight quota for the
-// session's lifetime.
+// session's lifetime. An unweighted session solves warm on core.Inc, the
+// engine a one-shot msu3 solve runs once, so its first solve is the one-shot
+// msu3 search. The session copies base, so the caller may reuse it once the
+// call returns.
 func (s *Server) OpenSessionAs(ctx context.Context, client string, base *WCNF, o Options) (*Session, error) {
 	if base == nil {
 		base = cnf.NewWCNF(0)
@@ -96,9 +99,8 @@ func (s *Server) OpenSessionAs(ctx context.Context, client string, base *WCNF, o
 		return nil, err
 	}
 	// The warm engine handles unweighted accumulations for every algorithm:
-	// it is an msu3-style incremental climb, whose optimum (the thing
-	// sessions answer with) is algorithm-independent. Weighted bases run
-	// every solve from scratch.
+	// it is the msu3 engine, whose optimum (the thing sessions answer with)
+	// is algorithm-independent. Weighted bases run every solve from scratch.
 	var retained opt.Incremental
 	if !base.Weighted() {
 		retained = core.NewInc(opt.Options{
