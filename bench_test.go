@@ -3,11 +3,13 @@ package maxsat
 // Benchmark harness regenerating every table and figure of the DATE 2008
 // paper (see DESIGN.md §2 for the experiment index):
 //
-//	BenchmarkTable1    — aborted-instance counts, industrial-style suite
+//	BenchmarkTable1    — aborted-instance counts, industrial-style suite:
+//	                     maxsatz, pbo, the paper's msu4 v1 and v2 (msu4-bdd,
+//	                     msu4-sorter) and the served msu4-v2
 //	BenchmarkTable2    — aborted counts, 29 design-debugging instances
 //	BenchmarkFigure1   — scatter maxsatz vs msu4-v2
 //	BenchmarkFigure2   — scatter pbo vs msu4-v2
-//	BenchmarkFigure3   — scatter msu4-v1 vs msu4-v2
+//	BenchmarkFigure3   — scatter msu4-bdd vs msu4-sorter (paper v1 vs v2)
 //	BenchmarkCardEncodings — A1 ablation: encoding sizes and solve impact
 //	BenchmarkMSU4AtLeast1  — A2 ablation: the optional line-19 constraint
 //	BenchmarkMSU1Variants  — A3 ablation: AMO encodings inside msu1
@@ -173,8 +175,9 @@ func BenchmarkFigure1(b *testing.B) { scatterBench(b, "msu4-v2", "maxsatz") }
 // BenchmarkFigure2 regenerates Figure 2: pbo (y) vs msu4-v2 (x).
 func BenchmarkFigure2(b *testing.B) { scatterBench(b, "msu4-v2", "pbo") }
 
-// BenchmarkFigure3 regenerates Figure 3: msu4-v1 (y) vs msu4-v2 (x).
-func BenchmarkFigure3(b *testing.B) { scatterBench(b, "msu4-v2", "msu4-v1") }
+// BenchmarkFigure3 regenerates Figure 3: the paper's v1, msu4-bdd (y), vs
+// its v2, msu4-sorter (x).
+func BenchmarkFigure3(b *testing.B) { scatterBench(b, "msu4-sorter", "msu4-bdd") }
 
 // BenchmarkCardEncodings measures the A1 ablation: CNF size and encoding
 // time of AtMost-k for each cardinality encoding (n=96, k=12 — the regime
@@ -222,7 +225,7 @@ func BenchmarkMSU4AtLeast1(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				iterations = 0
 				for _, in := range insts {
-					m := &core.MSU4{Opts: opt.Options{Encoding: card.Sorter}, SkipAtLeast1: skip}
+					m := &core.MSU4{SkipAtLeast1: skip}
 					r := m.Solve(context.Background(), in.W, nil)
 					if r.Status != opt.StatusOptimal {
 						b.Fatalf("%s: %v", in.Name, r.Status)
@@ -389,7 +392,7 @@ func BenchmarkMSU4Minimize(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				relaxed = 0
 				for _, in := range insts {
-					m := &core.MSU4{Opts: opt.Options{Encoding: card.Sorter}, MinimizeCores: minimize}
+					m := &core.MSU4{MinimizeCores: minimize}
 					r := m.Solve(context.Background(), in.W, nil)
 					if r.Status != opt.StatusOptimal {
 						b.Fatalf("%s: %v", in.Name, r.Status)

@@ -38,6 +38,22 @@ func TestExperimentsFig1Tiny(t *testing.T) {
 	}
 }
 
+// TestExperimentsFig3Tiny runs Figure 3, which plots the paper's two msu4
+// versions against each other: v1 re-encodes the bound with BDDs
+// (msu4-bdd), v2 with sorting networks (msu4-sorter).
+func TestExperimentsFig3Tiny(t *testing.T) {
+	var out bytes.Buffer
+	code := run([]string{"-run", "fig3", "-timeout", "1ms"}, &out)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, out.String())
+	}
+	for _, name := range []string{"msu4-bdd", "msu4-sorter"} {
+		if !strings.Contains(out.String(), name) {
+			t.Fatalf("%s missing from the Figure 3 output:\n%s", name, out.String())
+		}
+	}
+}
+
 func TestExperimentsPortfolioRow(t *testing.T) {
 	var out bytes.Buffer
 	code := run([]string{"-run", "table2", "-timeout", "1ms", "-portfolio", "2"}, &out)

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	maxsat [-alg msu4-v2] [-enc sorter] [-jobs 4] [-share] [-pre] [-timeout 30s] [-stats] [-no-model] file
+//	maxsat [-alg msu4-v2] [-jobs 4] [-share] [-pre] [-timeout 30s] [-stats] [-no-model] file
 //
 // -cert makes OPTIMAL and UNSATISFIABLE verdicts carry a machine-checkable
 // proof certificate, re-validated in-process before the result is printed.
@@ -39,8 +39,7 @@ func main() {
 func run(args []string) int {
 	fs := flag.NewFlagSet("maxsat", flag.ContinueOnError)
 	var (
-		alg     = fs.String("alg", "", "algorithm: auto (default), msu4-v1, msu4-v2, msu4, msu1, msu2, msu3, wmsu1, wmsu4, oll, pbo, pbo-bin, maxsatz, portfolio")
-		enc     = fs.String("enc", "", "cardinality encoding for -alg msu4: bdd, sorter, seq, totalizer")
+		alg     = fs.String("alg", "", "algorithm: auto (default), msu4-v2, msu1, msu2, msu3, wmsu1, wmsu4, oll, pbo, pbo-bin, maxsatz, portfolio")
 		jobs    = fs.Int("jobs", 0, "parallel solvers raced by -alg portfolio (0 = full line-up)")
 		share   = fs.Bool("share", false, "learnt-clause sharing between -alg portfolio members")
 		pre     = fs.Bool("pre", false, "soft-aware preprocessing of the hard clauses before optimizing")
@@ -74,7 +73,6 @@ func run(args []string) int {
 
 	o := maxsat.Options{
 		Algorithm:    maxsat.Algorithm(*alg),
-		Encoding:     *enc,
 		Timeout:      *timeout,
 		Parallelism:  *jobs,
 		Preprocess:   *pre,

@@ -20,8 +20,8 @@ func TestRunPlainCNF(t *testing.T) {
 	if code := run([]string{path}); code != 0 {
 		t.Fatalf("exit %d, want 0", code)
 	}
-	if code := run([]string{"-alg", "msu4-v1", "-stats", path}); code != 0 {
-		t.Fatalf("msu4-v1 exit %d", code)
+	if code := run([]string{"-alg", "msu4-v2", "-stats", path}); code != 0 {
+		t.Fatalf("msu4-v2 exit %d", code)
 	}
 	if code := run([]string{"-alg", "maxsatz", "-no-model", path}); code != 0 {
 		t.Fatalf("maxsatz exit %d", code)
@@ -71,9 +71,6 @@ func TestRunErrors(t *testing.T) {
 	path := writeFile(t, "m.cnf", "p cnf 1 1\n1 0\n")
 	if code := run([]string{"-alg", "bogus", path}); code != 1 {
 		t.Fatalf("bad algorithm: exit %d, want 1", code)
-	}
-	if code := run([]string{"-alg", "msu4", "-enc", "bogus", path}); code != 1 {
-		t.Fatalf("bad encoding: exit %d, want 1", code)
 	}
 }
 

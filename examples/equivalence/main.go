@@ -26,7 +26,7 @@ func main() {
 		fmt.Printf("%s: %d vars, %d clauses (ripple vs carry-select, %d-bit)\n",
 			in.Name, in.W.NumVars, in.W.NumClauses(), bits)
 		for _, algo := range []maxsat.Algorithm{
-			maxsat.AlgoMSU4V2, maxsat.AlgoMSU4V1, maxsat.AlgoPBO, maxsat.AlgoBnB,
+			maxsat.AlgoMSU4V2, maxsat.AlgoMSU3, maxsat.AlgoPBO, maxsat.AlgoBnB,
 		} {
 			w := in.W.Clone()
 			r, err := maxsat.Solve(w, maxsat.Options{Algorithm: algo, Timeout: 5 * time.Second})

@@ -6,8 +6,8 @@
 // BDDs (msu4 v1) and odd-even merge sorting networks (msu4 v2). This package
 // implements both, plus the sequential counter (the "linear encoding" used
 // by msu2/msu3 in the companion report) and the totalizer, which serve as
-// ablation points, and pairwise/ladder/commander/bitwise encodings for the
-// AtMost-1 special case.
+// ablation points, and pairwise/ladder encodings for the AtMost-1 special
+// case.
 //
 // All encodings are emitted in assertive polarity: they are correct when the
 // constraint is asserted as part of the formula (which is how every MaxSAT
@@ -47,13 +47,10 @@ const (
 	Pairwise
 	// Ladder is the ladder (regular) encoding; only valid for AtMost-1.
 	Ladder
-	// Commander is the commander AMO encoding; only valid for AtMost-1.
-	Commander
-	// Bitwise is the binary/bitwise AMO encoding; only valid for AtMost-1.
-	Bitwise
 )
 
-// String names the encoding as used in reports and CLI flags.
+// String names the encoding as used in reports and solver names
+// ("msu4-bdd", "msu4-sorter").
 func (e Encoding) String() string {
 	switch e {
 	case BDD:
@@ -68,36 +65,9 @@ func (e Encoding) String() string {
 		return "pairwise"
 	case Ladder:
 		return "ladder"
-	case Commander:
-		return "commander"
-	case Bitwise:
-		return "bitwise"
 	default:
 		return fmt.Sprintf("Encoding(%d)", int(e))
 	}
-}
-
-// ParseEncoding converts a CLI name into an Encoding.
-func ParseEncoding(s string) (Encoding, error) {
-	switch s {
-	case "bdd":
-		return BDD, nil
-	case "sorter", "sortnet", "sorting":
-		return Sorter, nil
-	case "seq", "sequential":
-		return Sequential, nil
-	case "totalizer", "tot":
-		return Totalizer, nil
-	case "pairwise":
-		return Pairwise, nil
-	case "ladder":
-		return Ladder, nil
-	case "commander", "cmd":
-		return Commander, nil
-	case "bitwise", "binary":
-		return Bitwise, nil
-	}
-	return 0, fmt.Errorf("card: unknown encoding %q", s)
 }
 
 // AtMost asserts sum(lits) <= k using the chosen encoding.
@@ -138,16 +108,6 @@ func AtMost(d Dest, enc Encoding, lits []cnf.Lit, k int) {
 			panic("card: ladder encoding only supports AtMost-1")
 		}
 		atMostOneLadder(d, lits)
-	case Commander:
-		if k != 1 {
-			panic("card: commander encoding only supports AtMost-1")
-		}
-		atMostOneCommander(d, lits)
-	case Bitwise:
-		if k != 1 {
-			panic("card: bitwise encoding only supports AtMost-1")
-		}
-		atMostOneBitwise(d, lits)
 	default:
 		panic("card: unknown encoding")
 	}
@@ -277,10 +237,11 @@ func (g guardedDest) AddClause(lits ...cnf.Lit) bool {
 // disable.Neg() activates it, while adding the unit clause {disable}
 // permanently satisfies every clause of the encoding, retiring it.
 //
-// msu4's ReencodeBounds ablation uses this to keep only its latest
-// upper-bound cardinality constraint active instead of accumulating one
-// permanent encoding per SAT iteration; the default msu4 maintains a single
-// incremental totalizer instead and never retracts anything.
+// msu4's ReencodeBounds mode (the paper's v1 and v2, which Table 1 and
+// Figure 3 run as msu4-bdd and msu4-sorter) uses this to keep only its
+// latest upper-bound cardinality constraint active instead of accumulating
+// one permanent encoding per SAT iteration; the served msu4-v2 maintains a
+// single incremental totalizer instead and never retracts anything.
 func Guarded(d Dest, disable cnf.Lit) Dest {
 	return guardedDest{d: d, disable: disable}
 }

@@ -36,11 +36,12 @@ func allSolvers(o opt.Options) []opt.Solver {
 		NewMSU1(o),
 		NewMSU2(o),
 		NewMSU3(o),
-		NewMSU4V1(o),
 		NewMSU4V2(o),
-		&MSU4{Opts: opt.Options{Encoding: card.Sequential}, Label: "msu4-seq"},
-		&MSU4{Opts: opt.Options{Encoding: card.Totalizer}, Label: "msu4-tot"},
-		&MSU4{Opts: o, SkipAtLeast1: true, Label: "msu4-noal1"},
+		&MSU4{Opts: o, ReencodeBounds: true, Encoding: card.BDD},
+		&MSU4{Opts: o, ReencodeBounds: true, Encoding: card.Sorter},
+		&MSU4{Opts: o, ReencodeBounds: true, Encoding: card.Sequential},
+		&MSU4{Opts: o, ReencodeBounds: true, Encoding: card.Totalizer},
+		&MSU4{Opts: o, SkipAtLeast1: true},
 		&MSU3{Opts: o, DisjointPhase: true},
 	}
 }
@@ -281,7 +282,7 @@ func TestMSU4BoundsMeetTermination(t *testing.T) {
 }
 
 func TestMSU4StatsPopulated(t *testing.T) {
-	m := NewMSU4V1(opt.Options{})
+	m := NewMSU4V2(opt.Options{})
 	r := m.Solve(context.Background(), paperExample2(), nil)
 	// Conflicts may legitimately be zero: with the incremental totalizer
 	// bound, the example's UNSAT iterations resolve by propagation into
@@ -301,7 +302,6 @@ func TestNames(t *testing.T) {
 		"msu1":    NewMSU1(o),
 		"msu2":    NewMSU2(o),
 		"msu3":    NewMSU3(o),
-		"msu4-v1": NewMSU4V1(o),
 		"msu4-v2": NewMSU4V2(o),
 	}
 	for want, s := range cases {
@@ -309,7 +309,7 @@ func TestNames(t *testing.T) {
 			t.Errorf("Name() = %q, want %q", s.Name(), want)
 		}
 	}
-	if (&MSU4{Opts: opt.Options{Encoding: card.Sorter}}).Name() != "msu4-sorter" {
+	if (&MSU4{ReencodeBounds: true, Encoding: card.Sorter}).Name() != "msu4-sorter" {
 		t.Error("derived msu4 name wrong")
 	}
 }
@@ -346,7 +346,7 @@ func TestMSU4MinimizeCores(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		w := randomWCNF(rng, 3+rng.Intn(7), 4+rng.Intn(20), iter%2 == 0)
 		want, _, feasible := brute.MinCostWCNF(w)
-		m := &MSU4{Opts: opt.Options{Encoding: card.Sorter}, MinimizeCores: true, Label: "msu4-min"}
+		m := &MSU4{MinimizeCores: true}
 		r := m.Solve(context.Background(), w, nil)
 		if !feasible {
 			if r.Status != opt.StatusUnsat {
@@ -469,9 +469,9 @@ func TestMSU4IncrementalVsReencode(t *testing.T) {
 		}
 		want, _, feasible := brute.MinCostWCNF(w)
 
-		inc := &MSU4{Opts: opt.Options{Encoding: card.Sorter}}
+		inc := &MSU4{}
 		ri := inc.Solve(context.Background(), w, nil)
-		re := &MSU4{Opts: opt.Options{Encoding: card.Sorter}, ReencodeBounds: true}
+		re := &MSU4{ReencodeBounds: true, Encoding: card.Sorter}
 		rr := re.Solve(context.Background(), w, nil)
 
 		if !feasible {
@@ -499,7 +499,7 @@ func TestMSU4IncrementalVsReencode(t *testing.T) {
 // the ORIGINAL formula (reconstruction round-trip).
 func TestCoreAlgorithmsPreprocessed(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
-	pre := opt.Options{Encoding: card.Sorter, Preprocess: true}
+	pre := opt.Options{Preprocess: true}
 	solvers := map[string]func() opt.Solver{
 		"msu1":  func() opt.Solver { return NewMSU1(pre) },
 		"msu2":  func() opt.Solver { return NewMSU2(pre) },

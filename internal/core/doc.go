@@ -25,9 +25,10 @@
 //     outcomes refine the upper bound and add "fewer blocking variables
 //     than the best model" cardinality constraints (line 30). Terminates
 //     when a core contains no initial clause, or when bounds meet.
-//     The cardinality encoding is selectable: BDD (paper's v1) or sorting
-//     networks (paper's v2), plus sequential counter and totalizer as
-//     ablations.
+//     NewMSU4V2 keeps the line-30 bound as one incremental totalizer;
+//     ReencodeBounds re-encodes it per bound with the chosen Encoding: BDD
+//     (paper's v1) or sorting networks (paper's v2), plus sequential
+//     counter and totalizer as ablations.
 //
 //   - MSU1 — Fu & Malik's original core-guided algorithm, the paper's
 //     reference point [11]: every UNSAT core gets a fresh relaxation

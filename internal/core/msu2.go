@@ -19,14 +19,11 @@ import (
 // incremental cardinality encodings (ablation A1/A3 territory).
 type MSU2 struct {
 	Opts opt.Options
-	// Encoding for the per-round cardinality constraint; NewMSU2 selects
-	// Sequential, the report's linear encoding.
-	Encoding card.Encoding
 }
 
 // NewMSU2 returns msu2 with the sequential encoding.
 func NewMSU2(o opt.Options) *MSU2 {
-	return &MSU2{Opts: o, Encoding: card.Sequential}
+	return &MSU2{Opts: o}
 }
 
 // Name implements opt.Solver.
@@ -99,7 +96,7 @@ func (m *MSU2) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 			return res
 		}
 		if len(blits) > 0 {
-			card.AtMost(s, m.Encoding, blits, lb)
+			card.AtMost(s, card.Sequential, blits, lb)
 		}
 
 		assumps := make([]cnf.Lit, len(enforced))

@@ -29,9 +29,10 @@ import (
 // output. Tightening the bound after a better model is an assumption
 // change, not a re-encoding, so no superseded encoding ever enters the
 // clause database. ReencodeBounds restores the paper-faithful per-bound
-// re-encoding (card.AtMost with Opts.Encoding behind a disabling guard,
-// superseded bounds retired by unit clauses) as an ablation; only there
-// does the v1/v2 encoding choice still matter.
+// re-encoding (card.AtMost with Encoding behind a disabling guard,
+// superseded bounds retired by unit clauses): the paper's v1 (card.BDD) and
+// v2 (card.Sorter), which Table 1 and Figure 3 run as msu4-bdd and
+// msu4-sorter. Only there does the encoding choice matter.
 //
 // When run inside a portfolio, MSU4 publishes U as a lower bound and every
 // improved model as an upper bound, and prunes against externally improved
@@ -51,35 +52,29 @@ type MSU4 struct {
 	// MinimizeProbeConflicts caps each minimization probe; 0 means 1000.
 	MinimizeProbeConflicts int64
 	// ReencodeBounds re-encodes the line-30 constraint at every improved
-	// bound with Opts.Encoding behind a guard (the pre-incremental
-	// behaviour, and the regime the paper's v1/v2 comparison measures)
-	// instead of tightening one incremental totalizer via assumptions.
+	// bound with Encoding behind a guard (the pre-incremental behaviour, and
+	// the regime the paper's v1/v2 comparison measures) instead of
+	// tightening one incremental totalizer via assumptions.
 	ReencodeBounds bool
-	// Label overrides the reported name (e.g. "msu4-v1"); when empty the
-	// name derives from the encoding.
-	Label string
+	// Encoding is the cardinality encoding of the re-encoded bound: card.BDD
+	// for the paper's v1, card.Sorter for its v2. Read only under
+	// ReencodeBounds.
+	Encoding card.Encoding
 }
 
-// NewMSU4V1 returns msu4 with BDD-encoded cardinality constraints
-// (the paper's "v1").
-func NewMSU4V1(o opt.Options) *MSU4 {
-	o.Encoding = card.BDD
-	return &MSU4{Opts: o, Label: "msu4-v1"}
-}
-
-// NewMSU4V2 returns msu4 with sorting-network cardinality constraints
-// (the paper's "v2").
+// NewMSU4V2 returns msu4 with its line-30 bound kept as one incremental
+// totalizer: the msu4 that AlgoAuto serves for unweighted instances.
 func NewMSU4V2(o opt.Options) *MSU4 {
-	o.Encoding = card.Sorter
-	return &MSU4{Opts: o, Label: "msu4-v2"}
+	return &MSU4{Opts: o}
 }
 
-// Name implements opt.Solver.
+// Name implements opt.Solver: "msu4-v2" for the incremental bound,
+// "msu4-<encoding>" under ReencodeBounds.
 func (m *MSU4) Name() string {
-	if m.Label != "" {
-		return m.Label
+	if m.ReencodeBounds {
+		return "msu4-" + m.Encoding.String()
 	}
-	return "msu4-" + m.Opts.Encoding.String()
+	return "msu4-v2"
 }
 
 // Solve implements opt.Solver. Soft clauses must have unit weight.
@@ -145,7 +140,7 @@ func (m *MSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 		gv := s.NewVar()
 		boundDisable = cnf.PosLit(gv)
 		boundAssump = cnf.NegLit(gv)
-		card.AtMost(card.Guarded(s, boundDisable), m.Opts.Encoding, relaxed, k)
+		card.AtMost(card.Guarded(s, boundDisable), m.Encoding, relaxed, k)
 	}
 
 	for {

@@ -24,14 +24,11 @@ import (
 // iteration.
 type WMSU1 struct {
 	Opts opt.Options
-	// AMOEncoding selects the at-most-one encoding for the per-core
-	// exactly-one constraints.
-	AMOEncoding card.Encoding
 }
 
 // NewWMSU1 returns wmsu1 with the ladder AMO encoding.
 func NewWMSU1(o opt.Options) *WMSU1 {
-	return &WMSU1{Opts: o, AMOEncoding: card.Ladder}
+	return &WMSU1{Opts: o}
 }
 
 // Name implements opt.Solver.
@@ -157,7 +154,7 @@ func (m *WMSU1) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res
 					s.AddClause(cnf.NegLit(it.selector))
 				}
 			}
-			card.Exactly(s, m.AMOEncoding, newRelax, 1)
+			card.Exactly(s, card.Ladder, newRelax, 1)
 		}
 	}
 }

@@ -291,7 +291,7 @@ func TestSuiteDeterministic(t *testing.T) {
 func TestKnownCostsAreConsistent(t *testing.T) {
 	// Spot-check: for instances with a known optimum, one solver must agree.
 	for _, in := range []Instance{Pigeonhole(3), EquivMiter(3), BMCCounter(3, 4), ATPGRedundant(3)} {
-		r := core.NewMSU4V1(opt.Options{}).Solve(context.Background(), in.W, nil)
+		r := core.NewMSU4V2(opt.Options{}).Solve(context.Background(), in.W, nil)
 		if r.Status != opt.StatusOptimal {
 			t.Fatalf("%s: status %v", in.Name, r.Status)
 		}

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bnb"
+	"repro/internal/card"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -26,12 +27,20 @@ type SolverSpec struct {
 }
 
 // DefaultSolvers returns the paper's Table 1 line-up: maxsatz, the PBO
-// formulation, and both msu4 versions.
+// formulation, the paper's two msu4 versions, which re-encode the line-30
+// bound at every improvement (v1 with BDDs as msu4-bdd, v2 with sorting
+// networks as msu4-sorter), and msu4-v2, the incremental-totalizer msu4
+// this repository serves.
 func DefaultSolvers() []SolverSpec {
 	return []SolverSpec{
 		{Name: "maxsatz", Make: func(o opt.Options) opt.Solver { return bnb.New(o) }},
 		{Name: "pbo", Make: func(o opt.Options) opt.Solver { return &pbo.Linear{Opts: o} }},
-		{Name: "msu4-v1", Make: func(o opt.Options) opt.Solver { return core.NewMSU4V1(o) }},
+		{Name: "msu4-bdd", Make: func(o opt.Options) opt.Solver {
+			return &core.MSU4{Opts: o, ReencodeBounds: true, Encoding: card.BDD}
+		}},
+		{Name: "msu4-sorter", Make: func(o opt.Options) opt.Solver {
+			return &core.MSU4{Opts: o, ReencodeBounds: true, Encoding: card.Sorter}
+		}},
 		{Name: "msu4-v2", Make: func(o opt.Options) opt.Solver { return core.NewMSU4V2(o) }},
 	}
 }

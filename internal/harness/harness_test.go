@@ -2,10 +2,12 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cnf"
 	"repro/internal/gen"
 	"repro/internal/opt"
 )
@@ -24,8 +26,8 @@ func TestRunProducesFullGrid(t *testing.T) {
 	if len(rep.Results) != 4 {
 		t.Fatalf("got %d instance rows", len(rep.Results))
 	}
-	if len(rep.Solvers) != 4 {
-		t.Fatalf("default line-up should have 4 solvers, got %v", rep.Solvers)
+	if len(rep.Solvers) != 5 {
+		t.Fatalf("default line-up should have 5 solvers, got %v", rep.Solvers)
 	}
 	for _, row := range rep.Results {
 		for _, res := range row {
@@ -102,14 +104,14 @@ func TestCSVOutputs(t *testing.T) {
 		t.Fatalf("CSV has %d lines, want %d", len(lines), 1+2*len(rep.Solvers))
 	}
 	buf.Reset()
-	rep.WriteScatterCSV(&buf, "pbo", "msu4-v1")
-	if !strings.HasPrefix(buf.String(), "instance,pbo,msu4-v1") {
+	rep.WriteScatterCSV(&buf, "pbo", "msu4-bdd")
+	if !strings.HasPrefix(buf.String(), "instance,pbo,msu4-bdd") {
 		t.Fatalf("scatter CSV header wrong: %q", buf.String())
 	}
 }
 
 func TestSolverByName(t *testing.T) {
-	for _, name := range []string{"maxsatz", "pbo", "pbo-bin", "msu1", "msu2", "msu3", "msu4-v1", "msu4-v2"} {
+	for _, name := range []string{"maxsatz", "pbo", "pbo-bin", "msu1", "msu2", "msu3", "msu4-bdd", "msu4-v2"} {
 		spec, ok := SolverByName(name)
 		if !ok {
 			t.Fatalf("solver %q not found", name)
@@ -172,5 +174,46 @@ func TestVBSAndSolvedWithin(t *testing.T) {
 	}
 	if n := rep.SolvedWithin(0)["msu4-v2"]; n != 0 {
 		t.Fatalf("zero limit should solve none, got %d", n)
+	}
+}
+
+// TestPaperLineupDistinct pins Table 1's msu4 columns to three different
+// searches: the paper's v1 and v2 (per-bound BDD and sorting-network
+// re-encodings) and the served incremental-totalizer msu4-v2. Two columns
+// running the same search would report identical work on every instance.
+func TestPaperLineupDistinct(t *testing.T) {
+	in := gen.EquivMiter(3)
+	type work struct {
+		iters     int
+		conflicts int64
+	}
+	seen := map[work]string{}
+	optimum := cnf.Weight(-1)
+	for _, spec := range DefaultSolvers() {
+		if !strings.HasPrefix(spec.Name, "msu4") {
+			continue
+		}
+		s := spec.Make(opt.Options{})
+		if s.Name() != spec.Name {
+			t.Errorf("spec %q builds a solver named %q", spec.Name, s.Name())
+		}
+		r := s.Solve(context.Background(), in.W, nil)
+		if r.Status != opt.StatusOptimal {
+			t.Fatalf("%s: status %v", spec.Name, r.Status)
+		}
+		if optimum >= 0 && r.Cost != optimum {
+			t.Fatalf("%s: cost %d, another msu4 found %d", spec.Name, r.Cost, optimum)
+		}
+		optimum = r.Cost
+		w := work{r.Iterations, r.Conflicts}
+		if other, dup := seen[w]; dup {
+			t.Errorf("%s and %s both report %d iterations and %d conflicts",
+				other, spec.Name, w.iters, w.conflicts)
+		}
+		seen[w] = spec.Name
+		t.Logf("%s: cost %d, %d iterations, %d conflicts", spec.Name, r.Cost, w.iters, w.conflicts)
+	}
+	if len(seen) != 3 {
+		t.Fatalf("want 3 distinct msu4 columns, got %v", seen)
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/card"
 	"repro/internal/cnf"
 	"repro/internal/sat"
 )
@@ -163,9 +162,6 @@ func (r Result) String() string {
 // cancellation) travel through the context passed to Solve, not through
 // Options.
 type Options struct {
-	// Encoding selects the cardinality encoding where the algorithm uses one
-	// (msu4 v1 = card.BDD, v2 = card.Sorter).
-	Encoding card.Encoding
 	// MaxConflictsPerCall, when positive, caps each SAT call.
 	MaxConflictsPerCall int64
 	// MemBytes, when positive, caps the CDCL solver's clause-storage

@@ -168,7 +168,7 @@ func (l *Linear) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (re
 				c := &pb.LinearLE{Terms: terms, Bound: bound}
 				c.Encode(s)
 			} else {
-				card.AtMost(s, l.Opts.Encoding, blits, int(bound))
+				card.AtMost(s, card.BDD, blits, int(bound))
 			}
 		}
 	}

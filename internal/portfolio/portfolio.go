@@ -45,13 +45,12 @@ type Spec struct {
 }
 
 // DefaultMembers is the unweighted line-up, strongest first (the Jobs cap
-// truncates from the back): the paper's best performer, the families it
-// loses to, and diverse fallbacks. Near-duplicate members carry SAT-engine
-// diversification: since the incremental totalizer made the v1/v2 encoding
-// choice irrelevant, msu4-v1 would repeat msu4-v2's run move for move, so it
-// races with Glucose-style adaptive restarts, a faster VSIDS decay, and the
-// opposite initial phase instead; msu3, whose core extraction mirrors
-// msu4's early iterations, diversifies its restart schedule too.
+// truncates from the back): the served msu4, the families it loses to, and
+// diverse fallbacks. Near-duplicate members carry SAT-engine
+// diversification: msu4-glucose is msu4-v2 with Glucose-style adaptive
+// restarts, a faster VSIDS decay, and the opposite initial phase, so it
+// does not repeat msu4-v2's run move for move; msu3, whose core extraction
+// mirrors msu4's early iterations, diversifies its restart schedule too.
 func DefaultMembers() []Spec {
 	return []Spec{
 		{Name: "msu4-v2", Make: func(o opt.Options) opt.Solver { return core.NewMSU4V2(o) }},
@@ -62,11 +61,11 @@ func DefaultMembers() []Spec {
 			return core.NewMSU3(o)
 		}},
 		{Name: "pbo-bin", Make: func(o opt.Options) opt.Solver { return &pbo.BinarySearch{Opts: o} }},
-		{Name: "msu4-v1", Make: func(o opt.Options) opt.Solver {
+		{Name: "msu4-glucose", Make: func(o opt.Options) opt.Solver {
 			o.Restart = sat.RestartGlucose
 			o.VarDecay = 0.92
 			o.PosPhase = true
-			return core.NewMSU4V1(o)
+			return core.NewMSU4V2(o)
 		}},
 		{Name: "pbo", Make: func(o opt.Options) opt.Solver { return &pbo.Linear{Opts: o} }},
 		{Name: "msu1", Make: func(o opt.Options) opt.Solver { return core.NewMSU1(o) }},

@@ -147,11 +147,18 @@ func (j *Journal) markDone(id uint64) {
 	j.log.Append(recDone, binary.AppendUvarint(nil, id), false)
 }
 
-// compactLocked rewrites the log down to the pending submissions.
+// compactLocked rewrites the log down to the pending submissions. When no
+// pending submission carries maxID, a done marker for it is kept too, so
+// the next Open still seeds IDs past every ID ever handed out.
 func (j *Journal) compactLocked() {
-	recs := make([]store.Record, 0, len(j.pending))
+	recs := make([]store.Record, 0, len(j.pending)+1)
+	var top uint64
 	for _, rj := range j.pending {
 		recs = append(recs, store.Record{Kind: recSubmit, Payload: encodeSubmit(rj, rj.Formula)})
+		top = max(top, rj.ID)
+	}
+	if j.maxID > top {
+		recs = append(recs, store.Record{Kind: recDone, Payload: binary.AppendUvarint(nil, j.maxID)})
 	}
 	j.log.Compact(recs) // best-effort; a failed compact leaves the old log
 }

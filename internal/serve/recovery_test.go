@@ -2,7 +2,11 @@ package serve
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"path/filepath"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -349,6 +353,107 @@ func TestJournalReplayCoalesces(t *testing.T) {
 	}
 	if st := s.Stats(); st.Coalesced != 1 || st.Replayed != 2 {
 		t.Fatalf("replay stats: %+v", st)
+	}
+}
+
+// TestJournalKeepsMaxIDAcrossCompaction completes job 7, then reopens the
+// journal twice without submitting: the first reopen compacts the log down
+// to nothing pending, and the second must still know ID 7 was handed out,
+// so a server on it never hands out an ID a client may still hold.
+func TestJournalKeepsMaxIDAcrossCompaction(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "journal.log")
+	formula := contradiction()
+
+	jl := openJournalT(t, jpath, nil)
+	if err := jl.record(7, formula, JobSpec{OptsKey: "k", Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	jl.markDone(7)
+	jl.Close()
+
+	for life := 2; life <= 3; life++ {
+		jl = openJournalT(t, jpath, nil)
+		if got := jl.MaxID(); got != 7 {
+			t.Fatalf("life %d: MaxID() = %d, want 7", life, got)
+		}
+		if n := len(jl.Pending()); n != 0 {
+			t.Fatalf("life %d: %d pending jobs, want 0", life, n)
+		}
+		if life < 3 {
+			jl.Close()
+		}
+	}
+	s := New(Config{Workers: 1, Journal: jl})
+	defer func() { s.Close(); jl.Close() }()
+	h := mustSubmit(t, s, JobSpec{Formula: formula, OptsKey: "fresh", Solve: optimal(1)})
+	if h.ID() != 8 {
+		t.Fatalf("first submission got ID %d, want 8", h.ID())
+	}
+	waitResult(t, h)
+}
+
+// TestRecoverDropsUnrebuildable journals two pending jobs whose first no
+// longer rebuilds (an algorithm a newer binary removed, say): replay drops
+// it with an audit event and a done marker, and still replays the second.
+func TestRecoverDropsUnrebuildable(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "journal.log")
+	formula := contradiction()
+
+	jl := openJournalT(t, jpath, nil)
+	for id := uint64(1); id <= 2; id++ {
+		if err := jl.record(id, formula, JobSpec{OptsKey: fmt.Sprint("opts-", id), Payload: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jl.Close()
+
+	var mu sync.Mutex
+	var events []AuditEvent
+	jl = openJournalT(t, jpath, nil)
+	s := New(Config{Workers: 1, Journal: jl, Audit: func(e AuditEvent) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}})
+	err := s.Recover(func(rj RecoveredJob) (JobSpec, error) {
+		if rj.ID == 1 {
+			return JobSpec{}, errors.New("unknown algorithm")
+		}
+		return replayCertifying(rj)
+	})
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	h, ok := s.Job(2)
+	if !ok {
+		t.Fatal("job 2 not addressable after replay")
+	}
+	if r := waitResult(t, h); r.Status != opt.StatusOptimal {
+		t.Fatalf("job 2: %+v", r)
+	}
+	if _, ok := s.Job(1); ok {
+		t.Fatal("dropped job 1 is addressable")
+	}
+	mu.Lock()
+	var dropped []AuditEvent
+	for _, e := range events {
+		if e.Action == "recover" && e.JobID == 1 {
+			dropped = append(dropped, e)
+		}
+	}
+	mu.Unlock()
+	if len(dropped) != 1 || !strings.HasPrefix(dropped[0].Detail, "replay dropped: ") {
+		t.Fatalf("recover audit events for job 1: %+v", dropped)
+	}
+	s.Close()
+	jl.Close()
+
+	jl = openJournalT(t, jpath, nil)
+	defer jl.Close()
+	for _, rj := range jl.Pending() {
+		if rj.ID == 1 {
+			t.Fatal("dropped job 1 still pending in the next life")
+		}
 	}
 }
 

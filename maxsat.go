@@ -22,8 +22,9 @@
 // which WriteWCNF2022 writes.
 //
 // Algorithms are selected by Options.Algorithm. The default, AlgoAuto,
-// routes unweighted instances to msu4 with sorting networks (the paper's
-// best performer, "msu4 v2") and weighted instances to the PBO optimizer.
+// routes unweighted instances to msu4-v2, which keeps the paper's line-30
+// bound as one incremental totalizer tightened through assumptions, and
+// weighted instances to the PBO optimizer.
 // AlgoOLL is the strongest weighted engine: an OLL-style core-guided
 // optimizer with stratification, hardening and core exhaustion.
 // AlgoPortfolio races a line-up of the algorithms in parallel goroutines
@@ -49,7 +50,6 @@ import (
 	"time"
 
 	"repro/internal/bnb"
-	"repro/internal/card"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/opt"
@@ -106,12 +106,11 @@ const (
 	// AlgoAuto picks msu4-v2 for unweighted instances and PBO for weighted
 	// ones.
 	AlgoAuto Algorithm = ""
-	// AlgoMSU4V1 is the paper's msu4 with BDD cardinality encodings.
-	AlgoMSU4V1 Algorithm = "msu4-v1"
-	// AlgoMSU4V2 is the paper's msu4 with sorting-network encodings.
+	// AlgoMSU4V2 is the paper's msu4 (Algorithm 1) with its line-30 bound
+	// kept as one incremental totalizer and tightened through assumptions,
+	// instead of the paper's per-bound BDD (v1) or sorting-network (v2)
+	// re-encoding.
 	AlgoMSU4V2 Algorithm = "msu4-v2"
-	// AlgoMSU4 is msu4 with the encoding chosen by Options.Encoding.
-	AlgoMSU4 Algorithm = "msu4"
 	// AlgoMSU1 is Fu & Malik's algorithm.
 	AlgoMSU1 Algorithm = "msu1"
 	// AlgoMSU2 is the report's non-incremental lower-bound search.
@@ -147,7 +146,7 @@ const (
 // Algorithms lists every selectable algorithm name.
 func Algorithms() []Algorithm {
 	return []Algorithm{
-		AlgoMSU4V1, AlgoMSU4V2, AlgoMSU4, AlgoMSU1, AlgoMSU2, AlgoMSU3,
+		AlgoMSU4V2, AlgoMSU1, AlgoMSU2, AlgoMSU3,
 		AlgoWMSU1, AlgoWMSU4, AlgoOLL, AlgoPBO, AlgoPBOBin, AlgoBnB,
 		AlgoPortfolio,
 	}
@@ -158,9 +157,6 @@ func Algorithms() []Algorithm {
 type Options struct {
 	// Algorithm selects the optimizer; AlgoAuto routes by instance kind.
 	Algorithm Algorithm
-	// Encoding names the cardinality encoding for AlgoMSU4
-	// ("bdd", "sorter", "seq", "totalizer"); empty means "sorter".
-	Encoding string
 	// Timeout bounds the optimization; zero means unbounded.
 	Timeout time.Duration
 	// MemoryBudget, when positive, caps the clause storage of the
@@ -408,38 +404,16 @@ func buildSolver(w *WCNF, o Options) (opt.Solver, Algorithm, error) {
 			algo = AlgoMSU4V2
 		}
 	}
-	unitOnly := false
 	var solver opt.Solver
 	switch algo {
-	case AlgoMSU4V1:
-		io_.Encoding = card.BDD
-		solver = &core.MSU4{Opts: io_, SkipAtLeast1: o.SkipAtLeast1, Label: "msu4-v1"}
-		unitOnly = true
 	case AlgoMSU4V2:
-		io_.Encoding = card.Sorter
-		solver = &core.MSU4{Opts: io_, SkipAtLeast1: o.SkipAtLeast1, Label: "msu4-v2"}
-		unitOnly = true
-	case AlgoMSU4:
-		enc := card.Sorter
-		if o.Encoding != "" {
-			var err error
-			enc, err = card.ParseEncoding(o.Encoding)
-			if err != nil {
-				return nil, algo, err
-			}
-		}
-		io_.Encoding = enc
 		solver = &core.MSU4{Opts: io_, SkipAtLeast1: o.SkipAtLeast1}
-		unitOnly = true
 	case AlgoMSU1:
 		solver = core.NewMSU1(io_)
-		unitOnly = true
 	case AlgoMSU2:
 		solver = core.NewMSU2(io_)
-		unitOnly = true
 	case AlgoMSU3:
 		solver = core.NewMSU3(io_)
-		unitOnly = true
 	case AlgoWMSU1:
 		solver = core.NewWMSU1(io_)
 	case AlgoWMSU4:
@@ -459,7 +433,7 @@ func buildSolver(w *WCNF, o Options) (opt.Solver, Algorithm, error) {
 	default:
 		return nil, algo, fmt.Errorf("maxsat: unknown algorithm %q", algo)
 	}
-	if unitOnly && w.Weighted() {
+	if algoRequiresUnitWeights(algo) && w.Weighted() {
 		return nil, algo, ErrWeighted
 	}
 	return solver, algo, nil

@@ -78,7 +78,7 @@ func TestAutoRouting(t *testing.T) {
 func TestWeightedRejectedByCoreGuided(t *testing.T) {
 	w := NewWCNF(1)
 	w.AddSoft(5, FromDIMACS(1))
-	for _, algo := range []Algorithm{AlgoMSU1, AlgoMSU2, AlgoMSU3, AlgoMSU4V1, AlgoMSU4V2, AlgoMSU4} {
+	for _, algo := range []Algorithm{AlgoMSU1, AlgoMSU2, AlgoMSU3, AlgoMSU4V2} {
 		if _, err := Solve(w, Options{Algorithm: algo}); err != ErrWeighted {
 			t.Fatalf("%s: err = %v, want ErrWeighted", algo, err)
 		}
@@ -94,21 +94,6 @@ func TestWeightedRejectedByCoreGuided(t *testing.T) {
 func TestUnknownAlgorithm(t *testing.T) {
 	if _, err := SolveFormula(paperFormula(), Options{Algorithm: "zchaff"}); err == nil {
 		t.Fatal("unknown algorithm should error")
-	}
-}
-
-func TestMSU4EncodingSelection(t *testing.T) {
-	for _, enc := range []string{"bdd", "sorter", "seq", "totalizer"} {
-		r, err := SolveFormula(paperFormula(), Options{Algorithm: AlgoMSU4, Encoding: enc})
-		if err != nil {
-			t.Fatalf("encoding %s: %v", enc, err)
-		}
-		if r.Cost != 2 {
-			t.Fatalf("encoding %s: cost %d", enc, r.Cost)
-		}
-	}
-	if _, err := SolveFormula(paperFormula(), Options{Algorithm: AlgoMSU4, Encoding: "nope"}); err == nil {
-		t.Fatal("bad encoding should error")
 	}
 }
 

@@ -338,7 +338,6 @@ func certifyServed(ctx context.Context, w *cnf.WCNF, r opt.Result, o Options) op
 // Job.Updates instead, which replay re-wires automatically.)
 type wireOptions struct {
 	Algorithm           Algorithm     `json:"alg"`
-	Encoding            string        `json:"enc,omitempty"`
 	Timeout             time.Duration `json:"to,omitempty"`
 	MemoryBudget        int64         `json:"mem,omitempty"`
 	MaxConflictsPerCall int64         `json:"conf,omitempty"`
@@ -351,7 +350,7 @@ type wireOptions struct {
 
 func encodeWireOptions(o Options, timeout time.Duration) []byte {
 	b, _ := json.Marshal(wireOptions{
-		Algorithm: o.Algorithm, Encoding: o.Encoding, Timeout: timeout,
+		Algorithm: o.Algorithm, Timeout: timeout,
 		MemoryBudget: o.MemoryBudget, MaxConflictsPerCall: o.MaxConflictsPerCall,
 		SkipAtLeast1: o.SkipAtLeast1, Preprocess: o.Preprocess,
 		Parallelism: o.Parallelism, ShareClauses: o.ShareClauses, Certify: o.Certify,
@@ -378,7 +377,7 @@ func (s *Server) Recover() error {
 			return serve.JobSpec{}, fmt.Errorf("maxsat: recovered options: %w", err)
 		}
 		spec, _, err := s.jobSpec(rj.Client, rj.Formula, Options{
-			Algorithm: wo.Algorithm, Encoding: wo.Encoding, Timeout: wo.Timeout,
+			Algorithm: wo.Algorithm, Timeout: wo.Timeout,
 			MemoryBudget: wo.MemoryBudget, MaxConflictsPerCall: wo.MaxConflictsPerCall,
 			SkipAtLeast1: wo.SkipAtLeast1, Preprocess: wo.Preprocess,
 			Parallelism: wo.Parallelism, ShareClauses: wo.ShareClauses, Certify: wo.Certify,
@@ -390,8 +389,8 @@ func (s *Server) Recover() error {
 // optsKey canonicalizes the options for in-flight coalescing. Every field
 // that changes what the job computes or how long it may run participates.
 func optsKey(o Options, timeout time.Duration) string {
-	return fmt.Sprintf("alg=%s enc=%s conf=%d skip=%t pre=%t par=%d share=%t to=%s mem=%d cert=%t",
-		o.Algorithm, o.Encoding, o.MaxConflictsPerCall, o.SkipAtLeast1,
+	return fmt.Sprintf("alg=%s conf=%d skip=%t pre=%t par=%d share=%t to=%s mem=%d cert=%t",
+		o.Algorithm, o.MaxConflictsPerCall, o.SkipAtLeast1,
 		o.Preprocess, o.Parallelism, o.ShareClauses, timeout, o.MemoryBudget, o.Certify)
 }
 

@@ -80,7 +80,7 @@ func (s *Server) OpenSession(ctx context.Context, base *WCNF, o Options) (*Sessi
 // OpenSessionAs opens a session on client's account with the given base
 // formula (nil means start empty) and solve options. The options are fixed
 // for the session's lifetime and validated here exactly like Submit — in
-// particular, a unit-weight-only algorithm (msu1/2/3, msu4*) rejects a
+// particular, a unit-weight-only algorithm (msu1/2/3, msu4-v2) rejects a
 // weighted base with ErrWeighted, and AlgoAuto resolves against the base,
 // so a session that will receive weighted deltas should pick a
 // weighted-capable algorithm explicitly. The call blocks until a worker
@@ -236,7 +236,7 @@ func (sess *Session) Close() { sess.s.Close() }
 // soft clauses (the paper's unweighted msu family).
 func algoRequiresUnitWeights(a Algorithm) bool {
 	switch a {
-	case AlgoMSU4V1, AlgoMSU4V2, AlgoMSU4, AlgoMSU1, AlgoMSU2, AlgoMSU3:
+	case AlgoMSU4V2, AlgoMSU1, AlgoMSU2, AlgoMSU3:
 		return true
 	}
 	return false
