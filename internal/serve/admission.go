@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/opt"
-	"repro/internal/proof"
 )
 
 // Admission control: the per-client half of the server's trust boundary.
@@ -272,6 +271,7 @@ func (s *Server) admit(a admission) (*Handle, error) {
 			return nil, err
 		}
 	}
+	s.mu.Unlock()
 	// newIDLocked numbers a job the admission creates: a replay keeps the ID
 	// its client already holds.
 	newIDLocked := func() uint64 {
@@ -282,47 +282,33 @@ func (s *Server) admit(a admission) (*Handle, error) {
 		return s.nextID
 	}
 
-	// Cache next: a verified verdict answers any submission of the formula.
-	if res, meta, ok := s.cache.get(fkey); ok {
-		// Defeat fingerprint collisions and storage corruption: a cached
-		// model must verify against the formula actually submitted, and a
-		// cached certificate must re-validate end to end with the
-		// independent proof checker — the stored bytes, not the solve that
-		// produced them, are what the hit serves. Both checks run outside
-		// the server lock (the entry is already a private copy; lru.get
-		// copies the model and certificate).
+	// The verified-result store next: a verified verdict answers any
+	// submission of the formula. The lookup re-checks a hit outside every
+	// lock, so the server must still be open when a miss relocks.
+	hit, ok, err := s.results.lookup(spec.Formula, fkey)
+	if err != nil {
+		s.audit(AuditEvent{Client: spec.Client, Action: "cache", Detail: "certificate-rejected"})
+	}
+	s.mu.Lock()
+	if err != nil {
+		s.stats.CertRejected++
+	}
+	if ok {
+		s.stats.CacheHits++
+		if a.origin == inSession {
+			s.stats.SessionHits++
+		}
+		h := s.doneJobLocked(newIDLocked(), key, hit)
 		s.mu.Unlock()
-		modelOK := res.Model == nil || opt.VerifyModel(spec.Formula, res)
-		certOK := !modelOK || len(res.Certificate) == 0 ||
-			proof.CheckBytes(spec.Formula, res.Certificate) == nil
-		if !certOK {
-			s.audit(AuditEvent{Client: spec.Client, Action: "cache", Detail: "certificate-rejected"})
+		if a.origin == replay {
+			s.cfg.Journal.markDone(h.j.id)
 		}
-		s.mu.Lock()
-		if modelOK && certOK {
-			s.stats.CacheHits++
-			if a.origin == inSession {
-				s.stats.SessionHits++
-			}
-			h := s.doneJobLocked(newIDLocked(), key, Result{Result: res, Meta: meta, Cached: true})
-			s.mu.Unlock()
-			if a.origin == replay {
-				s.cfg.Journal.markDone(h.j.id)
-			}
-			s.audit(AuditEvent{Client: spec.Client, Action: au.action, JobID: h.j.id, Detail: au.hit})
-			return h, nil
-		}
-		if !certOK {
-			// A corrupt certificate is a property of the stored entry, not
-			// of a colliding submission: evict it so it is never served or
-			// re-consulted, and fall through to a fresh solve.
-			s.cache.remove(fkey)
-			s.stats.CertRejected++
-		}
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
+		s.audit(AuditEvent{Client: spec.Client, Action: au.action, JobID: h.j.id, Detail: au.hit})
+		return h, nil
+	}
+	if s.closed {
+		s.mu.Unlock()
+		return nil, ErrClosed
 	}
 	s.stats.CacheMisses++
 

@@ -58,11 +58,12 @@ type Faults struct {
 	// let its retry succeed, which is exactly what the retry chaos tests
 	// assert.
 	Before func(jobID uint64, optsKey string, attempt int) Fault
-	// CorruptCert is consulted when a job's verified result is about to be
-	// cached: a return ≥ 0 flips that bit (modulo the certificate length)
-	// in the stored copy of the result's certificate, simulating storage
-	// rot between the store and a later cache hit. The result served to
-	// the job's own waiters is untouched. Return a negative value (or
+	// CorruptCert is consulted when a job's verified result is about to
+	// enter the verified-result store: a return ≥ 0 flips that bit (modulo
+	// the certificate length) in the memory-tier copy of the result's
+	// certificate, simulating memory rot between the insert and a later
+	// cache hit. The result served to the job's own waiters and the record
+	// written to the disk tier are untouched. Return a negative value (or
 	// leave the hook nil) to store faithfully.
 	CorruptCert func(jobID uint64) int
 

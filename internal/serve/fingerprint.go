@@ -18,7 +18,7 @@ import "repro/internal/cnf"
 // between two different formulas is possible, so the cache additionally keys
 // on the formula's shape (variable count, clause count, soft-weight sum) and
 // re-verifies every cached model against the submitted formula before
-// serving it (see Server.Submit).
+// serving it (see verifiedStore.lookup).
 
 // splitmix64 is the SplitMix64 finalizer.
 func splitmix64(x uint64) uint64 {

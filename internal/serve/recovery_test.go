@@ -191,6 +191,84 @@ func TestCrashAfterWriteTruncatedCleanly(t *testing.T) {
 	}
 }
 
+// TestStoreWritesBeforeHit holds the first certified record's store write
+// open and asserts that no submission is answered from memory meanwhile: a
+// verdict serves a hit only once the record behind it is on disk, so a crash
+// cannot lose an answer a client has already seen.
+func TestStoreWritesBeforeHit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.log")
+	formula := contradiction()
+	entered, release := make(chan struct{}), make(chan struct{})
+	faults := &Faults{CrashAfterWrite: func(seq uint64) bool {
+		if seq == 0 {
+			close(entered)
+			<-release
+		}
+		return false
+	}}
+	rs := openStoreT(t, path, faults)
+	s := New(Config{Workers: 1, Store: rs})
+	defer func() { s.Close(); rs.Close() }()
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce() // runs before Close, which waits for the held write
+
+	h1 := mustSubmit(t, s, JobSpec{Formula: formula, OptsKey: "one", Solve: certifying()})
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the certified result never reached the store")
+	}
+	h2 := mustSubmit(t, s, JobSpec{Formula: formula, OptsKey: "two", Solve: certifying()})
+	if r, done := h2.Result(); done && r.Cached {
+		t.Fatal("a verdict was served from memory before its record was on disk")
+	}
+	releaseOnce()
+	for _, h := range []*Handle{h1, h2} {
+		if r := waitResult(t, h); r.Status != opt.StatusOptimal {
+			t.Fatalf("job %d: %+v", h.ID(), r)
+		}
+	}
+}
+
+// TestStoreRecoversPastCacheCapacity restarts on a store that holds more
+// certified verdicts than the memory tier: every record is re-proved and
+// counted, the memory tier keeps the newest, and the oldest re-solves.
+func TestStoreRecoversPastCacheCapacity(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.log")
+	formulas := make([]*cnf.WCNF, 3)
+	for i := range formulas {
+		w := cnf.NewWCNF(i + 1)
+		w.AddSoft(1, cnf.PosLit(cnf.Var(i)))
+		w.AddSoft(1, cnf.NegLit(cnf.Var(i)))
+		formulas[i] = w
+	}
+
+	rs := openStoreT(t, path, nil)
+	s := New(Config{Workers: 1, CacheEntries: 2, Store: rs})
+	for _, w := range formulas {
+		if r := waitResult(t, mustSubmit(t, s, JobSpec{Formula: w, Solve: certifying()})); r.Status != opt.StatusOptimal {
+			t.Fatalf("first life solve: %+v", r)
+		}
+	}
+	s.Close()
+	rs.Close()
+
+	rs2 := openStoreT(t, path, nil)
+	s2 := New(Config{Workers: 1, CacheEntries: 2, Store: rs2})
+	defer func() { s2.Close(); rs2.Close() }()
+	if st := s2.Stats(); st.Recovered != 3 || st.RecoveredRejected != 0 || st.CacheSize != 2 {
+		t.Fatalf("recovery stats: %+v", st)
+	}
+	// Newest first: an oldest-first scan would re-solve the oldest formula
+	// and evict a recovered one before it was queried.
+	for i := len(formulas) - 1; i >= 0; i-- {
+		r := waitResult(t, mustSubmit(t, s2, JobSpec{Formula: formulas[i], Solve: certifying()}))
+		if r.Status != opt.StatusOptimal || r.Cached != (i > 0) {
+			t.Fatalf("formula %d after restart: cached=%t, want %t: %+v", i, r.Cached, i > 0, r)
+		}
+	}
+}
+
 // TestJournalReplay shuts a server down with one running and one queued job
 // and asserts the next life replays both to completion under their original
 // IDs — an admitted submission is never forgotten.

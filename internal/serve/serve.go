@@ -17,12 +17,15 @@
 // admitted and released when its solve returns, so N jobs × M members can
 // never oversubscribe the machine.
 //
-// Caching: a verified OPTIMAL verdict (model re-checked against the
-// submitted formula) or an UNSATISFIABLE verdict is a fact about the formula
-// alone, independent of which algorithm proved it or what resource budget it
-// ran under. The cache therefore keys on the canonical formula fingerprint
-// only, so a resubmission under different options still hits. UNKNOWN
-// results — budget-dependent — are never cached.
+// Caching: a verified OPTIMAL verdict (model re-checked against the job's
+// formula) or an UNSATISFIABLE verdict is a fact about the formula alone,
+// independent of which algorithm proved it or what resource budget it ran
+// under, so the verified-result store (store.go) keys on the canonical
+// formula fingerprint only and a resubmission under different options still
+// hits. UNKNOWN results — budget-dependent — are never stored. The store's
+// memory tier is an LRU; its optional disk tier keeps certified verdicts
+// across restarts. The rule for trusting a stored verdict is written once,
+// in the store's doc comment.
 //
 // Coalescing: an identical submission (same formula and same canonical
 // options) arriving while the first is still queued or running attaches to
@@ -89,8 +92,9 @@ type JobSpec struct {
 	// a default is configured.
 	Timeout time.Duration
 	// Meta is opaque caller data carried into Result.Meta (the maxsat layer
-	// stores the resolved algorithm name there).
-	Meta any
+	// stores the resolved algorithm name there). The durable store persists
+	// it with a certified verdict.
+	Meta string
 	// Client is the submitting client's identity for admission accounting
 	// and audit logging (the HTTP daemon uses the bearer token's name, or
 	// the peer address when authentication is off). All anonymous
@@ -151,9 +155,9 @@ type Config struct {
 	// in production) runs every job normally.
 	Faults *Faults
 
-	// Store, when non-nil, persists certified verified results across
-	// restarts: New rebuilds the cache from it, re-validating every
-	// recovered entry through the independent proof checker before it can
+	// Store, when non-nil, is the verified-result store's disk tier: it
+	// persists certified verdicts across restarts. New re-proves every
+	// recovered record through the independent proof checker before it can
 	// serve a hit (rejections are counted in Stats.RecoveredRejected and
 	// audit-logged), and finish appends each newly certified verdict.
 	// Uncertified results stay memory-only — the certificate is what makes
@@ -285,8 +289,8 @@ func (s State) String() string {
 type Result struct {
 	opt.Result
 	// Meta echoes JobSpec.Meta — for a cache hit, the Meta of the submission
-	// that originally proved the result.
-	Meta any
+	// that originally proved the result, also after a restart.
+	Meta string
 	// Cached reports that the result was served from the verified-result
 	// cache instead of a fresh solve.
 	Cached bool
@@ -326,7 +330,7 @@ type Server struct {
 	inflight  map[jobKey]*job
 	jobs      map[uint64]*job
 	doneOrder []uint64
-	cache     *lru
+	results   *verifiedStore
 	clients   map[string]*clientState
 	sessions  map[uint64]*Session
 	nextID    uint64
@@ -358,7 +362,7 @@ func New(cfg Config) *Server {
 		now:      time.Now,
 		inflight: make(map[jobKey]*job),
 		jobs:     make(map[uint64]*job),
-		cache:    newLRU(cfg.CacheEntries),
+		results:  newVerifiedStore(cfg),
 		clients:  make(map[string]*clientState),
 		sessions: make(map[uint64]*Session),
 	}
@@ -376,7 +380,7 @@ func New(cfg Config) *Server {
 		// their original IDs.
 		s.nextID = cfg.Journal.MaxID()
 	}
-	s.loadStore()
+	s.stats.Recovered, s.stats.RecoveredRejected = s.results.load(s.audit)
 	return s
 }
 
@@ -484,8 +488,8 @@ func (s *Server) doneJobLocked(id uint64, key jobKey, res Result) *Handle {
 }
 
 // run executes one job: acquire slots, solve under the per-job deadline —
-// retrying transient failures with backoff and a degraded grant — verify,
-// cache, publish.
+// retrying transient failures with backoff and a degraded grant — then
+// finish.
 func (s *Server) run(ctx context.Context, j *job) {
 	defer s.wg.Done()
 	// Release the job's cancel context on every exit path: without this,
@@ -495,13 +499,15 @@ func (s *Server) run(ctx context.Context, j *job) {
 	defer j.cancel()
 	// A leased (session) job runs on its session's pinned worker slot —
 	// acquired when the session opened, released when it closes — so it
-	// neither waits for nor returns pool slots here.
-	if j.leased {
-		if ctx.Err() != nil {
-			s.finish(j, Result{Result: opt.Result{Status: opt.StatusUnknown, Cost: -1}}, true)
-			return
+	// neither waits for nor returns pool slots here. No job starts once
+	// shutdown has begun: Close cancels baseCtx before it reaches each job's
+	// own context, and a slot a cancelled job hands back in between can be
+	// granted to a queued job whose context is still live.
+	acquired := j.leased || s.sem.acquire(ctx, j.slots) == nil
+	if !acquired || ctx.Err() != nil || s.baseCtx.Err() != nil {
+		if acquired && !j.leased {
+			s.sem.release(j.slots)
 		}
-	} else if err := s.sem.acquire(ctx, j.slots); err != nil {
 		s.finish(j, Result{Result: opt.Result{Status: opt.StatusUnknown, Cost: -1}}, true)
 		return
 	}
@@ -657,15 +663,16 @@ func (s *Server) solve(ctx context.Context, j *job, g Grant) (res opt.Result, er
 	return j.spec.Solve(ctx, j.w, j.bounds, g), nil
 }
 
-// finish completes a job: caches a verified verdict, emits the closing bound
-// event, publishes the result, and wakes every waiter and subscriber.
+// finish completes a job: offers its result to the verified-result store,
+// emits the closing bound event, publishes the result, and wakes every
+// waiter and subscriber.
 func (s *Server) finish(j *job, res Result, cancelled bool) {
-	// The O(formula) model verification runs before the server lock is
-	// taken; only verified verdicts are cacheable.
-	cacheable := res.Err == nil &&
-		(res.Status == opt.StatusUnsat ||
-			(res.Status == opt.StatusOptimal && opt.VerifyModel(j.w, res.Result)))
-
+	// Outside the server lock, and while the job is still in the in-flight
+	// map, so an identical submission coalesces rather than re-solving.
+	if err := s.results.insert(j.w, j.key.formulaKey, j.id, res); err != nil {
+		s.audit(AuditEvent{Client: j.spec.Client, Action: "store", JobID: j.id,
+			Detail: "append failed: " + err.Error()})
+	}
 	s.mu.Lock()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
@@ -693,19 +700,6 @@ func (s *Server) finish(j *job, res Result, cancelled bool) {
 		s.stats.Panics++
 		detail = "failed: " + res.Err.Error()
 	}
-	if cacheable {
-		stored := res.Result
-		// The certificate-corruption fault flips a bit in the copy headed
-		// for the cache — never in the result served to this job's own
-		// waiters — simulating storage rot between a store and a later hit.
-		if bit := s.cfg.Faults.corruptCertBit(j.id); bit >= 0 && len(stored.Certificate) > 0 {
-			c := append([]byte(nil), stored.Certificate...)
-			c[(bit/8)%len(c)] ^= 1 << (bit % 8)
-			stored.Certificate = c
-		}
-		s.cache.add(j.key.formulaKey, stored, res.Meta)
-	}
-	s.stats.CacheSize = s.cache.len()
 	s.retainLocked(j.id)
 	// Snapshot under s.mu: admit appends aliases in the same critical
 	// section that finds the job in the inflight map, and the map entry was
@@ -716,17 +710,6 @@ func (s *Server) finish(j *job, res Result, cancelled bool) {
 	}
 	s.mu.Unlock()
 
-	// Durability, outside the server lock. Only certified results persist:
-	// the certificate is what lets a later life trust the record without
-	// trusting this one. The store gets the pristine certificate — the
-	// corruption fault above models cache rot, while store faults are
-	// injected inside the store itself.
-	if cacheable && s.cfg.Store != nil && len(res.Certificate) > 0 && !res.Cached {
-		if err := s.cfg.Store.save(j.w, res.Result, res.Meta); err != nil {
-			s.audit(AuditEvent{Client: j.spec.Client, Action: "store", JobID: j.id,
-				Detail: "append failed: " + err.Error()})
-		}
-	}
 	if markDone {
 		// Lazy (batched-fsync) marker: losing it merely makes the next
 		// recovery re-run a job whose answer is already durable or cached —
@@ -797,7 +780,7 @@ func (s *Server) Stats() Stats {
 	st.WorkersBusy = s.sem.busy()
 	st.Queued = s.queued
 	st.Running = s.running
-	st.CacheSize = s.cache.len()
+	st.CacheSize = s.results.len()
 	st.Draining = s.closed
 	return st
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -482,17 +483,41 @@ func TestSolverPanicFailsJobOnly(t *testing.T) {
 
 func TestCloseCancelsEverything(t *testing.T) {
 	s := New(Config{Workers: 1})
+	began := make(chan struct{})
 	running := mustSubmit(t, s, JobSpec{Formula: contradiction(), OptsKey: "r",
-		Solve: blocker(nil)})
+		Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
+			close(began)
+			return blocker(nil)(ctx, w, shared, g)
+		}})
+	select {
+	case <-began:
+	case <-time.After(10 * time.Second):
+		t.Fatal("blocker never started")
+	}
 	queued := mustSubmit(t, s, JobSpec{Formula: contradiction(), OptsKey: "q",
 		Solve: blocker(nil)})
+	// Close cancels the jobs one by one; the slot the blocker hands back
+	// must not start any of the queued jobs.
+	var started atomic.Int32
+	handles := []*Handle{running, queued}
+	for i := range 64 {
+		handles = append(handles, mustSubmit(t, s, JobSpec{Formula: contradiction(),
+			OptsKey: fmt.Sprint("q", i),
+			Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
+				started.Add(1)
+				return optimal(1)(ctx, w, shared, g)
+			}}))
+	}
 	s.Close()
-	for _, h := range []*Handle{running, queued} {
+	for _, h := range handles {
 		select {
 		case <-h.Done():
 		default:
 			t.Fatal("job still open after Close")
 		}
+	}
+	if n := started.Load(); n > 0 {
+		t.Fatalf("%d queued jobs started during Close", n)
 	}
 	if _, err := s.Submit(JobSpec{Formula: contradiction(), Solve: optimal(1)}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close: %v, want ErrClosed", err)

@@ -105,7 +105,7 @@ type SessionSpec struct {
 	// Timeout bounds each delta solve (see JobSpec.Timeout).
 	Timeout time.Duration
 	// Meta is opaque caller data carried into each solve's Result.Meta.
-	Meta any
+	Meta string
 	// Client is the owning client's identity. The session holds one unit of
 	// the client's in-flight quota for its whole lifetime.
 	Client string
@@ -265,7 +265,7 @@ func (sess *Session) Client() string { return sess.spec.Client }
 
 // Meta returns the opaque caller data the session was opened with (the
 // maxsat layer stores the resolved algorithm there).
-func (sess *Session) Meta() any { return sess.spec.Meta }
+func (sess *Session) Meta() string { return sess.spec.Meta }
 
 // Counters reports how many delta solves this session has submitted and how
 // many of them the retained engine answered.

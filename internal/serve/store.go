@@ -2,8 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"container/list"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/cnf"
 	"repro/internal/opt"
@@ -11,14 +14,182 @@ import (
 	"repro/internal/store"
 )
 
-// ResultStore is the durable half of the verified-result cache: an
-// append-only CRC-framed log (internal/store) of {formula, meta,
-// certificate} records. Only certified results are persisted — the
-// certificate is what lets the next process trust a record it did not
-// produce: at startup every recovered entry is re-proved end to end by the
-// independent checker (proof.CheckBytes against the recovered formula)
-// before it may serve a hit, so a record that rots on disk, or that a
-// buggy or malicious writer appended, is rejected rather than served.
+// verifiedStore is the verified-result store, the only code that reads or
+// writes stored verdicts. It owns the memory tier, an LRU of
+// Config.CacheEntries verdicts, and a handle to the optional disk tier
+// (Config.Store). Both key on the formula alone (formulaKey): a verified
+// verdict is a fact about the formula, whatever algorithm proved it and
+// whatever budget it ran under, so a resubmission under other options hits.
+//
+// The rule for trusting a stored verdict, stated here and nowhere else:
+//
+//   - insert: a verdict enters only if it is UNSAT, or OPTIMAL with a model
+//     that opt.VerifyModel accepts against the job's own formula; UNKNOWN
+//     depends on the budget and never enters. A certified verdict is
+//     appended and fsynced to the disk tier before it enters memory, so no
+//     hit is ever served that a crash could lose; an uncertified one stays
+//     in memory. The Faults.CorruptCert bit flips in the memory copy only.
+//   - lookup: every hit is re-checked against the submitted formula,
+//     outside every lock: the model by opt.VerifyModel, a certificate end to
+//     end by proof.CheckBytes. A model that fails is a fingerprint
+//     collision, so the lookup misses and the entry stays. A certificate
+//     that fails is a corrupt entry: it is evicted and the failure reported.
+//     A hit hands out copies of the model and certificate.
+//   - load: every disk record is re-proved against its own recovered
+//     formula, and the served result is rebuilt from the certificate alone.
+//     Every record is re-proved and counted, also past the memory tier's
+//     capacity; rejected records are compacted away.
+type verifiedStore struct {
+	disk   *ResultStore // nil keeps every verdict in memory only
+	faults *Faults
+
+	mu  sync.Mutex // guards the memory tier
+	cap int        // ≤ 0 disables the memory tier
+	ll  *list.List // most recently used first
+	m   map[formulaKey]*list.Element
+}
+
+// verdict is one memory-tier entry.
+type verdict struct {
+	key  formulaKey
+	res  opt.Result
+	meta string
+}
+
+func newVerifiedStore(cfg Config) *verifiedStore {
+	return &verifiedStore{disk: cfg.Store, faults: cfg.Faults, cap: cfg.CacheEntries,
+		ll: list.New(), m: make(map[formulaKey]*list.Element)}
+}
+
+// len is the memory tier's size.
+func (vs *verifiedStore) len() int {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	return vs.ll.Len()
+}
+
+// lookup answers w, whose key is k, from the memory tier. ok reports a hit
+// that passed its re-checks; a non-nil err reports a certificate that failed
+// and was evicted.
+func (vs *verifiedStore) lookup(w *cnf.WCNF, k formulaKey) (r Result, ok bool, err error) {
+	vs.mu.Lock()
+	el, found := vs.m[k]
+	if !found {
+		vs.mu.Unlock()
+		return Result{}, false, nil
+	}
+	vs.ll.MoveToFront(el)
+	v := el.Value.(*verdict)
+	r = Result{Result: v.res, Meta: v.meta, Cached: true}
+	r.Model = slices.Clone(r.Model)
+	r.Certificate = slices.Clone(r.Certificate)
+	vs.mu.Unlock()
+
+	if r.Model != nil && !opt.VerifyModel(w, r.Result) {
+		return Result{}, false, nil
+	}
+	if len(r.Certificate) > 0 {
+		if err := proof.CheckBytes(w, r.Certificate); err != nil {
+			vs.mu.Lock() // evict unless a fresh insert replaced the entry meanwhile
+			if el, found := vs.m[k]; found && el.Value == v {
+				vs.evictLocked(el)
+			}
+			vs.mu.Unlock()
+			return Result{}, false, err
+		}
+	}
+	return r, true, nil
+}
+
+// insert offers job id's fresh result for w, whose key is k. It returns the
+// disk tier's append error; the verdict enters memory either way.
+func (vs *verifiedStore) insert(w *cnf.WCNF, k formulaKey, id uint64, r Result) error {
+	if r.Err != nil || !(r.Status == opt.StatusUnsat ||
+		r.Status == opt.StatusOptimal && opt.VerifyModel(w, r.Result)) {
+		return nil
+	}
+	var err error
+	if vs.disk != nil && len(r.Certificate) > 0 {
+		err = vs.disk.save(w, r.Meta, r.Certificate)
+	}
+	// The memory copy is private: the same Result goes to the job's waiters,
+	// and a caller mutating its model must not corrupt the stored witness.
+	res := r.Result
+	res.Model = slices.Clone(res.Model)
+	res.Certificate = slices.Clone(res.Certificate)
+	if bit := vs.faults.corruptCertBit(id); bit >= 0 && len(res.Certificate) > 0 {
+		res.Certificate[(bit/8)%len(res.Certificate)] ^= 1 << (bit % 8)
+	}
+	vs.remember(k, res, r.Meta)
+	return err
+}
+
+// load re-proves every record the disk tier recovered at open and seeds the
+// memory tier, in log order, with the ones that pass. It returns how many
+// records it accepted and how many the integrity layer or the checker
+// rejected; each rejection is audited.
+func (vs *verifiedStore) load(audit func(AuditEvent)) (recovered, rejected int64) {
+	rs := vs.disk
+	if rs == nil {
+		return 0, 0
+	}
+	rejected = int64(rs.dropped)
+	if rs.dropped > 0 {
+		audit(AuditEvent{Action: "recover", Detail: fmt.Sprintf("store: %d records dropped by integrity layer", rs.dropped)})
+	}
+	var kept []storeEntry
+	for _, e := range rs.entries {
+		cert, err := proof.Decode(e.cert)
+		if err == nil {
+			err = proof.Check(e.w, cert)
+		}
+		if err != nil {
+			rejected++
+			audit(AuditEvent{Action: "recover", Detail: "store: entry rejected: " + err.Error()})
+			continue
+		}
+		res := opt.Result{Status: opt.StatusUnsat, Cost: -1, Certificate: e.cert}
+		if cert.Kind == proof.KindOptimal {
+			res.Status, res.Cost, res.LowerBound, res.Model = opt.StatusOptimal, cert.Cost, cert.Cost, cert.Model
+		}
+		vs.remember(keyFor(e.w), res, e.meta)
+		recovered++
+		kept = append(kept, e)
+	}
+	if len(kept) < len(rs.entries) {
+		rs.entries = kept
+		rs.compact() // rejected records would only be re-rejected next boot
+	}
+	rs.entries = nil // the memory tier owns the data now
+	return recovered, rejected
+}
+
+// remember puts a trusted verdict at the front of the memory tier, evicting
+// the least recently used past capacity.
+func (vs *verifiedStore) remember(k formulaKey, res opt.Result, meta string) {
+	if vs.cap <= 0 {
+		return
+	}
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if el, ok := vs.m[k]; ok {
+		vs.ll.Remove(el)
+	}
+	vs.m[k] = vs.ll.PushFront(&verdict{key: k, res: res, meta: meta})
+	for vs.ll.Len() > vs.cap {
+		vs.evictLocked(vs.ll.Back())
+	}
+}
+
+func (vs *verifiedStore) evictLocked(el *list.Element) {
+	delete(vs.m, el.Value.(*verdict).key)
+	vs.ll.Remove(el)
+}
+
+// ResultStore is the verified-result store's disk tier: an append-only
+// CRC-framed log (internal/store) of {meta, formula, certificate} records.
+// Only certified results are persisted — the certificate is what lets the
+// next process trust a record it did not produce (see verifiedStore.load).
 //
 // The record stores the full formula, not just its fingerprint: the checker
 // needs the instance to re-prove the certificate, and the fingerprint is
@@ -26,8 +197,8 @@ import (
 type ResultStore struct {
 	log *store.Log
 	// entries recovered at open, already deduplicated (last write wins per
-	// formula fingerprint) but not yet validated — New consumes and
-	// re-proves them.
+	// formula fingerprint) but not yet validated — verifiedStore.load
+	// consumes and re-proves them.
 	entries []storeEntry
 	dropped int // CRC/torn-tail rejects at open
 	faults  *Faults
@@ -78,11 +249,10 @@ func OpenResultStore(path string, faults *Faults) (*ResultStore, error) {
 	return rs, nil
 }
 
-// save appends one certified result. Called by the server on the finish
-// path, synced before returning — once a client has seen a certified
-// answer, a crash must not lose it.
-func (rs *ResultStore) save(w *cnf.WCNF, res opt.Result, meta any) error {
-	payload := encodeStoreEntry(w, metaString(meta), res.Certificate)
+// save appends one certified result, synced before returning — once a
+// client has seen a certified answer, a crash must not lose it.
+func (rs *ResultStore) save(w *cnf.WCNF, meta string, cert []byte) error {
+	payload := encodeStoreEntry(w, meta, cert)
 	if bit := rs.faults.corruptStoreBit(rs.log.Len()); bit >= 0 {
 		payload[(bit/8)%len(payload)] ^= 1 << (bit % 8)
 	}
@@ -100,78 +270,6 @@ func (rs *ResultStore) compact() {
 
 // Close flushes and closes the underlying log.
 func (rs *ResultStore) Close() error { return rs.log.Close() }
-
-// loadStore populates the cache from the recovered store entries, admitting
-// each only after the independent checker re-proves its certificate against
-// its recovered formula. Runs once, from New.
-func (s *Server) loadStore() {
-	rs := s.cfg.Store
-	if rs == nil {
-		return
-	}
-	s.stats.RecoveredRejected += int64(rs.dropped)
-	if rs.dropped > 0 {
-		s.audit(AuditEvent{Action: "recover", Detail: fmt.Sprintf("store: %d records dropped by integrity layer", rs.dropped)})
-	}
-	var kept []storeEntry
-	for _, e := range rs.entries {
-		res, err := resultFromCertificate(e.w, e.cert)
-		if err != nil {
-			s.stats.RecoveredRejected++
-			s.audit(AuditEvent{Action: "recover", Detail: "store: entry rejected: " + err.Error()})
-			continue
-		}
-		var meta any
-		if e.meta != "" {
-			meta = e.meta
-		}
-		s.cache.add(keyFor(e.w), res, meta)
-		s.stats.Recovered++
-		kept = append(kept, e)
-	}
-	if len(kept) < len(rs.entries) {
-		rs.entries = kept
-		rs.compact() // rejected entries would only be re-rejected next boot
-	}
-	rs.entries = nil // the cache owns the data now
-	s.stats.CacheSize = s.cache.len()
-}
-
-// resultFromCertificate rebuilds a servable result from a recovered record.
-// Everything about the result is derived from the certificate after the
-// checker accepts it — nothing else on disk is trusted.
-func resultFromCertificate(w *cnf.WCNF, certBytes []byte) (opt.Result, error) {
-	if err := proof.CheckBytes(w, certBytes); err != nil {
-		return opt.Result{}, err
-	}
-	cert, err := proof.Decode(certBytes)
-	if err != nil {
-		return opt.Result{}, err
-	}
-	res := opt.Result{Cost: -1, Certificate: certBytes}
-	switch cert.Kind {
-	case proof.KindOptimal:
-		res.Status = opt.StatusOptimal
-		res.Cost = cert.Cost
-		res.Model = cert.Model
-		res.LowerBound = cert.Cost
-	case proof.KindUnsat:
-		res.Status = opt.StatusUnsat
-	default:
-		return opt.Result{}, fmt.Errorf("serve: recovered certificate has unknown kind %d", cert.Kind)
-	}
-	return res, nil
-}
-
-// metaString reduces a JobSpec.Meta to its durable form: the maxsat layer
-// stores the algorithm name (a string); anything else is caller-local and
-// not persisted.
-func metaString(meta any) string {
-	if s, ok := meta.(string); ok {
-		return s
-	}
-	return ""
-}
 
 // encodeStoreEntry frames {meta, formula, certificate} as length-prefixed
 // sections.

@@ -249,7 +249,9 @@ type Result struct {
 	// Model is an assignment achieving Cost over the instance's variables,
 	// when one was found.
 	Model Assignment
-	// Algorithm is the algorithm that produced the result.
+	// Algorithm is the algorithm that produced the result; for a Server
+	// cache hit, the one that proved it, also after a restart (a record
+	// stored by an older binary reports the resubmission's algorithm).
 	Algorithm Algorithm
 	// Winner names the member that decided an AlgoPortfolio race; empty
 	// for single-algorithm runs (and for portfolio runs that timed out).

@@ -265,7 +265,7 @@ func (s *Server) canonical(client string, w *WCNF, o Options) (serve.JobSpec, Op
 		return serve.JobSpec{}, o, err
 	}
 	o.Algorithm = algo
-	spec := serve.JobSpec{Slots: 1, Timeout: o.Timeout, Meta: algo, Client: client}
+	spec := serve.JobSpec{Slots: 1, Timeout: o.Timeout, Meta: string(algo), Client: client}
 	if algo == AlgoPortfolio {
 		if o.Parallelism <= 0 {
 			// Canonicalize for coalescing, like AlgoAuto above: Parallelism 0
@@ -402,13 +402,7 @@ func (s *Server) Job(id uint64) (*Job, bool) {
 	if !ok {
 		return nil, false
 	}
-	j := &Job{h: h}
-	if r, done := h.Result(); done {
-		if a, ok := r.Meta.(Algorithm); ok {
-			j.algo = a
-		}
-	}
-	return j, true
+	return &Job{h: h}, true
 }
 
 // ServerStats is a snapshot of the service counters: worker occupancy, queue
@@ -483,12 +477,14 @@ func (j *Job) Result() (Result, bool) {
 }
 
 func (j *Job) publicResult(r serve.Result) Result {
-	if r.Err != nil {
-		return Result{Status: Unknown, Cost: -1, Algorithm: j.algo}
-	}
+	// Meta names the algorithm that proved the result, also for a cache hit;
+	// it is empty only on a record that an older binary stored.
 	algo := j.algo
-	if a, ok := r.Meta.(Algorithm); ok {
-		algo = a
+	if r.Meta != "" {
+		algo = Algorithm(r.Meta)
+	}
+	if r.Err != nil {
+		return Result{Status: Unknown, Cost: -1, Algorithm: algo}
 	}
 	out := fromInternal(r.Result, algo)
 	out.Cached = r.Cached

@@ -262,6 +262,17 @@ func TestServerDurableRestart(t *testing.T) {
 	if err := CheckCertificate(w, r2.Certificate); err != nil {
 		t.Fatalf("recovered certificate: %v", err)
 	}
+	// The hit reports the algorithm that proved it, not the resubmitter's.
+	if r2.Algorithm != r1.Algorithm {
+		t.Fatalf("recovered hit reports algorithm %q, want %q", r2.Algorithm, r1.Algorithm)
+	}
+	byID, ok := s2.Job(job2.ID())
+	if !ok {
+		t.Fatalf("job %d not addressable", job2.ID())
+	}
+	if r3, _ := byID.Result(); r3.Algorithm != r1.Algorithm {
+		t.Fatalf("Job(%d) reports algorithm %q, want %q", job2.ID(), r3.Algorithm, r1.Algorithm)
+	}
 }
 
 // TestServerReplaysInterruptedJob shuts a durable server down mid-solve and

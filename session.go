@@ -153,8 +153,7 @@ func (s *Server) Session(id uint64) (*Session, bool) {
 	if !ok {
 		return nil, false
 	}
-	algo, _ := ss.Meta().(Algorithm)
-	return &Session{s: ss, algo: algo}, true
+	return &Session{s: ss, algo: Algorithm(ss.Meta())}, true
 }
 
 // ID returns the server-assigned session ID.
