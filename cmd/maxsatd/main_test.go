@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -75,6 +76,63 @@ func TestSolveEndToEnd(t *testing.T) {
 	}
 	if len(job.Result.Model) != inst.W.NumVars {
 		t.Fatalf("model has %d literals, want %d", len(job.Result.Model), inst.W.NumVars)
+	}
+}
+
+// TestJobCertificateEndpoint reads a finished job's answer back by ID: GET
+// /jobs/{id} reports the result with its algorithm, GET
+// /jobs/{id}/certificate returns bytes the independent checker accepts
+// against the instance, and a job solved without cert=1 has no certificate.
+func TestJobCertificateEndpoint(t *testing.T) {
+	ts := newTestServer(t, maxsat.ServerConfig{})
+	inst := gen.Pigeonhole(4)
+	job, code := postSolve(t, ts, dimacs(t, inst.W), "?wait=1&cert=1")
+	if code != http.StatusOK || job.Result == nil || job.Result.Status != "OPTIMAL" {
+		t.Fatalf("certified solve: status %d, %+v", code, job.Result)
+	}
+
+	get := func(path string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	resp := get(fmt.Sprintf("/jobs/%d", job.ID))
+	var polled jobJSON
+	if err := json.NewDecoder(resp.Body).Decode(&polled); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK || polled.State != "done" || polled.Result == nil {
+		t.Fatalf("GET /jobs/%d: status %d, %+v", job.ID, resp.StatusCode, polled)
+	}
+	if polled.Result.Algorithm == "" || polled.Result.Algorithm != job.Result.Algorithm ||
+		polled.Result.Cost != job.Result.Cost {
+		t.Fatalf("polled result %+v, want the submitted answer %+v", polled.Result, job.Result)
+	}
+
+	resp = get(fmt.Sprintf("/jobs/%d/certificate", job.ID))
+	cert, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(cert, job.Result.Certificate) {
+		t.Fatalf("GET /jobs/%d/certificate: status %d, %d bytes, want the %d-byte certificate",
+			job.ID, resp.StatusCode, len(cert), len(job.Result.Certificate))
+	}
+	if err := maxsat.CheckCertificate(inst.W, cert); err != nil {
+		t.Fatalf("served certificate rejected by the checker: %v", err)
+	}
+
+	// A distinct formula, so no certified verdict in the cache answers it.
+	plain, code := postSolve(t, ts, dimacs(t, gen.EquivMiter(5).W), "?wait=1")
+	if code != http.StatusOK || plain.Result == nil || plain.Result.Cached {
+		t.Fatalf("uncertified solve: status %d, %+v", code, plain.Result)
+	}
+	if resp := get(fmt.Sprintf("/jobs/%d/certificate", plain.ID)); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("certificate of a cert=0 job: status %d, want 404", resp.StatusCode)
 	}
 }
 

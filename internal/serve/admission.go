@@ -298,7 +298,7 @@ func (s *Server) admit(a admission) (*Handle, error) {
 		if a.origin == inSession {
 			s.stats.SessionHits++
 		}
-		h := s.doneJobLocked(newIDLocked(), key, hit)
+		h := s.doneJobLocked(newIDLocked(), key, spec.Client, hit)
 		s.mu.Unlock()
 		if a.origin == replay {
 			s.cfg.Journal.markDone(h.j.id)
@@ -360,10 +360,9 @@ func (s *Server) admit(a admission) (*Handle, error) {
 	j := &job{
 		id:      newIDLocked(),
 		key:     key,
-		spec:    spec,
+		client:  spec.Client,
 		slots:   slots,
 		charged: a.origin == oneShot,
-		bounds:  opt.NewBounds(),
 		cancel:  cancel,
 		journal: a.origin == replay,
 		leased:  a.origin == inSession,
@@ -371,7 +370,8 @@ func (s *Server) admit(a admission) (*Handle, error) {
 		refs:    1,
 		done:    make(chan struct{}),
 	}
-	j.bounds.SetObserver(j.emit)
+	wk := &work{solve: spec.Solve, timeout: spec.Timeout, meta: spec.Meta, bounds: opt.NewBounds()}
+	wk.bounds.SetObserver(j.emit)
 	s.inflight[key] = j
 	s.jobs[j.id] = j
 	s.queued++
@@ -383,13 +383,11 @@ func (s *Server) admit(a admission) (*Handle, error) {
 	s.audit(AuditEvent{Client: spec.Client, Action: au.action, JobID: j.id, Detail: detail})
 
 	// The formula snapshot is O(formula), so it is taken outside the server
-	// lock. Safe unpublished: only the run goroutine (started below, so the
-	// write happens-before its reads) ever touches j.w — coalesced handles
-	// and pollers never do. A session solve's formula already is the
-	// session's private snapshot, so it is not copied again.
-	j.w = spec.Formula
+	// lock. A session solve's formula already is the session's private
+	// snapshot, so it is not copied again.
+	wk.w = spec.Formula
 	if !j.leased {
-		j.w = spec.Formula.Clone()
+		wk.w = spec.Formula.Clone()
 	}
 
 	// Journal the submission (fsynced) before the job can produce any
@@ -400,14 +398,14 @@ func (s *Server) admit(a admission) (*Handle, error) {
 	// solve journals its accumulated snapshot, which a crash replays as a
 	// one-shot job under the same ID; a replay is journaled already.
 	if a.origin != replay && s.cfg.Journal != nil && len(spec.Payload) > 0 {
-		if err := s.cfg.Journal.record(j.id, j.w, spec); err != nil {
+		if err := s.cfg.Journal.record(j.id, wk.w, spec); err != nil {
 			s.audit(AuditEvent{Client: spec.Client, Action: "journal", JobID: j.id,
 				Detail: "append failed: " + err.Error()})
 		} else {
 			j.journal = true
 		}
 	}
-	start := func() { go s.run(ctx, j) }
+	start := func() { go s.run(ctx, j, wk) }
 	if a.hold != nil {
 		*a.hold = append(*a.hold, start)
 	} else {

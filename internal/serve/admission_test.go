@@ -175,9 +175,12 @@ func TestAuditTrail(t *testing.T) {
 
 	waitResult(t, mustSubmit(t, s, JobSpec{Formula: contradiction(),
 		Client: "alice", Solve: optimal(1)}))
-	// Resubmission: a cache hit, still audited.
-	waitResult(t, mustSubmit(t, s, JobSpec{Formula: contradiction(),
-		Client: "bob", Solve: optimal(1)}))
+	// Resubmission: a cache hit, still audited — and so is a cancellation
+	// vote cast on it, under the resubmitter's name.
+	hit := mustSubmit(t, s, JobSpec{Formula: contradiction(),
+		Client: "bob", Solve: optimal(1)})
+	waitResult(t, hit)
+	hit.Cancel()
 	// A cancellation vote — on a distinct formula, so alice's cached verdict
 	// cannot answer it.
 	other := cnf.NewWCNF(2)
@@ -193,7 +196,7 @@ func TestAuditTrail(t *testing.T) {
 		mu.Lock()
 		n := len(events)
 		mu.Unlock()
-		if n >= 6 || time.Now().After(deadline) {
+		if n >= 7 || time.Now().After(deadline) {
 			break
 		}
 		time.Sleep(time.Millisecond)
@@ -218,6 +221,9 @@ func TestAuditTrail(t *testing.T) {
 	}
 	if find("bob", "submit", "cache-hit") == nil {
 		t.Fatalf("no cache-hit event for bob: %+v", events)
+	}
+	if find("bob", "cancel", "vote") == nil {
+		t.Fatalf("no cancel event for bob's cache hit: %+v", events)
 	}
 	if find("carol", "cancel", "last-vote") == nil {
 		t.Fatalf("no cancel event for carol: %+v", events)

@@ -114,12 +114,12 @@ func (f *Faults) corruptCertBit(id uint64) int {
 	return f.CorruptCert(id)
 }
 
-// inject applies the configured fault decision for j under the job's run
-// context. It reports the injected result when the fault replaces the solve
-// entirely (handled true); otherwise the caller proceeds to the real
-// SolveFunc. May panic — that is FaultPanic's purpose — and the server's
-// panic isolation must contain it.
-func (f *Faults) inject(ctx context.Context, j *job, attempt int) (res opt.Result, handled bool) {
+// inject applies the configured fault decision for j, running wk, under the
+// job's run context. It reports the injected result when the fault replaces
+// the solve entirely (handled true); otherwise the caller proceeds to the
+// real SolveFunc. May panic — that is FaultPanic's purpose — and the
+// server's panic isolation must contain it.
+func (f *Faults) inject(ctx context.Context, j *job, wk *work, attempt int) (res opt.Result, handled bool) {
 	if f == nil || f.Before == nil {
 		return opt.Result{}, false
 	}
@@ -135,10 +135,10 @@ func (f *Faults) inject(ctx context.Context, j *job, attempt int) (res opt.Resul
 		}
 	case FaultExhaust:
 		r := opt.Result{Status: opt.StatusUnknown, Cost: -1}
-		if e := j.bounds.Snapshot(); e.HasLB {
+		if e := wk.bounds.Snapshot(); e.HasLB {
 			r.LowerBound = e.LB
 		}
-		if cost, model, ok := j.bounds.Best(); ok {
+		if cost, model, ok := wk.bounds.Best(); ok {
 			r.Cost, r.Model = cost, model
 		}
 		return r, true

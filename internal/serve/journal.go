@@ -110,12 +110,22 @@ func (j *Journal) MaxID() uint64 {
 	return j.maxID
 }
 
-// Pending returns the recovered incomplete submissions in original
-// submission order.
+// Pending returns the recovered incomplete submissions not yet handed to
+// Recover, in original submission order.
 func (j *Journal) Pending() []RecoveredJob {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return append([]RecoveredJob(nil), j.pending...)
+}
+
+// releasePending forgets the recovered submissions once Recover has admitted
+// every one of them: each replay holds its own snapshot, so the decoded
+// formulas and payloads here would otherwise stay reachable for the life of
+// the process. The log on disk is untouched.
+func (j *Journal) releasePending() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.pending = nil
 }
 
 // record journals one admitted submission, fsynced before returning.

@@ -48,5 +48,6 @@ func (s *Server) Recover(rebuild func(RecoveredJob) (JobSpec, error)) error {
 			return err
 		}
 	}
+	s.cfg.Journal.releasePending()
 	return nil
 }

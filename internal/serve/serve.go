@@ -129,7 +129,11 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// RetainDone bounds how many completed jobs stay addressable by ID
 	// (for poll-style clients); 0 means 1024, negative retains none beyond
-	// their live handles.
+	// their live handles. A retained job keeps its answer — state, best
+	// bounds, and the Result with its model and certificate — but not its
+	// formula or solve, so it costs its model and certificate plus under a
+	// kilobyte: 1.5 KB a job for a 625-variable model without a certificate
+	// (BenchmarkRetainedJob).
 	RetainDone int
 
 	// RatePerSec is the per-client sustained submission rate (token
@@ -385,15 +389,16 @@ func New(cfg Config) *Server {
 }
 
 // job is the shared state behind every handle of one (possibly coalesced)
-// submission.
+// submission: its identity, its lifecycle and, once done, its answer. It
+// reaches no formula, solve closure or bounds — those are the job's work,
+// held by its run goroutine alone — so a finished job kept in the
+// Config.RetainDone table holds its answer and nothing more.
 type job struct {
 	id      uint64
 	key     jobKey
-	w       *cnf.WCNF
-	spec    JobSpec
+	client  string // the submitter, for quota release and audit
 	slots   int
 	charged bool // holds one unit of the client's in-flight quota
-	bounds  *opt.Bounds
 	cancel  context.CancelFunc
 
 	// beat is the liveness heartbeat the stuck-solver watchdog observes:
@@ -420,6 +425,18 @@ type job struct {
 	res  Result
 	refs int
 	done chan struct{}
+}
+
+// work is what a job needs only while it runs: the formula snapshot, the
+// solve, its budget, the Meta its result carries and the anytime bounds.
+// admit hands it to the run goroutine, its only holder, so it becomes
+// garbage when the job finishes.
+type work struct {
+	w       *cnf.WCNF
+	solve   SolveFunc
+	timeout time.Duration
+	meta    string
+	bounds  *opt.Bounds
 }
 
 // Handle is one caller's view of a job. Handles from coalesced submissions
@@ -468,15 +485,17 @@ func (s *Server) degradeLocked(slots int) (int, bool) {
 	return granted, true
 }
 
-// doneJobLocked registers an already-completed job (cache hit) under id so
-// that poll-style clients can still address it. Caller holds s.mu.
-func (s *Server) doneJobLocked(id uint64, key jobKey, res Result) *Handle {
+// doneJobLocked registers an already-completed job (cache hit) for client
+// under id so that poll-style clients can still address it. Caller holds
+// s.mu.
+func (s *Server) doneJobLocked(id uint64, key jobKey, client string, res Result) *Handle {
 	j := &job{
-		id:   id,
-		key:  key,
-		st:   Done,
-		res:  res,
-		done: make(chan struct{}),
+		id:     id,
+		key:    key,
+		client: client,
+		st:     Done,
+		res:    res,
+		done:   make(chan struct{}),
 	}
 	if res.Status == opt.StatusOptimal {
 		j.best = Event{LB: res.Cost, UB: res.Cost, HasLB: true, HasUB: true}
@@ -487,10 +506,10 @@ func (s *Server) doneJobLocked(id uint64, key jobKey, res Result) *Handle {
 	return &Handle{s: s, j: j}
 }
 
-// run executes one job: acquire slots, solve under the per-job deadline —
+// run executes one job: acquire slots, solve wk under the per-job deadline —
 // retrying transient failures with backoff and a degraded grant — then
 // finish.
-func (s *Server) run(ctx context.Context, j *job) {
+func (s *Server) run(ctx context.Context, j *job, wk *work) {
 	defer s.wg.Done()
 	// Release the job's cancel context on every exit path: without this,
 	// each completed job would stay registered as a child of baseCtx for
@@ -508,7 +527,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 		if acquired && !j.leased {
 			s.sem.release(j.slots)
 		}
-		s.finish(j, Result{Result: opt.Result{Status: opt.StatusUnknown, Cost: -1}}, true)
+		s.finish(j, wk, Result{Result: opt.Result{Status: opt.StatusUnknown, Cost: -1}}, true)
 		return
 	}
 	s.mu.Lock()
@@ -519,7 +538,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 	j.st = Running
 	j.mu.Unlock()
 
-	timeout := j.spec.Timeout
+	timeout := wk.timeout
 	if timeout == 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
@@ -534,7 +553,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 	var res opt.Result
 	var err error
 	for attempt := 0; ; attempt++ {
-		res, err = s.attempt(runCtx, j, Grant{Slots: slots, Attempt: attempt})
+		res, err = s.attempt(runCtx, j, wk, Grant{Slots: slots, Attempt: attempt})
 		// Transient means the attempt failed for a reason a rerun could fix
 		// — panic, watchdog kill, budget exhaustion — while the job itself
 		// is still wanted (runCtx alive: not cancelled, not timed out).
@@ -565,7 +584,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 		if err != nil {
 			reason = err.Error()
 		}
-		s.audit(AuditEvent{Client: j.spec.Client, Action: "retry", JobID: j.id,
+		s.audit(AuditEvent{Client: j.client, Action: "retry", JobID: j.id,
 			Detail: fmt.Sprintf("attempt %d after %s", attempt+1, reason)})
 		s.sleep(runCtx, s.cfg.RetryBackoff<<attempt)
 	}
@@ -579,7 +598,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 		s.stats.SessionReused++
 	}
 	s.mu.Unlock()
-	s.finish(j, Result{Result: res, Meta: j.spec.Meta, Err: err, Reused: reused},
+	s.finish(j, wk, Result{Result: res, Meta: wk.meta, Err: err, Reused: reused},
 		ctx.Err() != nil)
 }
 
@@ -587,7 +606,7 @@ func (s *Server) run(ctx context.Context, j *job) {
 // attempt's context carries the job's progress heartbeat; if the heartbeat
 // freezes past Config.StallTimeout the attempt is cancelled and reported as
 // a stall error (transient, so the retry ladder picks it up).
-func (s *Server) attempt(runCtx context.Context, j *job, g Grant) (opt.Result, error) {
+func (s *Server) attempt(runCtx context.Context, j *job, wk *work, g Grant) (opt.Result, error) {
 	attemptCtx, cancel := context.WithCancel(runCtx)
 	defer cancel()
 	attemptCtx = sat.WithProgress(attemptCtx, &j.beat)
@@ -599,12 +618,12 @@ func (s *Server) attempt(runCtx context.Context, j *job, g Grant) (opt.Result, e
 		defer func() { cancel(); <-watchdogDone }()
 	}
 
-	res, err := s.solve(attemptCtx, j, g)
+	res, err := s.solve(attemptCtx, j, wk, g)
 	if stalled.Load() && runCtx.Err() == nil {
 		s.mu.Lock()
 		s.stats.Stalled++
 		s.mu.Unlock()
-		s.audit(AuditEvent{Client: j.spec.Client, Action: "stall", JobID: j.id,
+		s.audit(AuditEvent{Client: j.client, Action: "stall", JobID: j.id,
 			Detail: fmt.Sprintf("no progress for %s", s.cfg.StallTimeout)})
 		if err == nil {
 			err = fmt.Errorf("serve: solver stalled: no progress for %s", s.cfg.StallTimeout)
@@ -646,31 +665,32 @@ func (s *Server) watchdog(ctx context.Context, j *job, cancel context.CancelFunc
 	}
 }
 
-// solve invokes the job's SolveFunc, converting a solver panic into a failed
-// result so one poisoned job cannot take the whole service down. The
-// fault-injection hook runs inside the same recover scope, so an injected
-// panic exercises exactly the containment a real solver panic would.
-func (s *Server) solve(ctx context.Context, j *job, g Grant) (res opt.Result, err error) {
+// solve invokes the job's SolveFunc on its snapshot, converting a solver
+// panic into a failed result so one poisoned job cannot take the whole
+// service down. The fault-injection hook runs inside the same recover scope,
+// so an injected panic exercises exactly the containment a real solver panic
+// would.
+func (s *Server) solve(ctx context.Context, j *job, wk *work, g Grant) (res opt.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res = opt.Result{Status: opt.StatusUnknown, Cost: -1}
 			err = fmt.Errorf("serve: solver panic: %v", p)
 		}
 	}()
-	if r, handled := s.cfg.Faults.inject(ctx, j, g.Attempt); handled {
+	if r, handled := s.cfg.Faults.inject(ctx, j, wk, g.Attempt); handled {
 		return r, nil
 	}
-	return j.spec.Solve(ctx, j.w, j.bounds, g), nil
+	return wk.solve(ctx, wk.w, wk.bounds, g), nil
 }
 
-// finish completes a job: offers its result to the verified-result store,
-// emits the closing bound event, publishes the result, and wakes every
-// waiter and subscriber.
-func (s *Server) finish(j *job, res Result, cancelled bool) {
+// finish completes a job: offers its result, checked against wk's snapshot,
+// to the verified-result store, emits the closing bound event, publishes the
+// result, and wakes every waiter and subscriber.
+func (s *Server) finish(j *job, wk *work, res Result, cancelled bool) {
 	// Outside the server lock, and while the job is still in the in-flight
 	// map, so an identical submission coalesces rather than re-solving.
-	if err := s.results.insert(j.w, j.key.formulaKey, j.id, res); err != nil {
-		s.audit(AuditEvent{Client: j.spec.Client, Action: "store", JobID: j.id,
+	if err := s.results.insert(wk.w, j.key.formulaKey, j.id, res); err != nil {
+		s.audit(AuditEvent{Client: j.client, Action: "store", JobID: j.id,
 			Detail: "append failed: " + err.Error()})
 	}
 	s.mu.Lock()
@@ -682,7 +702,7 @@ func (s *Server) finish(j *job, res Result, cancelled bool) {
 	}
 	if j.charged {
 		j.charged = false
-		s.releaseClientLocked(j.spec.Client)
+		s.releaseClientLocked(j.client)
 	}
 	detail := res.Status.String()
 	wasCancelled := cancelled && res.Err == nil && res.Status == opt.StatusUnknown
@@ -719,7 +739,7 @@ func (s *Server) finish(j *job, res Result, cancelled bool) {
 			s.cfg.Journal.markDone(id)
 		}
 	}
-	s.audit(AuditEvent{Client: j.spec.Client, Action: "result", JobID: j.id, Detail: detail})
+	s.audit(AuditEvent{Client: j.client, Action: "result", JobID: j.id, Detail: detail})
 
 	// A proved optimum closes the bounds; make sure subscribers see the
 	// closing improvement even if the winning publish bypassed the shared
@@ -941,7 +961,7 @@ func (h *Handle) Cancel() {
 		if last {
 			detail = "last-vote"
 		}
-		h.s.audit(AuditEvent{Client: h.j.spec.Client, Action: "cancel", JobID: h.j.id, Detail: detail})
+		h.s.audit(AuditEvent{Client: h.j.client, Action: "cancel", JobID: h.j.id, Detail: detail})
 		if last && h.j.cancel != nil {
 			h.j.cancel()
 		}

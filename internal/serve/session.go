@@ -124,9 +124,14 @@ type SessionSpec struct {
 // Session is one open incremental-solving session. All methods are safe for
 // concurrent use; mutations and solves are serialized (ErrSessionBusy).
 type Session struct {
-	s    *Server
-	id   uint64
-	spec SessionSpec
+	s  *Server
+	id uint64
+	// The SessionSpec fields a session reads after open. Base lives on as
+	// acc and Retained as retained, so the caller's copies are not kept.
+	client, meta, optsKey string
+	timeout               time.Duration
+	payload               []byte
+	solve                 SessionSolveFunc
 
 	mu       sync.Mutex
 	acc      *cnf.WCNF // accumulated formula (server-owned)
@@ -187,7 +192,8 @@ func (s *Server) OpenSession(ctx context.Context, spec SessionSpec) (*Session, e
 		return nil, err
 	}
 
-	sess := &Session{s: s, spec: spec, retained: spec.Retained}
+	sess := &Session{s: s, client: spec.Client, meta: spec.Meta, optsKey: spec.OptsKey,
+		timeout: spec.Timeout, payload: spec.Payload, solve: spec.Solve, retained: spec.Retained}
 	if spec.Base != nil {
 		sess.acc = spec.Base.Clone()
 	} else {
@@ -261,11 +267,11 @@ func (s *Server) Session(id uint64) (*Session, bool) {
 func (sess *Session) ID() uint64 { return sess.id }
 
 // Client returns the owning client's identity.
-func (sess *Session) Client() string { return sess.spec.Client }
+func (sess *Session) Client() string { return sess.client }
 
 // Meta returns the opaque caller data the session was opened with (the
 // maxsat layer stores the resolved algorithm there).
-func (sess *Session) Meta() string { return sess.spec.Meta }
+func (sess *Session) Meta() string { return sess.meta }
 
 // Counters reports how many delta solves this session has submitted and how
 // many of them the retained engine answered.
@@ -330,7 +336,7 @@ func (sess *Session) retireEngineLocked(why string) {
 	sess.retained.Close()
 	sess.retained = nil
 	sess.pendingH, sess.pendingS = nil, nil
-	sess.s.audit(AuditEvent{Client: sess.spec.Client, Action: "session-retire",
+	sess.s.audit(AuditEvent{Client: sess.client, Action: "session-retire",
 		JobID: sess.id, Detail: why})
 }
 
@@ -474,11 +480,10 @@ func (sess *Session) Solve(ctx context.Context) (*Handle, error) {
 	if retained != nil {
 		engine = retained.Name()
 	}
-	spec := sess.spec
 	reused := new(atomic.Bool)
 	h, err := s.admit(admission{
-		spec: JobSpec{Formula: snap, OptsKey: spec.OptsKey, Slots: 1, Timeout: spec.Timeout,
-			Meta: spec.Meta, Client: spec.Client, Payload: spec.Payload,
+		spec: JobSpec{Formula: snap, OptsKey: sess.optsKey, Slots: 1, Timeout: sess.timeout,
+			Meta: sess.meta, Client: sess.client, Payload: sess.payload,
 			Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
 				// Retries run degraded and from scratch: whatever sank the warm
 				// attempt (an engine bug included), the rerun must not repeat it.
@@ -486,7 +491,7 @@ func (sess *Session) Solve(ctx context.Context) (*Handle, error) {
 				if g.Attempt > 0 {
 					r = nil
 				}
-				res, warm := spec.Solve(ctx, w, shared, g, r)
+				res, warm := sess.solve(ctx, w, shared, g, r)
 				reused.Store(warm)
 				return res
 			}},
@@ -591,7 +596,7 @@ func (s *Server) teardownSession(sess *Session, evicted bool) {
 	s.mu.Lock()
 	if _, ok := s.sessions[sess.id]; ok {
 		delete(s.sessions, sess.id)
-		s.releaseClientLocked(sess.spec.Client)
+		s.releaseClientLocked(sess.client)
 		if evicted {
 			s.stats.SessionsEvicted++
 		}
@@ -602,7 +607,7 @@ func (s *Server) teardownSession(sess *Session, evicted bool) {
 	if evicted {
 		detail = "idle-evicted"
 	}
-	s.audit(AuditEvent{Client: sess.spec.Client, Action: "session-close",
+	s.audit(AuditEvent{Client: sess.client, Action: "session-close",
 		JobID: sess.id, Detail: detail})
 }
 

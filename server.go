@@ -394,9 +394,10 @@ func optsKey(o Options, timeout time.Duration) string {
 		o.Preprocess, o.Parallelism, o.ShareClauses, timeout, o.MemoryBudget, o.Certify)
 }
 
-// Job returns the handle for a previously submitted job by ID (completed
-// jobs stay addressable for a bounded time). The returned handle carries no
-// cancellation vote.
+// Job returns the handle for a previously submitted job by ID. A completed
+// job stays addressable, with its result, model and certificate, until it is
+// no longer among the last 1,024 finished jobs. The returned handle carries
+// no cancellation vote.
 func (s *Server) Job(id uint64) (*Job, bool) {
 	h, ok := s.s.Job(id)
 	if !ok {
