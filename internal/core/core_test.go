@@ -375,7 +375,7 @@ func TestMinimizeCoreShrinks(t *testing.T) {
 		t.Fatal("want unsat")
 	}
 	coreIn := append([]cnf.Lit{}, s.Core()...)
-	coreOut, probes := minimizeCore(s, coreIn, sat.Budget{}, 1000)
+	coreOut, probes := minimizeCore(s, coreIn, sat.Budget{})
 	if len(coreOut) > 2 {
 		t.Fatalf("core not shrunk: %v (probes %d)", coreOut, probes)
 	}

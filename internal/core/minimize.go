@@ -5,6 +5,9 @@ import (
 	"repro/internal/sat"
 )
 
+// probeConflicts caps each minimization probe.
+const probeConflicts = 1000
+
 // minimizeCore destructively shrinks a core of selector literals. The
 // paper's conclusion notes msu4 "is effective only for instances for which
 // SAT solvers are effective at identifying small unsatisfiable cores";
@@ -12,15 +15,15 @@ import (
 // cores, hence fewer blocking variables and smaller cardinality constraints.
 //
 // For each selector, the probe re-solves under the remaining selectors with
-// a conflict budget. If the probe is still UNSAT the selector was redundant
-// and the probe's (possibly even smaller) core replaces the working set;
-// SAT or budget exhaustion keeps the selector. The result is always a core:
-// it equals the last UNSAT outcome's failed-assumption set, or the input
-// when no probe succeeded.
+// a budget of probeConflicts conflicts. If the probe is still UNSAT the
+// selector was redundant and the probe's (possibly even smaller) core
+// replaces the working set; SAT or budget exhaustion keeps the selector.
+// The result is always a core: it equals the last UNSAT outcome's
+// failed-assumption set, or the input when no probe succeeded.
 //
 // The caller's budget is restored before returning. probes counts SAT calls
 // made.
-func minimizeCore(s *sat.Solver, coreIn []cnf.Lit, outer sat.Budget, probeConflicts int64) (coreOut []cnf.Lit, probes int) {
+func minimizeCore(s *sat.Solver, coreIn []cnf.Lit, outer sat.Budget) (coreOut []cnf.Lit, probes int) {
 	if len(coreIn) <= 1 {
 		return coreIn, 0
 	}

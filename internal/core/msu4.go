@@ -49,8 +49,6 @@ type MSU4 struct {
 	// minimizeCore). Fewer blocking variables per iteration at the price of
 	// extra SAT work.
 	MinimizeCores bool
-	// MinimizeProbeConflicts caps each minimization probe; 0 means 1000.
-	MinimizeProbeConflicts int64
 	// ReencodeBounds re-encodes the line-30 constraint at every improved
 	// bound with Encoding behind a guard (the pre-incremental behaviour, and
 	// the regime the paper's v1/v2 comparison measures) instead of
@@ -211,13 +209,9 @@ func (m *MSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 			coreSels = dropLit(coreSels, boundLit)
 			boundFree := len(coreSels) == rawCore
 			if m.MinimizeCores && len(coreSels) > 1 {
-				probeConflicts := m.MinimizeProbeConflicts
-				if probeConflicts <= 0 {
-					probeConflicts = 1000
-				}
 				// Probe calls are not main-loop iterations; their work is
 				// still visible through res.Conflicts.
-				coreSels, _ = minimizeCore(s, coreSels, m.Opts.Budget(ctx), probeConflicts)
+				coreSels, _ = minimizeCore(s, coreSels, m.Opts.Budget(ctx))
 			}
 			if len(coreSels) == 0 {
 				// The core contains no initial clause (paper line 21-22).

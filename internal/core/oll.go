@@ -269,9 +269,6 @@ func (r *ollRun) exhaust(it *ollItem) bool {
 	if pb.MaxConflicts <= 0 {
 		pb.MaxConflicts = ollDefaultExhaustConflicts
 	}
-	if outer.MaxConflicts > 0 && outer.MaxConflicts < pb.MaxConflicts {
-		pb.MaxConflicts = outer.MaxConflicts
-	}
 	r.s.SetBudget(pb)
 	defer r.s.SetBudget(outer)
 	for it != nil && it.weight > 0 && r.ctx.Err() == nil {
@@ -418,8 +415,7 @@ func (r *ollRun) processCore() bool {
 		return false
 	}
 	if r.m.MinimizeCores && len(coreLits) > 1 {
-		probeConflicts := int64(1000)
-		coreLits, _ = minimizeCore(s, coreLits, r.m.Opts.Budget(r.ctx), probeConflicts)
+		coreLits, _ = minimizeCore(s, coreLits, r.m.Opts.Budget(r.ctx))
 	}
 	if r.probe != nil {
 		r.probe.Cores++

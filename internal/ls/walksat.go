@@ -24,11 +24,6 @@ type Params struct {
 	MaxFlips int
 	// Tries (restarts). 0 means 10.
 	Tries int
-	// Noise is the random-walk probability in [0,1]. 0 means 0.2.
-	Noise float64
-	// HardWeight is the synthetic weight of hard clauses during the walk;
-	// 0 means 1 + total soft weight (any hard violation dominates).
-	HardWeight cnf.Weight
 	// OnImprove, when non-nil, is called with every strict improvement of
 	// the best hard-feasible assignment (cost, then the model, which the
 	// callback must not retain past the call). The portfolio engine uses it
@@ -55,6 +50,10 @@ type Result struct {
 	Flips int
 }
 
+// noise is the random-walk probability: the chance that a flip picks a
+// random literal of the falsified clause instead of the greedy best.
+const noise = 0.2
+
 type wClause struct {
 	lits   []cnf.Lit
 	weight cnf.Weight // effective weight during the walk
@@ -71,12 +70,9 @@ func Minimize(ctx context.Context, w *cnf.WCNF, p Params) Result {
 	if p.Tries == 0 {
 		p.Tries = 10
 	}
-	if p.Noise == 0 {
-		p.Noise = 0.2
-	}
-	if p.HardWeight == 0 {
-		p.HardWeight = w.SoftWeightSum() + 1
-	}
+	// Hard clauses weigh more than every soft clause together during the
+	// walk, so any hard violation dominates.
+	hardWeight := w.SoftWeightSum() + 1
 	rng := rand.New(rand.NewSource(p.Seed))
 
 	// Normalized clause set; empty soft clauses contribute a fixed cost.
@@ -94,7 +90,7 @@ func Minimize(ctx context.Context, w *cnf.WCNF, p Params) Result {
 			baseCost += c.Weight
 			continue
 		}
-		wc := wClause{lits: norm, weight: p.HardWeight}
+		wc := wClause{lits: norm, weight: hardWeight}
 		if !c.Hard() {
 			wc.weight = c.Weight
 			wc.soft = true
@@ -187,7 +183,7 @@ func Minimize(ctx context.Context, w *cnf.WCNF, p Params) Result {
 			best.Flips++
 			c := clauses[falseClauses[rng.Intn(len(falseClauses))]]
 			var v cnf.Var
-			if rng.Float64() < p.Noise {
+			if rng.Float64() < noise {
 				v = c.lits[rng.Intn(len(c.lits))].Var()
 			} else {
 				// Pick the literal with minimal weighted break.

@@ -96,9 +96,7 @@ func refute(ctx context.Context, f *cnf.Formula, o Options) (*proof.Trace, error
 	}
 	rec := proof.NewRecorder()
 	s.SetProof(rec)
-	b := o.Budget(ctx)
-	b.MaxConflicts = 0 // per-call caps are an optimizer-loop notion; run to a verdict
-	s.SetBudget(b)
+	s.SetBudget(o.Budget(ctx))
 	switch s.Solve() {
 	case sat.Unsat:
 		// Trim to the lemmas the checker's backward marking actually

@@ -162,8 +162,6 @@ func (r Result) String() string {
 // cancellation) travel through the context passed to Solve, not through
 // Options.
 type Options struct {
-	// MaxConflictsPerCall, when positive, caps each SAT call.
-	MaxConflictsPerCall int64
 	// MemBytes, when positive, caps the CDCL solver's clause-storage
 	// footprint in bytes (sat.Budget.MaxMemory): once learnt-clause growth
 	// crosses the cap, the current SAT call returns Unknown and the
@@ -245,15 +243,13 @@ func (o Options) AttachExchange(s *sat.Solver, sharedVars int) {
 	}
 }
 
-// Budget converts the options plus the run context into a per-call SAT
-// budget. The context's deadline (when set) is forwarded so the SAT solver's
-// cheap time check applies, and the context itself is polled for
-// cancellation.
+// Budget converts the options plus the run context into a SAT budget. The
+// context's deadline (when set) is forwarded so the SAT solver's cheap time
+// check applies, and the context itself is polled for cancellation.
 func (o Options) Budget(ctx context.Context) sat.Budget {
 	b := sat.Budget{
-		MaxConflicts: o.MaxConflictsPerCall,
-		MaxMemory:    o.MemBytes,
-		Ctx:          ctx,
+		MaxMemory: o.MemBytes,
+		Ctx:       ctx,
 	}
 	if dl, ok := ctx.Deadline(); ok {
 		b.Deadline = dl

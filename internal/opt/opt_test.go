@@ -32,9 +32,9 @@ func TestOptionsBudget(t *testing.T) {
 	dl := time.Now().Add(time.Hour)
 	ctx, cancel := context.WithDeadline(context.Background(), dl)
 	defer cancel()
-	o := Options{MaxConflictsPerCall: 42, MemBytes: 1 << 20}
+	o := Options{MemBytes: 1 << 20}
 	b := o.Budget(ctx)
-	if !b.Deadline.Equal(dl) || b.MaxConflicts != 42 || b.Ctx != ctx || b.MaxMemory != 1<<20 {
+	if !b.Deadline.Equal(dl) || b.Ctx != ctx || b.MaxMemory != 1<<20 {
 		t.Fatalf("budget does not mirror options/context: %+v", b)
 	}
 	// A context without a deadline leaves the budget's deadline zero.

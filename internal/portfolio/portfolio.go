@@ -104,13 +104,9 @@ func LineupSize(weighted bool) int {
 type Engine struct {
 	// Opts is passed to every member.
 	Opts opt.Options
-	// Members overrides the line-up; nil selects DefaultMembers or
-	// WeightedMembers by instance kind. Members must accept the instance
-	// kind they are raced on (unit-weight algorithms panic on weighted
-	// instances, as everywhere else in this repository).
-	Members []Spec
 	// Jobs caps the number of members raced concurrently; 0 (or more than
-	// the line-up has) races them all. Jobs == 1 degenerates to the first
+	// the line-up has) races them all. The line-up is DefaultMembers or
+	// WeightedMembers, by instance kind. Jobs == 1 degenerates to the first
 	// member running alone, plus the WalkSAT seeder.
 	Jobs int
 	// Share enables learnt-clause exchange between the members: every
@@ -122,10 +118,9 @@ type Engine struct {
 	// bit-identically to running its (possibly diversified) configuration
 	// alone.
 	Share bool
-	// NoSeed disables the WalkSAT upper-bound seeder.
+	// NoSeed disables the WalkSAT upper-bound seeder, which walks at most
+	// 50000 flips over 3 tries.
 	NoSeed bool
-	// SeedFlips bounds the seeder's walk; 0 means 50000 flips over 3 tries.
-	SeedFlips int
 	// Label overrides the reported name (e.g. "portfolio-4").
 	Label string
 }
@@ -178,13 +173,9 @@ func (e *Engine) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) opt
 	if bounds == nil || prep != nil {
 		bounds = opt.NewBounds()
 	}
-	members := e.Members
-	if members == nil {
-		if w.Weighted() {
-			members = WeightedMembers()
-		} else {
-			members = DefaultMembers()
-		}
+	members := DefaultMembers()
+	if w.Weighted() {
+		members = WeightedMembers()
 	}
 	if e.Jobs > 0 && e.Jobs < len(members) {
 		members = members[:e.Jobs]
@@ -236,13 +227,9 @@ func (e *Engine) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) opt
 	} else {
 		go func() {
 			defer close(seedDone)
-			flips := e.SeedFlips
-			if flips == 0 {
-				flips = 50000
-			}
 			ls.Minimize(runCtx, w.Clone(), ls.Params{
 				Seed:     1,
-				MaxFlips: flips,
+				MaxFlips: 50000,
 				Tries:    3,
 				Prep:     prep,
 				OnImprove: func(cost cnf.Weight, model cnf.Assignment) {

@@ -10,7 +10,7 @@ import (
 // CheckOptions controls which trace operations the checker admits.
 // The zero value is strict mode: only OpLearn and OpDelete records are
 // allowed, which is what certificate traces (produced by solo solvers)
-// must satisfy.
+// must satisfy. OpAxiom records are rejected in every mode.
 type CheckOptions struct {
 	// AllowImports admits OpImport records as axioms — explicit
 	// obligations discharged by the exporting solver's own proof — but
@@ -22,9 +22,6 @@ type CheckOptions struct {
 	// ImportScope is the exclusive upper bound on variables allowed in
 	// imported clauses when AllowImports is set.
 	ImportScope int
-	// AllowAxioms admits OpAxiom records (clauses the producer's caller
-	// added after logging started). Never set for certificates.
-	AllowAxioms bool
 }
 
 // CheckTrace verifies that t is a valid DRAT-style refutation of f: the
@@ -55,7 +52,7 @@ func CheckTrace(f *cnf.Formula, t *Trace, opts CheckOptions) error {
 //
 // Trimming a trace that fails verification returns the error; a trace
 // accepted wholesale without deriving an empty learnt clause (an empty
-// import/axiom obligation, impossible in strict mode) is returned as is.
+// import obligation, impossible in strict mode) is returned as is.
 func Trim(f *cnf.Formula, t *Trace, opts CheckOptions) (*Trace, error) {
 	c, emptyAt, err := runCheck(f, t, opts)
 	if err != nil {
@@ -81,8 +78,8 @@ func Trim(f *cnf.Formula, t *Trace, opts CheckOptions) (*Trace, error) {
 // runCheck is the shared verification core behind CheckTrace and Trim. On
 // success it returns the checker (whose marked flags record which additions
 // some conflict consumed) and the index of the empty learnt clause, or
-// emptyAt = -1 when the trace was accepted wholesale via an empty
-// import/axiom obligation.
+// emptyAt = -1 when the trace was accepted wholesale via an empty import
+// obligation.
 func runCheck(f *cnf.Formula, t *Trace, opts CheckOptions) (*checker, int, error) {
 	c := newChecker(f)
 	// Forward pass: admit records, build the clause timeline, find the
@@ -105,17 +102,15 @@ func runCheck(f *cnf.Formula, t *Trace, opts CheckOptions) (*checker, int, error
 				}
 			}
 		case OpAxiom:
-			if !opts.AllowAxioms {
-				return nil, -1, fmt.Errorf("proof: record %d: axiom not allowed in a strict trace", i)
-			}
+			return nil, -1, fmt.Errorf("proof: record %d: axiom not allowed in a checked trace", i)
 		default:
 			return nil, -1, fmt.Errorf("proof: record %d: unknown op %d", i, byte(rec.Op))
 		}
 		c.add(i, rec.Op, rec.Lits)
 		if len(rec.Lits) == 0 {
 			if rec.Op != OpLearn {
-				// An empty import or axiom is an obligation the producer
-				// asserts wholesale; admitted modes accept it as given.
+				// An empty import is an obligation the producer asserts
+				// wholesale; admitted modes accept it as given.
 				return c, -1, nil
 			}
 			emptyAt = i

@@ -56,7 +56,7 @@ const (
 	OpImport
 	// OpAxiom adds a clause the producer asserts as given — a caller
 	// AddClause issued after proof logging started. Certificate traces
-	// must not contain axioms; strict mode rejects them.
+	// must not contain axioms; the checker rejects them in every mode.
 	OpAxiom
 )
 

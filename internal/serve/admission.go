@@ -227,6 +227,11 @@ type admission struct {
 	// reused, for a session solve, is set by spec.Solve when the session's
 	// retained engine answered.
 	reused *atomic.Bool
+	// warm, for a session solve, reports that the session's retained engine
+	// is offered. Such a solve runs that one session's engine, whatever its
+	// OptsKey names, so it is no coalescing target; it may still attach to
+	// an existing job.
+	warm bool
 	// hold, for a replay, collects the run start instead of making it, so
 	// Recover registers every pending job before any of them runs.
 	hold *[]func()
@@ -372,7 +377,9 @@ func (s *Server) admit(a admission) (*Handle, error) {
 	}
 	wk := &work{solve: spec.Solve, timeout: spec.Timeout, meta: spec.Meta, bounds: opt.NewBounds()}
 	wk.bounds.SetObserver(j.emit)
-	s.inflight[key] = j
+	if !a.warm {
+		s.inflight[key] = j
+	}
 	s.jobs[j.id] = j
 	s.queued++
 	if a.origin == replay {

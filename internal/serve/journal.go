@@ -145,8 +145,9 @@ func (j *Journal) record(id uint64, w *cnf.WCNF, spec JobSpec) error {
 	return j.log.Append(recSubmit, payload, true)
 }
 
-// markDone records a completion marker. Unsynced on purpose: the marker is
-// an optimization (it keeps recovery from re-running a finished job), not a
+// markDone records a completion marker. Unsynced on purpose: the marker
+// reaches disk with the next synced append or Close, and it is an
+// optimization (it keeps recovery from re-running a finished job), not a
 // correctness requirement. Submit/done pairs grow the log monotonically at
 // runtime; the next Open rewrites it down to whatever is still pending —
 // runtime compaction would need the live in-flight picture this type does
@@ -172,9 +173,6 @@ func (j *Journal) compactLocked() {
 	}
 	j.log.Compact(recs) // best-effort; a failed compact leaves the old log
 }
-
-// Sync flushes batched done markers.
-func (j *Journal) Sync() error { return j.log.Sync() }
 
 // Close flushes and closes the journal.
 func (j *Journal) Close() error { return j.log.Close() }

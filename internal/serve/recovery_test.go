@@ -600,7 +600,7 @@ func TestRetryLadder(t *testing.T) {
 			return Fault{}
 		}
 	}}
-	s := New(Config{Workers: 2, MaxRetries: 3, RetryBackoff: 10 * time.Millisecond, Faults: faults})
+	s := New(Config{Workers: 2, MaxRetries: 3, Faults: faults})
 	defer s.Close()
 	var backoffs []time.Duration
 	s.sleep = func(ctx context.Context, d time.Duration) { backoffs = append(backoffs, d) }
@@ -617,8 +617,8 @@ func TestRetryLadder(t *testing.T) {
 	if st.Panics != 0 {
 		t.Fatalf("recovered job still counted as a panic: %+v", st)
 	}
-	if len(backoffs) != 2 || backoffs[0] != 10*time.Millisecond || backoffs[1] != 20*time.Millisecond {
-		t.Fatalf("backoff ladder %v, want [10ms 20ms] (exponential)", backoffs)
+	if len(backoffs) != 2 || backoffs[0] != 100*time.Millisecond || backoffs[1] != 200*time.Millisecond {
+		t.Fatalf("backoff ladder %v, want [100ms 200ms] (exponential)", backoffs)
 	}
 }
 
@@ -628,7 +628,7 @@ func TestRetryExhaustion(t *testing.T) {
 	faults := &Faults{Before: func(jobID uint64, optsKey string, attempt int) Fault {
 		return Fault{Kind: FaultPanic}
 	}}
-	s := New(Config{Workers: 1, MaxRetries: 2, RetryBackoff: time.Nanosecond, Faults: faults})
+	s := New(Config{Workers: 1, MaxRetries: 2, Faults: faults})
 	defer s.Close()
 	s.sleep = func(ctx context.Context, d time.Duration) {}
 	r := waitResult(t, mustSubmit(t, s, JobSpec{Formula: contradiction(), Solve: optimal(1)}))
@@ -654,8 +654,7 @@ func TestChaosRetriesRecoverPanickedJobs(t *testing.T) {
 		}
 		return Fault{}
 	}}
-	s := New(Config{Workers: 3, CacheEntries: -1, MaxRetries: 1,
-		RetryBackoff: time.Millisecond, Faults: faults})
+	s := New(Config{Workers: 3, CacheEntries: -1, MaxRetries: 1, Faults: faults})
 	defer s.Close()
 	var handles []*Handle
 	for i := range jobs {

@@ -182,11 +182,9 @@ type Config struct {
 	// panic, watchdog kill, or an uncancelled Unknown (budget exhaustion)
 	// — is retried server-side before the failure is surfaced to the
 	// client. Retries run degraded: the job is shrunk to one worker slot
-	// and the SolveFunc sees Grant.Attempt > 0. 0 disables retries.
+	// and the SolveFunc sees Grant.Attempt > 0. The first retry waits
+	// 100ms, doubled per further attempt. 0 disables retries.
 	MaxRetries int
-	// RetryBackoff is the first retry's delay, doubled per further attempt;
-	// 0 means 100ms. The wait is cut short by job cancellation.
-	RetryBackoff time.Duration
 
 	// MaxSessions caps concurrently open sessions (each pins one worker
 	// slot for its lifetime — see OpenSession); 0 means Workers, negative
@@ -354,9 +352,6 @@ func New(cfg Config) *Server {
 	if cfg.RetainDone == 0 {
 		cfg.RetainDone = 1024
 	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 100 * time.Millisecond
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
@@ -506,6 +501,10 @@ func (s *Server) doneJobLocked(id uint64, key jobKey, client string, res Result)
 	return &Handle{s: s, j: j}
 }
 
+// retryBackoff is the first retry's delay, doubled per further attempt. The
+// wait is cut short by job cancellation.
+const retryBackoff = 100 * time.Millisecond
+
 // run executes one job: acquire slots, solve wk under the per-job deadline —
 // retrying transient failures with backoff and a degraded grant — then
 // finish.
@@ -586,7 +585,7 @@ func (s *Server) run(ctx context.Context, j *job, wk *work) {
 		}
 		s.audit(AuditEvent{Client: j.client, Action: "retry", JobID: j.id,
 			Detail: fmt.Sprintf("attempt %d after %s", attempt+1, reason)})
-		s.sleep(runCtx, s.cfg.RetryBackoff<<attempt)
+		s.sleep(runCtx, retryBackoff<<attempt)
 	}
 	if !j.leased {
 		s.sem.release(slots)
@@ -731,9 +730,10 @@ func (s *Server) finish(j *job, wk *work, res Result, cancelled bool) {
 	s.mu.Unlock()
 
 	if markDone {
-		// Lazy (batched-fsync) marker: losing it merely makes the next
-		// recovery re-run a job whose answer is already durable or cached —
-		// replay is idempotent, so cheap beats synced here.
+		// Unsynced marker: it reaches disk with the next synced append or
+		// Close, and losing it merely makes the next recovery re-run a job
+		// whose answer is already durable or cached — replay is idempotent,
+		// so cheap beats synced here.
 		s.cfg.Journal.markDone(j.id)
 		for _, id := range aliases {
 			s.cfg.Journal.markDone(id)

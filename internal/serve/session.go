@@ -439,7 +439,9 @@ func (sess *Session) snapshotLocked() *cnf.WCNF {
 // deltas finds its pre-crash certified answer without touching a solver. A
 // solve may also coalesce onto an identical in-flight job (one-shot or from
 // another session); the retained engine sits that solve out but stays
-// valid. Only one solve may be in flight per session (ErrSessionBusy).
+// valid. A solve offered the retained engine is no coalescing target
+// itself: it runs this session's engine, not the work its key names. Only
+// one solve may be in flight per session (ErrSessionBusy).
 func (sess *Session) Solve(ctx context.Context) (*Handle, error) {
 	s := sess.s
 	sess.mu.Lock()
@@ -498,6 +500,7 @@ func (sess *Session) Solve(ctx context.Context) (*Handle, error) {
 		origin: inSession,
 		detail: fmt.Sprintf("session solve engine=%s delta=%d clauses", engine, grew),
 		reused: reused,
+		warm:   retained != nil,
 	})
 	if err != nil {
 		sess.mu.Lock()

@@ -177,6 +177,62 @@ func TestSessionCacheInterchangeable(t *testing.T) {
 	}
 }
 
+// gatedEngine is a fakeEngine whose SolveDelta signals started and then
+// blocks until release is closed (or its solve is cancelled).
+type gatedEngine struct {
+	fakeEngine
+	started, release chan struct{}
+}
+
+func (g *gatedEngine) SolveDelta(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) opt.Result {
+	close(g.started)
+	select {
+	case <-g.release:
+	case <-ctx.Done():
+	}
+	return g.fakeEngine.SolveDelta(ctx, w, shared)
+}
+
+// TestWarmSessionSolveIsNoCoalescingTarget asserts that a one-shot
+// submission never attaches to a session solve that runs the session's
+// retained engine: that solve answers with one session's warm state, not
+// with the work its OptsKey names, so the one-shot job gets its own run and
+// a from-scratch answer.
+func TestWarmSessionSolveIsNoCoalescingTarget(t *testing.T) {
+	defer checkGoroutines(t)()
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	eng := &gatedEngine{started: make(chan struct{}), release: make(chan struct{})}
+	sess := mustOpen(t, s, SessionSpec{
+		Base: contradiction(), OptsKey: "o", Solve: bruteSessionSolve(), Retained: eng,
+	})
+	warm, err := sess.Solve(context.Background())
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	select {
+	case <-eng.started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the warm engine never started")
+	}
+
+	one := mustSubmit(t, s, JobSpec{Formula: sess.Accumulated(), OptsKey: "o", Solve: optimal(1)})
+	if one.ID() == warm.ID() {
+		t.Fatalf("one-shot submission attached to warm session job %d", warm.ID())
+	}
+	if r := waitResult(t, one); r.Reused || r.Cost != 1 {
+		t.Errorf("one-shot result: reused=%t cost=%d, want a fresh run of cost 1", r.Reused, r.Cost)
+	}
+	close(eng.release)
+	if r := waitResult(t, warm); !r.Reused || r.Cost != 1 {
+		t.Errorf("session result: reused=%t cost=%d, want the warm engine's cost 1", r.Reused, r.Cost)
+	}
+	if st := s.Stats(); st.Coalesced != 0 {
+		t.Errorf("Coalesced = %d, want 0", st.Coalesced)
+	}
+	sess.Close()
+}
+
 func TestSessionBusySerialization(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()

@@ -29,14 +29,13 @@ import (
 	"repro/internal/cnf"
 )
 
-// Options bounds the preprocessing effort.
+// maxOccurrences skips variable elimination for variables occurring more
+// often than this in either polarity. An elimination is also aborted when
+// it would add more clauses than it removes: BVE never grows the formula.
+const maxOccurrences = 10
+
+// Options selects the preprocessing passes and what they must preserve.
 type Options struct {
-	// MaxOccurrences skips variable elimination for variables occurring
-	// more often than this in either polarity. 0 means 10.
-	MaxOccurrences int
-	// MaxClauseGrowth aborts an elimination that would add more than this
-	// many clauses beyond the ones it removes. 0 means 0 (never grow).
-	MaxClauseGrowth int
 	// DisableBVE turns off bounded variable elimination.
 	DisableBVE bool
 	// DisableSubsumption turns off subsumption and strengthening.
@@ -172,9 +171,6 @@ func Preprocess(f *cnf.Formula, opts Options) *Result {
 // Preprocess simplifies f (which is not modified) and returns the result.
 // The returned Result owns its data and remains valid across further calls.
 func (p *Preprocessor) Preprocess(f *cnf.Formula, opts Options) *Result {
-	if opts.MaxOccurrences == 0 {
-		opts.MaxOccurrences = 10
-	}
 	n := f.NumVars
 	p.reset(n, opts)
 	for _, c := range f.Clauses {
@@ -514,14 +510,14 @@ func (p *Preprocessor) eliminationPass() bool {
 		if len(pos) == 0 && len(neg) == 0 {
 			continue
 		}
-		if len(pos) > p.opts.MaxOccurrences || len(neg) > p.opts.MaxOccurrences {
+		if len(pos) > maxOccurrences || len(neg) > maxOccurrences {
 			continue
 		}
 		// A pure literal eliminates trivially (no resolvents).
 		var resolvents []cnf.Clause
 		ok := true
 		if len(pos) > 0 && len(neg) > 0 {
-			budget := len(pos) + len(neg) + p.opts.MaxClauseGrowth
+			budget := len(pos) + len(neg)
 			for _, pi := range pos {
 				for _, ni := range neg {
 					r, taut := resolve(p.clauses[pi], p.clauses[ni], v)

@@ -1,7 +1,7 @@
 // Package store implements the durable substrate of the serving layer: an
-// append-only log of CRC-framed records in a single file, with batched
-// fsync, clean truncation of a torn tail on recovery, and compaction by
-// atomic rewrite.
+// append-only log of CRC-framed records in a single file, with fsync per
+// synced append, clean truncation of a torn tail on recovery, and compaction
+// by atomic rewrite.
 //
 // The log knows nothing about what it stores — records are (kind, payload)
 // pairs — so the verified-result store and the job journal in internal/serve
@@ -30,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"time"
 )
 
 var magic = []byte("MXSTLG1\n")
@@ -56,30 +55,20 @@ type WriteHook func(seq uint64, frame []byte) (write []byte, wedge bool)
 
 // Options tunes a Log.
 type Options struct {
-	// SyncEvery batches fsyncs of unsynced appends: an Append(sync=false)
-	// only fsyncs when this much time has passed since the last sync, so a
-	// burst of low-value records (completion markers) costs one fsync per
-	// interval instead of one each. Zero means unsynced appends are left to
-	// the OS (a sync append, Sync, or Close flushes them). Appends issued
-	// with sync=true always fsync immediately.
-	SyncEvery time.Duration
 	// WriteHook, when non-nil, intercepts every framed write (fault
 	// injection; see WriteHook).
 	WriteHook WriteHook
-	// Now is the clock used for fsync batching; nil means time.Now.
-	Now func() time.Time
 }
 
 // Log is an append-only record log backed by one file.
 type Log struct {
-	mu       sync.Mutex
-	f        *os.File
-	path     string
-	opts     Options
-	seq      uint64 // next sequence number
-	dirty    bool   // unsynced bytes outstanding
-	lastSync time.Time
-	wedged   bool // a WriteHook simulated a crash; all writes are dropped
+	mu     sync.Mutex
+	f      *os.File
+	path   string
+	opts   Options
+	seq    uint64 // next sequence number
+	dirty  bool   // unsynced bytes outstanding
+	wedged bool   // a WriteHook simulated a crash; all writes are dropped
 }
 
 // Open opens (creating if absent) the log at path and replays it: every
@@ -87,9 +76,6 @@ type Log struct {
 // truncated away. dropped counts the frames discarded by that truncation —
 // zero on a clean log.
 func Open(path string, opts Options) (l *Log, recs []Record, dropped int, err error) {
-	if opts.Now == nil {
-		opts.Now = time.Now
-	}
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, 0, err
@@ -108,7 +94,7 @@ func Open(path string, opts Options) (l *Log, recs []Record, dropped int, err er
 			f.Close()
 			return nil, nil, 0, err
 		}
-		return &Log{f: f, path: path, opts: opts, lastSync: opts.Now()}, nil, 0, nil
+		return &Log{f: f, path: path, opts: opts}, nil, 0, nil
 	}
 
 	data, err := io.ReadAll(f)
@@ -140,7 +126,7 @@ func Open(path string, opts Options) (l *Log, recs []Record, dropped int, err er
 		f.Close()
 		return nil, nil, 0, err
 	}
-	return &Log{f: f, path: path, opts: opts, seq: uint64(len(recs)), lastSync: opts.Now()}, recs, dropped, nil
+	return &Log{f: f, path: path, opts: opts, seq: uint64(len(recs))}, recs, dropped, nil
 }
 
 // scan parses frames from data, returning the records, the byte length of
@@ -213,9 +199,9 @@ func frame(kind byte, payload []byte) []byte {
 // Append writes one record. With sync true the record is fsynced before
 // Append returns — the durability promise for records whose acknowledgement
 // implies persistence (journal submits, stored results). With sync false the
-// fsync is batched per Options.SyncEvery; a crash may lose the record, which
-// is only acceptable for records whose loss recovery tolerates (completion
-// markers — replay is idempotent).
+// record reaches disk with the next synced Append, Sync or Close; a crash
+// before then may lose it, which is only acceptable for records whose loss
+// recovery tolerates (completion markers — replay is idempotent).
 func (l *Log) Append(kind byte, payload []byte, sync bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -242,7 +228,7 @@ func (l *Log) Append(kind byte, payload []byte, sync bool) error {
 		return nil
 	}
 	l.dirty = true
-	if sync || (l.opts.SyncEvery > 0 && l.opts.Now().Sub(l.lastSync) >= l.opts.SyncEvery) {
+	if sync {
 		return l.syncLocked()
 	}
 	return nil
@@ -256,11 +242,10 @@ func (l *Log) syncLocked() error {
 		return err
 	}
 	l.dirty = false
-	l.lastSync = l.opts.Now()
 	return nil
 }
 
-// Sync flushes any batched appends to disk.
+// Sync flushes any unsynced appends to disk.
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

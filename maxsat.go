@@ -153,12 +153,14 @@ func Algorithms() []Algorithm {
 }
 
 // Options configures a Solve call. The zero value asks for automatic
-// algorithm selection with no resource bounds.
+// algorithm selection with no resource bounds. A Server journals a served
+// job's options as their JSON and keys in-flight coalescing on it, so the
+// JSON field names are a persisted format that journals on disk rely on.
 type Options struct {
 	// Algorithm selects the optimizer; AlgoAuto routes by instance kind.
-	Algorithm Algorithm
+	Algorithm Algorithm `json:"alg"`
 	// Timeout bounds the optimization; zero means unbounded.
-	Timeout time.Duration
+	Timeout time.Duration `json:"to,omitempty"`
 	// MemoryBudget, when positive, caps the clause storage of the
 	// underlying CDCL solver(s) in bytes. A solve whose learnt clauses
 	// outgrow the cap stops with Status Unknown and the best bounds proved
@@ -166,22 +168,20 @@ type Options struct {
 	// relies on this to survive pathological instances. AlgoPortfolio
 	// divides the cap evenly across its racing members; algorithms that do
 	// not run a CDCL engine (AlgoBnB) ignore it. Zero means unbounded.
-	MemoryBudget int64
-	// MaxConflictsPerCall caps each underlying SAT call (advanced).
-	MaxConflictsPerCall int64
+	MemoryBudget int64 `json:"mem,omitempty"`
 	// SkipAtLeast1 disables msu4's optional per-core "at least one
 	// blocking variable" constraint (paper Algorithm 1, line 19).
-	SkipAtLeast1 bool
+	SkipAtLeast1 bool `json:"skip,omitempty"`
 	// Preprocess enables soft-aware SatELite preprocessing: the hard
 	// clauses (plus a frozen selector shell per soft clause) are simplified
 	// once — unit propagation, subsumption, self-subsuming resolution,
 	// bounded variable elimination — before the optimizer starts, and every
 	// model is reconstructed back to the original variables. The portfolio
 	// preprocesses once and races its members on the simplified formula.
-	Preprocess bool
+	Preprocess bool `json:"pre,omitempty"`
 	// Parallelism caps the number of solvers AlgoPortfolio races
 	// concurrently; 0 races the full line-up. Other algorithms ignore it.
-	Parallelism int
+	Parallelism int `json:"par,omitempty"`
 	// ShareClauses makes AlgoPortfolio members exchange learnt clauses:
 	// each CDCL-based racer exports its glue and binary learnt clauses over
 	// the instance's variables to a lock-free bus and imports the others'
@@ -189,7 +189,7 @@ type Options struct {
 	// instead of once per member. Other algorithms ignore it. Off by
 	// default; solving behavior with it off is identical to not having a
 	// bus at all.
-	ShareClauses bool
+	ShareClauses bool `json:"share,omitempty"`
 	// OnImprove, when non-nil, receives every anytime bound improvement of
 	// a Solve/SolveContext run as it is proved: lower bounds published by
 	// the core-guided algorithms after every core (AlgoOLL publishes one
@@ -198,7 +198,7 @@ type Options struct {
 	// goroutine(s) and must return quickly; improvements are monotone per
 	// bound but under AlgoPortfolio may arrive from concurrent members.
 	// Server.Submit ignores it — use Job.Updates for served jobs.
-	OnImprove func(BoundUpdate)
+	OnImprove func(BoundUpdate) `json:"-"`
 	// Certify makes OPTIMAL and UNSATISFIABLE results carry a serialized
 	// proof certificate (Result.Certificate), checkable against the
 	// instance with CheckCertificate by an independent in-tree RUP checker
@@ -209,7 +209,7 @@ type Options struct {
 	// runs. It roughly doubles the UNSAT work of a solve; off by default.
 	// If the result cannot be certified (for example the context expires
 	// mid-pass), SolveContext returns an error.
-	Certify bool
+	Certify bool `json:"cert,omitempty"`
 }
 
 // Status is the outcome class of a Solve call.
@@ -394,9 +394,8 @@ func SolveFile(path string, o Options) (Result, error) {
 
 func buildSolver(w *WCNF, o Options) (opt.Solver, Algorithm, error) {
 	io_ := opt.Options{
-		MaxConflictsPerCall: o.MaxConflictsPerCall,
-		MemBytes:            o.MemoryBudget,
-		Preprocess:          o.Preprocess,
+		MemBytes:   o.MemoryBudget,
+		Preprocess: o.Preprocess,
 	}
 	algo := o.Algorithm
 	if algo == AlgoAuto {

@@ -33,10 +33,9 @@ import (
 // races exactly the members it was granted, so concurrent portfolio jobs
 // cannot oversubscribe the machine.
 type Server struct {
-	s          *serve.Server
-	rs         *serve.ResultStore
-	jl         *serve.Journal
-	defaultMem int64
+	s  *serve.Server
+	rs *serve.ResultStore
+	jl *serve.Journal
 }
 
 // ServerConfig configures a Server. The zero value gives a single-worker
@@ -70,9 +69,6 @@ type ServerConfig struct {
 	// full line-ups. Reductions are counted in ServerStats.Degraded.
 	// 0 disables; needs QueueDepth > 0.
 	HighWater float64
-	// MemoryBudget, when positive, applies to jobs whose Options.MemoryBudget
-	// is zero: a clause-storage byte cap per job (see Options.MemoryBudget).
-	MemoryBudget int64
 	// Audit, when non-nil, receives one AuditEvent per admission decision,
 	// cancellation and completion. Called outside server locks; must not
 	// block for long.
@@ -196,9 +192,8 @@ func OpenServer(cfg ServerConfig) (*Server, error) {
 			MaxSessions:    cfg.MaxSessions,
 			SessionIdle:    cfg.SessionIdle,
 		}),
-		rs:         rs,
-		jl:         jl,
-		defaultMem: cfg.MemoryBudget,
+		rs: rs,
+		jl: jl,
 	}, nil
 }
 
@@ -274,14 +269,17 @@ func (s *Server) canonical(client string, w *WCNF, o Options) (serve.JobSpec, Op
 		}
 		spec.Slots = o.Parallelism
 	}
-	if o.MemoryBudget == 0 {
-		o.MemoryBudget = s.defaultMem
+	// The JSON of the canonical options, timeout included, is the key that
+	// in-flight coalescing matches on and the payload Recover rebuilds the
+	// job from: every field that changes what the job computes or how long
+	// it may run participates. Marshal cannot fail on Options' tagged
+	// fields, which are all numbers, strings and booleans.
+	key, _ := json.Marshal(o)
+	spec.OptsKey = string(key)
+	if s.jl != nil {
+		spec.Payload = key
 	}
 	o.Timeout = 0 // the serving layer owns the deadline
-	spec.OptsKey = optsKey(o, spec.Timeout)
-	if s.jl != nil {
-		spec.Payload = encodeWireOptions(o, spec.Timeout)
-	}
 	return spec, o, nil
 }
 
@@ -332,32 +330,6 @@ func certifyServed(ctx context.Context, w *cnf.WCNF, r opt.Result, o Options) op
 	return r
 }
 
-// wireOptions is the durable subset of Options journaled with a submission:
-// everything a restarted server needs to rebuild the identical solve.
-// (OnImprove is a closure and cannot be persisted; served jobs use
-// Job.Updates instead, which replay re-wires automatically.)
-type wireOptions struct {
-	Algorithm           Algorithm     `json:"alg"`
-	Timeout             time.Duration `json:"to,omitempty"`
-	MemoryBudget        int64         `json:"mem,omitempty"`
-	MaxConflictsPerCall int64         `json:"conf,omitempty"`
-	SkipAtLeast1        bool          `json:"skip,omitempty"`
-	Preprocess          bool          `json:"pre,omitempty"`
-	Parallelism         int           `json:"par,omitempty"`
-	ShareClauses        bool          `json:"share,omitempty"`
-	Certify             bool          `json:"cert,omitempty"`
-}
-
-func encodeWireOptions(o Options, timeout time.Duration) []byte {
-	b, _ := json.Marshal(wireOptions{
-		Algorithm: o.Algorithm, Timeout: timeout,
-		MemoryBudget: o.MemoryBudget, MaxConflictsPerCall: o.MaxConflictsPerCall,
-		SkipAtLeast1: o.SkipAtLeast1, Preprocess: o.Preprocess,
-		Parallelism: o.Parallelism, ShareClauses: o.ShareClauses, Certify: o.Certify,
-	})
-	return b
-}
-
 // Recover replays the jobs a previous life journaled but never finished
 // (requires ServerConfig.DataDir; a no-op otherwise). Each pending
 // submission is re-enqueued under its original job ID, so clients polling
@@ -372,26 +344,13 @@ func encodeWireOptions(o Options, timeout time.Duration) []byte {
 // It returns when every pending job is re-enqueued, not when they finish.
 func (s *Server) Recover() error {
 	return s.s.Recover(func(rj serve.RecoveredJob) (serve.JobSpec, error) {
-		var wo wireOptions
-		if err := json.Unmarshal(rj.Payload, &wo); err != nil {
+		var o Options
+		if err := json.Unmarshal(rj.Payload, &o); err != nil {
 			return serve.JobSpec{}, fmt.Errorf("maxsat: recovered options: %w", err)
 		}
-		spec, _, err := s.jobSpec(rj.Client, rj.Formula, Options{
-			Algorithm: wo.Algorithm, Timeout: wo.Timeout,
-			MemoryBudget: wo.MemoryBudget, MaxConflictsPerCall: wo.MaxConflictsPerCall,
-			SkipAtLeast1: wo.SkipAtLeast1, Preprocess: wo.Preprocess,
-			Parallelism: wo.Parallelism, ShareClauses: wo.ShareClauses, Certify: wo.Certify,
-		})
+		spec, _, err := s.jobSpec(rj.Client, rj.Formula, o)
 		return spec, err
 	})
-}
-
-// optsKey canonicalizes the options for in-flight coalescing. Every field
-// that changes what the job computes or how long it may run participates.
-func optsKey(o Options, timeout time.Duration) string {
-	return fmt.Sprintf("alg=%s conf=%d skip=%t pre=%t par=%d share=%t to=%s mem=%d cert=%t",
-		o.Algorithm, o.MaxConflictsPerCall, o.SkipAtLeast1,
-		o.Preprocess, o.Parallelism, o.ShareClauses, timeout, o.MemoryBudget, o.Certify)
 }
 
 // Job returns the handle for a previously submitted job by ID. A completed

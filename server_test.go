@@ -2,6 +2,10 @@ package maxsat
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -311,5 +315,134 @@ func TestServerReplaysInterruptedJob(t *testing.T) {
 	}
 	if st := s2.Stats(); st.Replayed != 1 {
 		t.Fatalf("Stats.Replayed = %d, want 1", st.Replayed)
+	}
+}
+
+// atMostOne adds hard clauses allowing at most one of x1, x2, x3 true.
+func atMostOne(w *WCNF) {
+	w.AddHard(FromDIMACS(-1), FromDIMACS(-2))
+	w.AddHard(FromDIMACS(-1), FromDIMACS(-3))
+	w.AddHard(FromDIMACS(-2), FromDIMACS(-3))
+}
+
+// TestParentLogsLoad opens a data directory that an earlier build wrote
+// through OpenServer: three certified solves (msu4-v2, oll and pbo, job IDs
+// 1-3), then php-10 under msu3 with non-default options (job 4, a 2 s
+// timeout), left pending by Close. Every stored record must be re-proved
+// and serve a hit, and the pending job must replay as it was submitted.
+func TestParentLogsLoad(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"results.log", "journal.log"} {
+		// Open compacts the logs, so the fixtures are opened from a copy.
+		b, err := os.ReadFile(filepath.Join("testdata", "parent-logs", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f1 := NewWCNF(3)
+	for v := 1; v <= 3; v++ {
+		f1.AddSoft(1, FromDIMACS(v))
+	}
+	atMostOne(f1)
+	f2 := NewWCNF(3)
+	for v, wt := range []Weight{3, 5, 4} {
+		f2.AddSoft(wt, FromDIMACS(v+1))
+	}
+	atMostOne(f2)
+	f3 := NewWCNF(4)
+	f3.AddHard(FromDIMACS(1), FromDIMACS(2))
+	f3.AddHard(FromDIMACS(3), FromDIMACS(4))
+	for v, wt := range []Weight{2, 3, 1, 4} {
+		f3.AddSoft(wt, FromDIMACS(-(v + 1)))
+	}
+
+	s, err := OpenServer(ServerConfig{Workers: 1, DataDir: dir})
+	if err != nil {
+		t.Fatalf("OpenServer: %v", err)
+	}
+	defer s.Close()
+	if st := s.Stats(); st.Recovered != 3 || st.RecoveredRejected != 0 {
+		t.Fatalf("recovery stats: Recovered=%d RecoveredRejected=%d, want 3/0", st.Recovered, st.RecoveredRejected)
+	}
+	for _, c := range []struct {
+		w    *WCNF
+		algo Algorithm
+		cost Weight
+	}{{f1, AlgoMSU4V2, 2}, {f2, AlgoOLL, 7}, {f3, AlgoPBO, 3}} {
+		job, err := s.Submit(c.w, Options{Algorithm: AlgoPBOBin, Certify: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := job.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Cached || r.Status != Optimal || r.Cost != c.cost || r.Algorithm != c.algo {
+			t.Fatalf("resubmission of the %s record: cached=%t %v cost=%d algorithm=%q, want a hit of cost %d by %q",
+				c.algo, r.Cached, r.Status, r.Cost, r.Algorithm, c.cost, c.algo)
+		}
+		if err := CheckCertificate(c.w, r.Certificate); err != nil {
+			t.Fatalf("%s record's certificate: %v", c.algo, err)
+		}
+	}
+
+	if err := s.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if st := s.Stats(); st.Replayed != 1 {
+		t.Fatalf("Stats.Replayed = %d, want 1", st.Replayed)
+	}
+	const pendingID = 4
+	replayed, ok := s.Job(pendingID)
+	if !ok {
+		t.Fatalf("pending job %d not addressable after Recover", pendingID)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	r, err := replayed.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Algorithm != AlgoMSU3 {
+		t.Fatalf("replayed job ran %q, want %q", r.Algorithm, AlgoMSU3)
+	}
+}
+
+// TestOptionsPayloadBytes pins the journaled options payload, which is also
+// the in-flight coalescing key: golden payloads written by an earlier build
+// decode to the options they were written for, and a durable server encodes
+// those options to the same bytes.
+func TestOptionsPayloadBytes(t *testing.T) {
+	s, err := OpenServer(ServerConfig{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	full := Options{Algorithm: AlgoPortfolio, Timeout: 2 * time.Second, MemoryBudget: 1 << 20,
+		SkipAtLeast1: true, Preprocess: true, Parallelism: 3, ShareClauses: true, Certify: true}
+	for _, c := range []struct {
+		golden string
+		want   Options
+	}{
+		{`{"alg":"msu4-v2"}`, Options{Algorithm: AlgoMSU4V2}},
+		{`{"alg":"portfolio","to":2000000000,"mem":1048576,"skip":true,"pre":true,"par":3,"share":true,"cert":true}`, full},
+	} {
+		var got Options
+		if err := json.Unmarshal([]byte(c.golden), &got); err != nil {
+			t.Fatalf("decode %s: %v", c.golden, err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Fatalf("decode %s: got %+v, want %+v", c.golden, got, c.want)
+		}
+		spec, _, err := s.canonical("", gen.Pigeonhole(3).W, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(spec.Payload) != c.golden || spec.OptsKey != c.golden {
+			t.Fatalf("encode %+v: payload %s, key %s, want %s", got, spec.Payload, spec.OptsKey, c.golden)
+		}
 	}
 }

@@ -94,6 +94,12 @@ func (s *Server) OpenSessionAs(ctx context.Context, client string, base *WCNF, o
 	if base == nil {
 		base = cnf.NewWCNF(0)
 	}
+	if o.Algorithm == AlgoPortfolio {
+		// Every session solve races one member on the session's one pinned
+		// slot, so its key must say so: a full line-up key would let a
+		// one-shot full-portfolio submission coalesce onto a one-member run.
+		o.Parallelism = 1
+	}
 	spec, o, err := s.canonical(client, base, o)
 	if err != nil {
 		return nil, err
@@ -103,10 +109,7 @@ func (s *Server) OpenSessionAs(ctx context.Context, client string, base *WCNF, o
 	// is algorithm-independent. Weighted bases run every solve from scratch.
 	var retained opt.Incremental
 	if !base.Weighted() {
-		retained = core.NewInc(opt.Options{
-			MemBytes:            o.MemoryBudget,
-			MaxConflictsPerCall: o.MaxConflictsPerCall,
-		}, base)
+		retained = core.NewInc(opt.Options{MemBytes: o.MemoryBudget}, base)
 	}
 	ss, err := s.s.OpenSession(ctx, serve.SessionSpec{
 		Base:     base,
@@ -140,7 +143,7 @@ func sessionSolve(o Options) serve.SessionSolveFunc {
 				return certifyServed(ctx, w, r, ro), true
 			}
 			// The engine answered Unknown while the solve is still wanted
-			// (it poisoned itself, or exhausted a per-call budget): fall
+			// (it poisoned itself, or exhausted its memory budget): fall
 			// through to a from-scratch run of the same snapshot.
 		}
 		return solveFresh(ctx, w, shared, ro), false
@@ -208,8 +211,10 @@ func (sess *Session) Reweight(soft int, w Weight) error {
 
 // Solve submits a delta solve of the accumulated formula and returns its
 // job handle immediately; Wait on it like any submitted job. Result.Reused
-// reports whether the warm solver answered. Only one solve may be in
-// flight per session (ErrSessionBusy).
+// reports whether the warm solver answered. A solve that is offered the
+// warm solver never takes on a one-shot submission of the same formula,
+// which gets its own from-scratch run. Only one solve may be in flight per
+// session (ErrSessionBusy).
 func (sess *Session) Solve(ctx context.Context) (*Job, error) {
 	h, err := sess.s.Solve(ctx)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/gen"
@@ -290,5 +291,43 @@ func TestSessionCrashRecovery(t *testing.T) {
 	}
 	if st := s2.Stats(); st.SessionHits < 1 {
 		t.Fatalf("SessionHits = %d, want >= 1", st.SessionHits)
+	}
+}
+
+// TestPortfolioSessionKeyIsOneMember: every solve of a portfolio session
+// races one member on the session's pinned slot, so a one-shot
+// full-portfolio submission of the same accumulated formula must not
+// coalesce onto it. The assumption keeps the warm engine out of the solve,
+// and php-10 keeps the session solve running while the one-shot job is
+// admitted.
+func TestPortfolioSessionKeyIsOneMember(t *testing.T) {
+	s := NewServer(ServerConfig{Workers: 2})
+	defer s.Close()
+	o := Options{Algorithm: AlgoPortfolio, Timeout: 700 * time.Millisecond}
+	sess, err := s.OpenSession(context.Background(), gen.Pigeonhole(10).W, o)
+	if err != nil {
+		t.Fatalf("open session: %v", err)
+	}
+	defer sess.Close()
+	if err := sess.Assume(FromDIMACS(1)); err != nil {
+		t.Fatal(err)
+	}
+	job, err := sess.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := s.Submit(sess.Accumulated(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one.Cancel()
+	if st := s.Stats(); st.Coalesced != 0 || one.ID() == job.ID() {
+		t.Errorf("one-shot portfolio job %d attached to session job %d: Coalesced = %d, want 0",
+			one.ID(), job.ID(), st.Coalesced)
+	}
+	for _, j := range []*Job{job, one} {
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
