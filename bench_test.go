@@ -291,10 +291,8 @@ func BenchmarkSolvers(b *testing.B) {
 // portfolio is. On the miter family the portfolio typically beats even its
 // best member outright: the WalkSAT seeder publishes an upper bound that
 // lets msu4 prune its first cardinality constraints tighter than it could
-// alone (bound exchange, not just early-winner selection). The
-// portfolio-4+share variant additionally exchanges learnt clauses between
-// the members (the share-on vs share-off comparison of the CI
-// BENCH_portfolio artifact). An aborts metric reports member timeouts.
+// alone (bound exchange, not just early-winner selection). An aborts
+// metric reports member timeouts.
 func BenchmarkPortfolio(b *testing.B) {
 	insts := []gen.Instance{
 		gen.RandomKSAT(7, 24, 3, 6.0),
@@ -309,11 +307,6 @@ func BenchmarkPortfolio(b *testing.B) {
 		{"portfolio-4", func(ctx context.Context, w *cnf.WCNF) opt.Result {
 			return portfolio.New(opt.Options{}, 4).Solve(ctx, w, nil)
 		}},
-		{"portfolio-4+share", func(ctx context.Context, w *cnf.WCNF) opt.Result {
-			e := portfolio.New(opt.Options{}, 4)
-			e.Share = true
-			return e.Solve(ctx, w, nil)
-		}},
 		{"msu4-v2", func(ctx context.Context, w *cnf.WCNF) opt.Result {
 			return core.NewMSU4V2(opt.Options{}).Solve(ctx, w, nil)
 		}},
@@ -327,13 +320,12 @@ func BenchmarkPortfolio(b *testing.B) {
 			s := s
 			b.Run(in.Name+"/"+s.name, func(b *testing.B) {
 				aborts := 0
-				var conflicts, imported int64
+				var conflicts int64
 				for i := 0; i < b.N; i++ {
 					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 					r := s.run(ctx, in.W)
 					cancel()
 					conflicts += r.Conflicts
-					imported += r.Imported
 					switch r.Status {
 					case opt.StatusOptimal:
 						if in.KnownCost >= 0 && r.Cost != in.KnownCost {
@@ -347,12 +339,9 @@ func BenchmarkPortfolio(b *testing.B) {
 				}
 				b.ReportMetric(float64(aborts), "aborts")
 				// Summed conflicts measure the deductive work across every
-				// member: the clause-sharing comparison shows up here even
-				// when wall-clock is scheduler-noise-bound.
+				// member, which stays comparable when wall-clock is
+				// scheduler-noise-bound.
 				b.ReportMetric(float64(conflicts)/float64(b.N), "conflicts")
-				if imported > 0 {
-					b.ReportMetric(float64(imported)/float64(b.N), "imported")
-				}
 			})
 		}
 	}

@@ -3,9 +3,8 @@ package maxsat
 // End-to-end certification tests: every instance of the gen suite
 // (unweighted and weighted) solved with Options.Certify must emit a
 // certificate the independent internal/proof checker validates — including
-// runs with preprocessing, clause sharing, and portfolio winners — and the
-// served (cached) path must re-validate certificates rather than trust
-// them.
+// runs with preprocessing and portfolio winners — and the served (cached)
+// path must re-validate certificates rather than trust them.
 
 import (
 	"bytes"
@@ -64,10 +63,12 @@ func TestCertifyGenSuite(t *testing.T) {
 }
 
 // TestCertifyPreprocessShareAndPortfolio exercises the trust boundaries the
-// certificate must be independent of: the preprocessor's rewrites, the
-// sharing bus, and portfolio selection. A subset keeps the matrix fast; the
-// point is configuration coverage, not instance coverage (TestCertifyGenSuite
-// covers the instances).
+// certificate must be independent of: the preprocessor's rewrites and
+// portfolio selection. A subset keeps the matrix fast; the point is
+// configuration coverage, not instance coverage (TestCertifyGenSuite covers
+// the instances). The test and subtest names date from when the portfolio
+// configuration also shared learnt clauses; they are kept so that recorded
+// test IDs stay stable.
 func TestCertifyPreprocessShareAndPortfolio(t *testing.T) {
 	insts := certInstances(t)
 	small := insts[:0:0]
@@ -81,7 +82,7 @@ func TestCertifyPreprocessShareAndPortfolio(t *testing.T) {
 		o    Options
 	}{
 		{"pre", Options{Preprocess: true}},
-		{"portfolio-share", Options{Algorithm: AlgoPortfolio, ShareClauses: true, Parallelism: 4}},
+		{"portfolio-share", Options{Algorithm: AlgoPortfolio, Parallelism: 4}},
 		{"oll-pre", Options{Algorithm: AlgoOLL, Preprocess: true}},
 	}
 	for _, cfg := range configs {

@@ -14,7 +14,7 @@
 //
 // Usage:
 //
-//	experiments [-run all] [-timeout 5s] [-seed 42] [-extended] [-pre] [-portfolio N] [-share] [-csv dir] [-v]
+//	experiments [-run all] [-timeout 5s] [-seed 42] [-extended] [-pre] [-portfolio N] [-csv dir] [-v]
 package main
 
 import (
@@ -42,7 +42,6 @@ func run(args []string, out io.Writer) int {
 		extended  = fs.Bool("extended", false, "add msu1/msu2/msu3/pbo-bin to the line-up")
 		pre       = fs.Bool("pre", false, "double every solver with a preprocessing-enabled +pre column")
 		portfolio = fs.Int("portfolio", 0, "also run the bound-sharing portfolio with N parallel solvers (0 = off)")
-		share     = fs.Bool("share", false, "with -portfolio N, add a clause-sharing portfolio column")
 		csvDir    = fs.String("csv", "", "also write CSV files into this directory")
 		verbose   = fs.Bool("v", false, "per-run progress output")
 	)
@@ -65,9 +64,6 @@ func run(args []string, out io.Writer) int {
 			cfg.Solvers = harness.DefaultSolvers()
 		}
 		cfg.Solvers = append(cfg.Solvers, harness.PortfolioSpec(*portfolio))
-		if *share {
-			cfg.Solvers = append(cfg.Solvers, harness.PortfolioShareSpec(*portfolio))
-		}
 	}
 	if *verbose {
 		cfg.Progress = os.Stderr

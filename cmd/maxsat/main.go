@@ -8,13 +8,14 @@
 //
 // Usage:
 //
-//	maxsat [-alg msu4-v2] [-jobs 4] [-share] [-pre] [-timeout 30s] [-stats] [-no-model] file
+//	maxsat [-alg msu4-v2] [-jobs 4] [-pre] [-timeout 30s] [-stats] [-no-model] file
 //
 // -cert makes OPTIMAL and UNSATISFIABLE verdicts carry a machine-checkable
 // proof certificate, re-validated in-process before the result is printed.
 // With -cert, -proof writes the certificate's refutation as standard ASCII
 // DRAT and -proof-cnf writes the DIMACS formula it refutes, so external
-// tools (drat-trim) can cross-check the trace:
+// tools (drat-trim) can cross-check the trace. -proof without -cert, and
+// -proof-cnf without -proof, are usage errors (exit 2):
 //
 //	maxsat -cert -proof inst.drat -proof-cnf inst.bound.cnf inst.wcnf
 //	drat-trim inst.bound.cnf inst.drat
@@ -23,6 +24,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -41,7 +43,6 @@ func run(args []string) int {
 	var (
 		alg     = fs.String("alg", "", "algorithm: auto (default), msu4-v2, msu1, msu2, msu3, wmsu1, wmsu4, oll, pbo, pbo-bin, maxsatz, portfolio")
 		jobs    = fs.Int("jobs", 0, "parallel solvers raced by -alg portfolio (0 = full line-up)")
-		share   = fs.Bool("share", false, "learnt-clause sharing between -alg portfolio members")
 		pre     = fs.Bool("pre", false, "soft-aware preprocessing of the hard clauses before optimizing")
 		timeout = fs.Duration("timeout", 0, "overall solve timeout (0 = unbounded)")
 		stats   = fs.Bool("stats", false, "print iteration/conflict statistics")
@@ -61,6 +62,14 @@ func run(args []string) int {
 		fs.Usage()
 		return 2
 	}
+	if *prf != "" && !*cert {
+		fmt.Fprintln(os.Stderr, "c error: -proof requires -cert")
+		return 2
+	}
+	if *prfCNF != "" && *prf == "" {
+		fmt.Fprintln(os.Stderr, "c error: -proof-cnf requires -proof")
+		return 2
+	}
 	path := fs.Arg(0)
 
 	w, err := maxsat.ParseWCNFFile(path)
@@ -72,12 +81,11 @@ func run(args []string) int {
 		path, w.NumVars, w.NumClauses(), w.NumHard(), w.NumSoft())
 
 	o := maxsat.Options{
-		Algorithm:    maxsat.Algorithm(*alg),
-		Timeout:      *timeout,
-		Parallelism:  *jobs,
-		Preprocess:   *pre,
-		ShareClauses: *share,
-		Certify:      *cert,
+		Algorithm:   maxsat.Algorithm(*alg),
+		Timeout:     *timeout,
+		Parallelism: *jobs,
+		Preprocess:  *pre,
+		Certify:     *cert,
 	}
 	start := time.Now()
 	r, err := maxsat.Solve(w, o)
@@ -139,28 +147,33 @@ func writeProof(w *maxsat.WCNF, certBytes []byte, proofPath, cnfPath string) err
 	} else {
 		f = proof.BoundFormula(w, st.Bound)
 	}
-	pf, err := os.Create(proofPath)
-	if err != nil {
-		return err
-	}
-	defer pf.Close()
-	if err := st.Trace.WriteDRAT(pf); err != nil {
+	if err := create(proofPath, st.Trace.WriteDRAT); err != nil {
 		return err
 	}
 	fmt.Printf("c DRAT proof (%d records) written to %s\n", len(st.Trace.Records), proofPath)
 	if cnfPath != "" {
-		cf, err := os.Create(cnfPath)
+		err := create(cnfPath, func(out io.Writer) error { return cnf.WriteDIMACS(out, f) })
 		if err != nil {
-			return err
-		}
-		defer cf.Close()
-		if err := cnf.WriteDIMACS(cf, f); err != nil {
 			return err
 		}
 		fmt.Printf("c refuted formula (%d vars, %d clauses) written to %s\n",
 			f.NumVars, f.NumClauses(), cnfPath)
 	}
 	return nil
+}
+
+// create writes the file at path through write and reports the first error,
+// the one Close returns included.
+func create(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func printModel(m maxsat.Assignment, n int) {

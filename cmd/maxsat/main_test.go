@@ -74,6 +74,32 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunProofFlags: the proof-output flags are usage errors without the
+// flag they depend on, and with it both files are written.
+func TestRunProofFlags(t *testing.T) {
+	path := writeFile(t, "c2.wcnf", "p wcnf 2 4 10\n1 1 0\n1 -1 0\n1 2 0\n1 -2 0\n")
+	dir := t.TempDir()
+	drat, bound := filepath.Join(dir, "p.drat"), filepath.Join(dir, "p.cnf")
+	if code := run([]string{"-proof", drat, path}); code != 2 {
+		t.Fatalf("-proof without -cert: exit %d, want 2", code)
+	}
+	if code := run([]string{"-cert", "-proof-cnf", bound, path}); code != 2 {
+		t.Fatalf("-proof-cnf without -proof: exit %d, want 2", code)
+	}
+	if _, err := os.Stat(drat); !os.IsNotExist(err) {
+		t.Fatalf("a rejected invocation wrote %s (stat error %v)", drat, err)
+	}
+	if code := run([]string{"-cert", "-proof", drat, "-proof-cnf", bound, path}); code != 0 {
+		t.Fatalf("-cert -proof -proof-cnf: exit %d, want 0", code)
+	}
+	for _, f := range []string{drat, bound} {
+		st, err := os.Stat(f)
+		if err != nil || st.Size() == 0 {
+			t.Fatalf("%s not written (stat %v, err %v)", f, st, err)
+		}
+	}
+}
+
 func TestRunTimeoutUnknown(t *testing.T) {
 	// Large enough that a 1ns timeout cannot finish: UNKNOWN path, exit 0.
 	var sb []byte

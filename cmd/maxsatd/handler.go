@@ -236,7 +236,7 @@ func serverError(w http.ResponseWriter, err error) {
 }
 
 // solve admits a job. The body is a DIMACS .cnf or .wcnf instance; options
-// travel as query parameters: alg, jobs, share, pre, timeout, and
+// travel as query parameters: alg, jobs, pre, timeout, and
 // wait=1 to block until the result instead of returning the job handle.
 func (d *daemon) solve(w http.ResponseWriter, r *http.Request) {
 	opts, err := optionsFromQuery(r, d.opts)
@@ -419,10 +419,9 @@ func isTrue(s string) bool { return s == "1" || s == "true" || s == "yes" }
 func optionsFromQuery(r *http.Request, d daemonOpts) (maxsat.Options, error) {
 	q := r.URL.Query()
 	o := maxsat.Options{
-		Algorithm:    maxsat.Algorithm(q.Get("alg")),
-		Preprocess:   isTrue(q.Get("pre")),
-		ShareClauses: isTrue(q.Get("share")),
-		Certify:      isTrue(q.Get("cert")),
+		Algorithm:  maxsat.Algorithm(q.Get("alg")),
+		Preprocess: isTrue(q.Get("pre")),
+		Certify:    isTrue(q.Get("cert")),
 	}
 	if v := q.Get("jobs"); v != "" {
 		n, err := strconv.Atoi(v)

@@ -6,7 +6,7 @@
 // Endpoints:
 //
 //	POST /solve        body: DIMACS .cnf or .wcnf instance.
-//	                   Query: alg, jobs, share, pre, timeout (e.g. 30s),
+//	                   Query: alg, jobs, pre, timeout (e.g. 30s),
 //	                   mem (clause-storage budget in bytes), model=0 to omit
 //	                   the witness, wait=1 to block for the result. Returns
 //	                   the job as JSON (202, or 200 with wait=1); a formula

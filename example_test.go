@@ -81,22 +81,6 @@ func ExampleSolveFormula_portfolio() {
 	// Output: OPTIMAL cost 2
 }
 
-func ExampleSolveFormula_clauseSharing() {
-	// ShareClauses adds learnt-clause exchange between the portfolio
-	// members, so shared structure is deduced once instead of once per
-	// member. The optimum is unaffected — sharing is an accelerator.
-	res, err := maxsat.SolveFormula(paperExample(), maxsat.Options{
-		Algorithm:    maxsat.AlgoPortfolio,
-		Parallelism:  2,
-		ShareClauses: true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(res.Status, "cost", res.Cost)
-	// Output: OPTIMAL cost 2
-}
-
 func ExampleOptions_preprocess() {
 	// Preprocess runs the soft-aware SatELite stage once before the
 	// optimizer: hard clauses are simplified with soft selectors frozen, and

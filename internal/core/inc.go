@@ -18,11 +18,10 @@ import (
 // Absorb only ever adds clauses (see opt.Incremental).
 //
 // Variable layout: base variables keep their numbers and the base selectors
-// follow in soft order, the layout loadSoft gives msu4, so the two share one
-// clause-sharing scope. Delta clauses interleave with selectors and
-// totalizer variables, so vmap gives an external variable first seen in a
-// delta a fresh solver variable, and externalModel translates the witness
-// back.
+// follow in soft order, the layout loadSoft gives msu4. Delta clauses
+// interleave with selectors and totalizer variables, so vmap gives an
+// external variable first seen in a delta a fresh solver variable, and
+// externalModel translates the witness back.
 //
 // Totalizer growth: the totalizer is built with headroom for the soft count
 // at the time of its construction. When later deltas add enough soft clauses
@@ -70,10 +69,6 @@ func NewInc(o opt.Options, base *cnf.WCNF) *Inc {
 	for _, c := range base.Clauses {
 		m.add(c.Clause, c.Weight)
 	}
-	// Same sharing scope as msu4: formula plus the (identically numbered)
-	// selector block; the totalizer is assumption-bounded, so every addition
-	// stays a conservative extension of that scope.
-	o.AttachExchange(m.s, base.NumVars+len(m.softs))
 	return m
 }
 
@@ -256,11 +251,6 @@ func (m *Inc) solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, prep *
 			case len(newBlocking) > 0:
 				// Fresh soft clauses entered a core: relax them and retry
 				// at the same bound (a disjoint core also credits one).
-				if !sawBound {
-					// Implied by hard clauses and shells alone (the bound
-					// took no part in the refutation): shareable.
-					m.s.ShareClause(newBlocking...)
-				}
 				if m.tot == nil {
 					m.totLimit = len(m.softs) + 1
 					m.tot = card.NewIncTotalizer(m.s, nil, m.totLimit)

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/brute"
@@ -230,46 +229,6 @@ func TestIncDoesNotAliasBase(t *testing.T) {
 		}
 		if !opt.VerifyModel(w, r) {
 			t.Fatalf("iter %d: model does not witness cost %d", iter, r.Cost)
-		}
-	}
-}
-
-// recordingExchange is a clause-sharing bus that records exports and
-// offers no imports.
-type recordingExchange struct{ exported [][]cnf.Lit }
-
-func (x *recordingExchange) Export(lits []cnf.Lit, _ int32) {
-	x.exported = append(x.exported, slices.Clone(lits))
-}
-func (x *recordingExchange) Import(func([]cnf.Lit, int32)) {}
-func (x *recordingExchange) Pending() int                  { return 0 }
-
-// TestMSU3SharesAlignedCores checks msu3's side of the portfolio sharing
-// contract on the paper's example: the selectors sit at NumVars+i, as in
-// every loadSoft-based member, so the first core ({ω1, ω2, ω3}, found with
-// no bound in play) leaves as the blocking clause ¬s1 ∨ ¬s2 ∨ ¬s3 over
-// DIMACS variables 5..7, and nothing outside the scope is exported.
-func TestMSU3SharesAlignedCores(t *testing.T) {
-	w := paperExample2()
-	x := &recordingExchange{}
-	r := NewMSU3(opt.Options{Exchange: x, ShareVars: w.NumVars}).Solve(context.Background(), w, nil)
-	if r.Status != opt.StatusOptimal || r.Cost != 2 {
-		t.Fatalf("status %v cost %d, want OPTIMAL 2", r.Status, r.Cost)
-	}
-	if len(x.exported) == 0 {
-		t.Fatal("msu3 exported nothing: the engine did not attach the sharing bus")
-	}
-	first := slices.Clone(x.exported[0])
-	slices.Sort(first)
-	if want := []cnf.Lit{lit(-5), lit(-6), lit(-7)}; !slices.Equal(first, want) {
-		t.Fatalf("first export %v, want the first core's blocking literals %v", first, want)
-	}
-	scope := w.NumVars + w.NumClauses()
-	for _, c := range x.exported {
-		for _, l := range c {
-			if int(l.Var()) >= scope {
-				t.Fatalf("export %v leaves the formula+selector scope of %d variables", c, scope)
-			}
 		}
 	}
 }

@@ -58,10 +58,6 @@ func (m *MSU1) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 		return res
 	}
 	owner := selectorOwner(softs)
-	// msu1 retires selectors by unit clauses when it re-shells a core — a
-	// non-conservative move in selector space — so it may only share the
-	// plain formula prefix (where its additions all carry fresh variables).
-	m.Opts.AttachExchange(s, w.NumVars)
 	// content[i] carries the clause literals plus accumulated relaxation
 	// variables; the original lits stay in softs for cost verification.
 	content := make(map[*softClause]cnf.Clause, len(softs))

@@ -57,8 +57,6 @@ func (m *MSU2) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 			return res
 		}
 		s := sat.New()
-		// msu2 rebuilds the solver with an unguarded AtMost bound every
-		// iteration: not a conservative extension, so no clause sharing.
 		m.Opts.ConfigureSolver(ctx, s)
 		s.EnsureVars(w.NumVars)
 

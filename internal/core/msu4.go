@@ -97,12 +97,6 @@ func (m *MSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 		return res
 	}
 	owner := selectorOwner(softs)
-	// Sharing scope: the formula plus the selector block — every
-	// loadSoft-based member numbers the selectors identically and owns the
-	// same shells, and msu4 only ever adds core-implied clauses,
-	// assumption-bounded totalizers, and guarded encodings beyond them
-	// (see opt.Options.AttachExchange for the obligations).
-	m.Opts.AttachExchange(s, w.NumVars+len(softs))
 
 	var (
 		bestCost = math.MaxInt // BV: blocking variables needed by best model
@@ -202,12 +196,10 @@ func (m *MSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 		case sat.Unsat:
 			res.UnsatCalls++
 			coreSels := s.Core()
-			rawCore := len(coreSels)
 			// The bound literal is not a soft-clause selector; a core that
 			// contains only it plays the role the permanently-encoded
 			// bound's empty core played before incrementality.
 			coreSels = dropLit(coreSels, boundLit)
-			boundFree := len(coreSels) == rawCore
 			if m.MinimizeCores && len(coreSels) > 1 {
 				// Probe calls are not main-loop iterations; their work is
 				// still visible through res.Conflicts.
@@ -235,15 +227,6 @@ func (m *MSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 				newBlocking = append(newBlocking, c.blocking())
 			}
 			relaxed = append(relaxed, newBlocking...)
-			if boundFree {
-				// The core held without the bound assumption, so its
-				// at-least-one clause is implied by the hard clauses and
-				// shells alone — exactly what the other portfolio members
-				// own too. Handing it over saves them the search that would
-				// re-derive this core. (A core that needed the bound is only
-				// valid under this member's current bound: not shareable.)
-				s.ShareClause(newBlocking...)
-			}
 			if tot != nil {
 				// Before the first model no totalizer exists yet; relaxed
 				// literals accumulated so far become its initial inputs.

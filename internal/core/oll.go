@@ -122,10 +122,6 @@ func (m *OLL) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res o
 	defer prep.Finish(&res)
 
 	s := sat.New()
-	// No clause sharing: hardening and unit-core elimination assert
-	// unguarded units over selector (and hence formula) variables, so OLL's
-	// clause database is not a conservative extension of any shareable
-	// scope (see opt.Options.AttachExchange).
 	m.Opts.ConfigureSolver(ctx, s)
 	softs, ok := loadSoft(s, w)
 	if !ok {

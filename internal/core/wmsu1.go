@@ -57,9 +57,6 @@ func (m *WMSU1) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res
 	s := sat.New()
 	m.Opts.ConfigureSolver(ctx, s)
 	s.EnsureVars(w.NumVars)
-	// Like msu1, wmsu1 retires selectors by unit clauses (and splits
-	// clauses), so only the plain formula prefix is safe to share.
-	m.Opts.AttachExchange(s, w.NumVars)
 
 	items := make(map[cnf.Var]*softItem)
 	var order []*softItem // stable iteration for assumptions

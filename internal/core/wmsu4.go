@@ -52,8 +52,6 @@ func (m *WMSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res
 	defer prep.Finish(&res)
 
 	s := sat.New()
-	// wmsu4 asserts its PB bound unguarded, so its clause database is not
-	// a conservative extension of the shared formula: no clause sharing.
 	m.Opts.ConfigureSolver(ctx, s)
 	softs, ok := loadSoft(s, w)
 	if !ok {

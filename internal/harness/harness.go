@@ -112,22 +112,6 @@ func PortfolioSpec(jobs int) SolverSpec {
 	}}
 }
 
-// PortfolioShareSpec is PortfolioSpec with learnt-clause exchange between
-// the members enabled; its column is named "<portfolio>+share" so share-on
-// and share-off portfolios sit side by side in the paper-style tables.
-func PortfolioShareSpec(jobs int) SolverSpec {
-	name := "portfolio+share"
-	if jobs > 0 {
-		name = fmt.Sprintf("portfolio-%d+share", jobs)
-	}
-	return SolverSpec{Name: name, Make: func(o opt.Options) opt.Solver {
-		e := portfolio.New(o, jobs)
-		e.Share = true
-		e.Label = name
-		return e
-	}}
-}
-
 // SolverByName returns the spec with the given name from the extended
 // line-up.
 func SolverByName(name string) (SolverSpec, bool) {

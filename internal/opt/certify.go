@@ -16,10 +16,10 @@ import (
 //
 // The construction is a post-solve certification pass, uniform across every
 // algorithm in the repo — branch and bound, the msu family, OLL, PBO
-// search, portfolio winners, preprocessed and clause-sharing runs alike:
+// search, portfolio winners and preprocessed runs alike:
 //
 //   - StatusOptimal with cost C: the model is the upper-bound witness; for
-//     the lower bound a fresh solo solver (no sharing, no preprocessing)
+//     the lower bound a fresh solo solver (no preprocessing)
 //     proof-logs a refutation of hards ∧ (cost ≤ C−1), built by
 //     proof.BoundFormula. The checker rebuilds that formula itself, so the
 //     certificate's validity never depends on the optimizer that found C —
@@ -104,7 +104,7 @@ func refute(ctx context.Context, f *cnf.Formula, o Options) (*proof.Trace, error
 		// so the dead search effort (typically most of the trace) is pure
 		// payload cost. Trim verifies as it marks, so a trimming failure
 		// means the raw trace was already invalid.
-		t, err := proof.Trim(f, rec.Trace(), proof.CheckOptions{})
+		t, err := proof.Trim(f, rec.Trace())
 		if err != nil {
 			return nil, fmt.Errorf("trimming refutation: %w", err)
 		}

@@ -19,7 +19,6 @@ package opt
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/cnf"
@@ -73,14 +72,6 @@ type Result struct {
 	SatCalls, UnsatCalls int
 	// Conflicts is the cumulative conflict count of the underlying solver(s).
 	Conflicts int64
-	// Exported, Imported and ImportSubsumed count clause-sharing traffic
-	// (zero unless the run was part of a sharing portfolio): learnt clauses
-	// offered to the exchange, foreign clauses attached, and foreign clauses
-	// dropped as duplicate or already satisfied.
-	Exported, Imported, ImportSubsumed int64
-	// Share breaks the sharing traffic down per portfolio member; the engine
-	// fills it when clause sharing is enabled.
-	Share []ShareStats
 	// Certificate, when non-nil, is a serialized proof.Certificate for an
 	// OPTIMAL or UNSAT verdict, produced by Certify and checkable with
 	// proof.CheckBytes against the original instance. Optimizers never set
@@ -90,50 +81,10 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// ShareStats is one portfolio member's clause-exchange traffic.
-type ShareStats struct {
-	Member                       string
-	Exported, Imported, Subsumed int64
-}
-
-// Observe copies the underlying SAT solver's cumulative work counters into
-// the result: the conflict count and the clause-sharing traffic. Optimizers
-// call it once per main-loop iteration in place of tracking Conflicts alone.
+// Observe copies the underlying SAT solver's cumulative conflict count into
+// the result. Optimizers call it once per main-loop iteration.
 func (r *Result) Observe(st sat.Stats) {
 	r.Conflicts = st.Conflicts
-	r.Exported = st.Exported
-	r.Imported = st.Imported
-	r.ImportSubsumed = st.ImportSubsumed
-}
-
-// ShareSummary renders the clause-sharing traffic for reports: per-member
-// exported/imported counts and the deciding member's import hit rate (the
-// fraction of offered foreign clauses it actually attached). Empty when the
-// run did no sharing.
-func (r Result) ShareSummary() string {
-	if len(r.Share) == 0 {
-		if r.Exported == 0 && r.Imported == 0 && r.ImportSubsumed == 0 {
-			return ""
-		}
-		return fmt.Sprintf("share[exp=%d imp=%d sub=%d]",
-			r.Exported, r.Imported, r.ImportSubsumed)
-	}
-	var sb strings.Builder
-	sb.WriteString("share[")
-	for i, m := range r.Share {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		fmt.Fprintf(&sb, "%s:exp=%d,imp=%d", m.Member, m.Exported, m.Imported)
-	}
-	for _, m := range r.Share {
-		if m.Member == r.Solver && m.Imported+m.Subsumed > 0 {
-			fmt.Fprintf(&sb, " winner-hit=%d%%", 100*m.Imported/(m.Imported+m.Subsumed))
-			break
-		}
-	}
-	sb.WriteByte(']')
-	return sb.String()
 }
 
 // MaxSatisfied converts the cost into the paper's "MaxSAT solution": the
@@ -151,9 +102,6 @@ func (r Result) String() string {
 		r.Conflicts, r.Elapsed.Seconds())
 	if r.Solver != "" {
 		s = r.Solver + " " + s
-	}
-	if sum := r.ShareSummary(); sum != "" {
-		s += " " + sum
 	}
 	return s
 }
@@ -176,14 +124,6 @@ type Options struct {
 	// back to the original variables before they reach Result.Model or a
 	// shared Bounds witness.
 	Preprocess bool
-	// Exchange, when non-nil, connects the optimizer's CDCL solver to a
-	// portfolio clause-sharing bus; ShareVars is the number of variables of
-	// the formula being raced (the base prefix every member numbers
-	// identically). Set by the portfolio engine; optimizers attach via
-	// AttachExchange with the scope they can vouch for, which may extend
-	// the base by their selector block.
-	Exchange  sat.Exchange
-	ShareVars int
 	// Restart selects the CDCL restart policy; VarDecay (when non-zero)
 	// overrides the VSIDS decay; PosPhase flips the initial decision phase.
 	// Portfolio diversification knobs so clones of the same algorithm stop
@@ -194,9 +134,7 @@ type Options struct {
 }
 
 // ConfigureSolver applies the options' SAT-engine configuration to a fresh
-// solver: the run budget and the portfolio diversification knobs. Clause
-// sharing is attached separately (AttachExchange) because its variable scope
-// is optimizer-specific.
+// solver: the run budget and the portfolio diversification knobs.
 func (o Options) ConfigureSolver(ctx context.Context, s *sat.Solver) {
 	s.SetBudget(o.Budget(ctx))
 	if o.Restart != sat.RestartLuby {
@@ -207,39 +145,6 @@ func (o Options) ConfigureSolver(ctx context.Context, s *sat.Solver) {
 	}
 	if o.PosPhase {
 		s.SetDefaultPhase(true)
-	}
-}
-
-// AttachExchange connects s to the portfolio clause-sharing bus (no-op when
-// no bus was handed down). sharedVars is the variable scope the optimizer
-// vouches for, and calling this at all is its promise of two properties:
-//
-//   - Alignment: every sharing member numbers the variables below sharedVars
-//     identically and constrains them with identical clauses. The raced
-//     formula's own variables (Options.ShareVars) always qualify; the
-//     loadSoft-style optimizers extend the scope over their selector block,
-//     because all of them allocate one selector per soft clause in formula
-//     order and add the same shell ω ∨ ¬s for it.
-//   - Conservativity: every clause the optimizer will ever add is a
-//     conservative extension of that scope — any model of the scope's
-//     clauses extends to the added variables, so no new fact about scope
-//     variables is ever entailed. Assumption-activated or guarded bounds,
-//     core-implied clauses, and definitional encodings over fresh variables
-//     qualify. Unguarded bound assertions do not (pbo linear search, wmsu4,
-//     msu2 — they never attach), and neither does retiring a scope variable
-//     by unit clause (msu1/wmsu1 re-assign selectors that way, so they may
-//     only share the plain formula prefix; oll hardens soft selectors and
-//     asserts unit cores as hard units — facts about selector and formula
-//     variables that hold only under its own bound bookkeeping — so it
-//     never attaches either).
-//
-// Under those two promises a learnt clause over the scope is a logical
-// consequence of clauses every sharing member also has, so importing it
-// excludes no model any member could otherwise reach, and cores, bounds and
-// optima are unaffected.
-func (o Options) AttachExchange(s *sat.Solver, sharedVars int) {
-	if o.Exchange != nil {
-		s.SetExchange(o.Exchange, sharedVars)
 	}
 }
 

@@ -49,9 +49,6 @@ func (l *Linear) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (re
 
 	s := sat.New()
 	s.EnsureVars(w.NumVars)
-	// Linear search asserts each tightened objective bound as permanent
-	// unguarded clauses: not a conservative extension of the raced formula,
-	// so the clause-sharing exchange is not attached.
 	l.Opts.ConfigureSolver(ctx, s)
 
 	var (
@@ -206,12 +203,6 @@ func (b *BinarySearch) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bound
 	s := sat.New()
 	s.EnsureVars(w.NumVars)
 	b.Opts.ConfigureSolver(ctx, s)
-	// Binary search keeps its bound as a per-call totalizer assumption, so
-	// every added clause is a conservative extension of the formula prefix
-	// and sharing it is sound. Its blocking variables are numbered
-	// differently from the core family's selectors, so the scope stops at
-	// the formula.
-	b.Opts.AttachExchange(s, w.NumVars)
 
 	var (
 		blits    []cnf.Lit

@@ -109,15 +109,6 @@ type Engine struct {
 	// WeightedMembers, by instance kind. Jobs == 1 degenerates to the first
 	// member running alone, plus the WalkSAT seeder.
 	Jobs int
-	// Share enables learnt-clause exchange between the members: every
-	// CDCL-based member whose encoding discipline allows it (see
-	// opt.Options.AttachExchange) exports its short and low-LBD learnt
-	// clauses — plus the proved cores of the msu family — to a lock-free
-	// bus and imports the others' at its level-0 boundaries. Off by
-	// default; with Share false no bus exists and each member behaves
-	// bit-identically to running its (possibly diversified) configuration
-	// alone.
-	Share bool
 	// NoSeed disables the WalkSAT upper-bound seeder, which walks at most
 	// 50000 flips over 3 tries.
 	NoSeed bool
@@ -138,9 +129,8 @@ func (e *Engine) Name() string {
 	return "portfolio"
 }
 
-// outcome pairs a member's result with its name and line-up position.
+// outcome pairs a member's result with its name.
 type outcome struct {
-	idx  int
 	name string
 	res  opt.Result
 }
@@ -192,33 +182,14 @@ func (e *Engine) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) opt
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var bus *Bus
-	if e.Share {
-		bus = NewBus(defaultBusCapacity)
-	}
 	results := make(chan outcome, len(members))
-	for i, spec := range members {
-		i, spec := i, spec
-		mo := memberOpts
-		if bus != nil {
-			// Clause exchange addresses clauses by variable number, so it is
-			// sound only because every member solves a clone of the same
-			// (already preprocessed) formula: the first w.NumVars variables
-			// mean the same thing everywhere, and member-local auxiliaries
-			// above that bound never cross the bus.
-			mo.Exchange = bus.Endpoint(i)
-			mo.ShareVars = w.NumVars
-		}
+	for _, spec := range members {
 		go func() {
-			solver := spec.Make(mo)
+			solver := spec.Make(memberOpts)
 			// Each member gets its own clone: solvers are free to index,
 			// normalize, or otherwise pick the formula apart without any
 			// cross-goroutine aliasing.
-			cw := w.Clone()
-			if cw.NumVars != w.NumVars {
-				panic("portfolio: member clone broke variable alignment")
-			}
-			results <- outcome{i, spec.Name, solver.Solve(runCtx, cw, bounds)}
+			results <- outcome{spec.Name, solver.Solve(runCtx, w.Clone(), bounds)}
 		}()
 	}
 	seedDone := make(chan struct{})
@@ -246,25 +217,13 @@ func (e *Engine) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) opt
 		satC   int
 		unsatC int
 		confl  int64
-		share  []opt.ShareStats
 	)
-	if e.Share {
-		share = make([]opt.ShareStats, len(members))
-		for i, spec := range members {
-			share[i].Member = spec.Name
-		}
-	}
 	for remaining := len(members); remaining > 0; remaining-- {
 		o := <-results
 		iters += o.res.Iterations
 		satC += o.res.SatCalls
 		unsatC += o.res.UnsatCalls
 		confl += o.res.Conflicts
-		if share != nil {
-			share[o.idx].Exported = o.res.Exported
-			share[o.idx].Imported = o.res.Imported
-			share[o.idx].Subsumed = o.res.ImportSubsumed
-		}
 		if !won && (o.res.Status == opt.StatusOptimal || o.res.Status == opt.StatusUnsat) {
 			res = o.res
 			res.Solver = o.name
@@ -309,15 +268,6 @@ func (e *Engine) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) opt
 	res.SatCalls = satC
 	res.UnsatCalls = unsatC
 	res.Conflicts = confl
-	if share != nil {
-		res.Share = share
-		res.Exported, res.Imported, res.ImportSubsumed = 0, 0, 0
-		for _, m := range share {
-			res.Exported += m.Exported
-			res.Imported += m.Imported
-			res.ImportSubsumed += m.Subsumed
-		}
-	}
 	res.Elapsed = time.Since(start)
 	return res
 }

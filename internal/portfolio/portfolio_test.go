@@ -55,50 +55,18 @@ func TestPortfolioMatchesMSU4(t *testing.T) {
 	}
 }
 
-// TestPortfolioShareMatchesMSU4: with learnt-clause sharing enabled the
-// portfolio still proves exactly the optima msu4-v2 proves alone — the
-// soundness half of the clause-exchange acceptance criteria. Runs under
-// -race in CI, which also exercises the lock-free bus.
-func TestPortfolioShareMatchesMSU4(t *testing.T) {
-	for _, in := range suite() {
-		ref := core.NewMSU4V2(opt.Options{}).Solve(context.Background(), in.W, nil)
-		if ref.Status != opt.StatusOptimal {
-			t.Fatalf("%s: msu4-v2 did not finish: %v", in.Name, ref.Status)
-		}
-		for _, jobs := range []int{2, 0} {
-			e := New(opt.Options{}, jobs)
-			e.Share = true
-			r := e.Solve(context.Background(), in.W, nil)
-			if r.Status != opt.StatusOptimal {
-				t.Fatalf("%s jobs=%d share: status %v, want optimal", in.Name, jobs, r.Status)
-			}
-			if r.Cost != ref.Cost {
-				t.Fatalf("%s jobs=%d share: cost %d, msu4-v2 found %d", in.Name, jobs, r.Cost, ref.Cost)
-			}
-			if !opt.VerifyModel(in.W, r) {
-				t.Fatalf("%s jobs=%d share: model does not witness cost %d", in.Name, jobs, r.Cost)
-			}
-			if r.Share == nil {
-				t.Fatalf("%s jobs=%d share: per-member share stats missing", in.Name, jobs)
-			}
-		}
-	}
-}
-
-// TestPortfolioSharePreprocessed: sharing composes with the preprocess-once
-// pipeline (members race clones of the simplified formula, so the shared
-// variable prefix is the preprocessed one).
-func TestPortfolioSharePreprocessed(t *testing.T) {
+// TestPortfolioPreprocessed: the preprocess-once pipeline (members race
+// clones of the simplified formula, the seeder publishes restored models)
+// proves msu4-v2's optima and returns original-space witnesses.
+func TestPortfolioPreprocessed(t *testing.T) {
 	for _, in := range []gen.Instance{gen.EquivMiter(8), gen.BMCCounter(4, 10)} {
 		ref := core.NewMSU4V2(opt.Options{}).Solve(context.Background(), in.W, nil)
-		e := New(opt.Options{Preprocess: true}, 4)
-		e.Share = true
-		r := e.Solve(context.Background(), in.W, nil)
+		r := New(opt.Options{Preprocess: true}, 4).Solve(context.Background(), in.W, nil)
 		if r.Status != opt.StatusOptimal || r.Cost != ref.Cost {
-			t.Fatalf("%s: share+pre status %v cost %d, want optimal %d", in.Name, r.Status, r.Cost, ref.Cost)
+			t.Fatalf("%s: pre status %v cost %d, want optimal %d", in.Name, r.Status, r.Cost, ref.Cost)
 		}
 		if !opt.VerifyModel(in.W, r) {
-			t.Fatalf("%s: share+pre model does not witness cost", in.Name)
+			t.Fatalf("%s: pre model does not witness cost", in.Name)
 		}
 	}
 }
@@ -228,10 +196,8 @@ func TestPortfolioName(t *testing.T) {
 }
 
 // TestPortfolioWeightedSuiteWithOLL races the weighted line-up (OLL in the
-// lead) over the weighted generator suite, with and without clause sharing,
-// and checks the proved optima against the known costs / the wmsu4
-// reference. OLL itself never attaches the sharing bus (see
-// opt.Options.AttachExchange), so sharing must not perturb its optima.
+// lead) over the weighted generator suite and checks the proved optima
+// against the known costs / the wmsu4 reference.
 func TestPortfolioWeightedSuiteWithOLL(t *testing.T) {
 	for _, in := range gen.WeightedSuite(23) {
 		want := in.KnownCost
@@ -242,17 +208,12 @@ func TestPortfolioWeightedSuiteWithOLL(t *testing.T) {
 			}
 			want = ref.Cost
 		}
-		for _, share := range []bool{false, true} {
-			e := New(opt.Options{}, 0)
-			e.Share = share
-			r := e.Solve(context.Background(), in.W, nil)
-			if r.Status != opt.StatusOptimal || r.Cost != want {
-				t.Fatalf("%s (share=%v): got status %v cost %d, want optimal %d",
-					in.Name, share, r.Status, r.Cost, want)
-			}
-			if !opt.VerifyModel(in.W, r) {
-				t.Fatalf("%s (share=%v): model does not witness cost", in.Name, share)
-			}
+		r := New(opt.Options{}, 0).Solve(context.Background(), in.W, nil)
+		if r.Status != opt.StatusOptimal || r.Cost != want {
+			t.Fatalf("%s: got status %v cost %d, want optimal %d", in.Name, r.Status, r.Cost, want)
+		}
+		if !opt.VerifyModel(in.W, r) {
+			t.Fatalf("%s: model does not witness cost", in.Name)
 		}
 	}
 }

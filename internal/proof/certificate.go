@@ -31,8 +31,8 @@ type Step struct {
 // Certificate is a self-contained, independently checkable record of a
 // MaxSAT verdict. Check validates it against the original instance — not
 // against anything the producing solver stored — so a certificate that
-// passes vouches for the answer even if the solver, the preprocessor, the
-// sharing bus, or the cache that stored it misbehaved.
+// passes vouches for the answer even if the solver, the preprocessor, or
+// the cache that stored it misbehaved.
 type Certificate struct {
 	Kind    Kind
 	NumVars int
@@ -45,7 +45,7 @@ type Certificate struct {
 //
 //   - KindOptimal: the model is total over w's variables, satisfies every
 //     hard clause, and its soft cost equals cert.Cost; every step's trace
-//     is a strict-mode RUP refutation of hards ∧ (cost ≤ step.Bound); and
+//     is a RUP refutation of hards ∧ (cost ≤ step.Bound); and
 //     unless Cost is zero, some step has Bound = Cost−1 — together: no
 //     assignment does better than the model, so Cost is the optimum.
 //   - KindUnsat: at least one step refutes the hard clauses alone.
@@ -119,7 +119,7 @@ func checkStep(f *cnf.Formula, st Step) error {
 			}
 		}
 	}
-	return CheckTrace(f, st.Trace, CheckOptions{})
+	return CheckTrace(f, st.Trace)
 }
 
 // CheckBytes decodes a serialized certificate and validates it against w.

@@ -8,6 +8,7 @@ package proof_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/brute"
@@ -130,14 +131,18 @@ func TestCertificateAdversarialMutations(t *testing.T) {
 		reject(t, m, "trace truncated before the empty clause")
 	})
 	t.Run("imported-clause-in-certificate", func(t *testing.T) {
-		// Certificates are solo artifacts: an import record — even one
-		// whose clause is harmless — must be rejected by strict checking.
+		// Op value 2 once tagged imported clauses. It is retired: a record
+		// carrying it — even with a harmless clause — is rejected by the
+		// checker and, once encoded, by the decoder.
 		m := clone()
 		recs := m.Steps[0].Trace.Records
 		m.Steps[0].Trace.Records = append([]proof.Record{
-			{Op: proof.OpImport, Lits: []cnf.Lit{cnf.PosLit(0)}},
+			{Op: proof.Op(2), Lits: []cnf.Lit{cnf.PosLit(0)}},
 		}, recs...)
-		reject(t, m, "import inside a certificate trace")
+		reject(t, m, "op 2 record inside a certificate trace")
+		if _, err := proof.Decode(m.Encode()); err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Fatalf("decoding an op 2 record: got %v", err)
+		}
 	})
 	t.Run("wrong-numvars", func(t *testing.T) {
 		m := clone()

@@ -7,23 +7,6 @@ import (
 	"repro/internal/cnf"
 )
 
-// CheckOptions controls which trace operations the checker admits.
-// The zero value is strict mode: only OpLearn and OpDelete records are
-// allowed, which is what certificate traces (produced by solo solvers)
-// must satisfy. OpAxiom records are rejected in every mode.
-type CheckOptions struct {
-	// AllowImports admits OpImport records as axioms — explicit
-	// obligations discharged by the exporting solver's own proof — but
-	// only when every variable in the import falls below ImportScope,
-	// mirroring the sharing bus's conservative-extension discipline
-	// (only variables of the original formula may cross solvers). An
-	// import mentioning a variable ≥ ImportScope is rejected.
-	AllowImports bool
-	// ImportScope is the exclusive upper bound on variables allowed in
-	// imported clauses when AllowImports is set.
-	ImportScope int
-}
-
 // CheckTrace verifies that t is a valid DRAT-style refutation of f: the
 // trace must derive the empty clause, and every learnt clause consulted on
 // the path to it must have the RUP property — asserting its negation and
@@ -35,9 +18,10 @@ type CheckOptions struct {
 //
 // The propagation engine here is written against cnf.Clause slices and
 // shares nothing with internal/sat — this function is the independent half
-// of the proof pipeline.
-func CheckTrace(f *cnf.Formula, t *Trace, opts CheckOptions) error {
-	_, _, err := runCheck(f, t, opts)
+// of the proof pipeline. Only OpLearn and OpDelete records are admitted;
+// any other op rejects the trace.
+func CheckTrace(f *cnf.Formula, t *Trace) error {
+	_, _, err := runCheck(f, t)
 	return err
 }
 
@@ -47,19 +31,14 @@ func CheckTrace(f *cnf.Formula, t *Trace, opts CheckOptions) error {
 // dropped entirely. The trim is sound because RUP is monotone in the clause
 // set — each kept lemma's check used only formula clauses and earlier
 // marked (hence kept) records, and dropping deletions only enlarges the
-// active set. The result verifies under the same options (asserted by the
-// trimming tests, and cheap enough to re-check at the call site).
+// active set. The result verifies again (asserted by the trimming tests,
+// and cheap enough to re-check at the call site).
 //
-// Trimming a trace that fails verification returns the error; a trace
-// accepted wholesale without deriving an empty learnt clause (an empty
-// import obligation, impossible in strict mode) is returned as is.
-func Trim(f *cnf.Formula, t *Trace, opts CheckOptions) (*Trace, error) {
-	c, emptyAt, err := runCheck(f, t, opts)
+// Trimming a trace that fails verification returns the error.
+func Trim(f *cnf.Formula, t *Trace) (*Trace, error) {
+	c, emptyAt, err := runCheck(f, t)
 	if err != nil {
 		return nil, err
-	}
-	if emptyAt < 0 {
-		return t, nil
 	}
 	out := &Trace{}
 	for i := range emptyAt {
@@ -77,10 +56,8 @@ func Trim(f *cnf.Formula, t *Trace, opts CheckOptions) (*Trace, error) {
 
 // runCheck is the shared verification core behind CheckTrace and Trim. On
 // success it returns the checker (whose marked flags record which additions
-// some conflict consumed) and the index of the empty learnt clause, or
-// emptyAt = -1 when the trace was accepted wholesale via an empty import
-// obligation.
-func runCheck(f *cnf.Formula, t *Trace, opts CheckOptions) (*checker, int, error) {
+// some conflict consumed) and the index of the empty learnt clause.
+func runCheck(f *cnf.Formula, t *Trace) (*checker, int, error) {
 	c := newChecker(f)
 	// Forward pass: admit records, build the clause timeline, find the
 	// first empty-clause addition.
@@ -91,28 +68,13 @@ func runCheck(f *cnf.Formula, t *Trace, opts CheckOptions) (*checker, int, error
 		case OpDelete:
 			c.delete(i, rec.Lits)
 			continue
-		case OpImport:
-			if !opts.AllowImports {
-				return nil, -1, fmt.Errorf("proof: record %d: import not allowed in a strict trace", i)
-			}
-			for _, l := range rec.Lits {
-				if int(l.Var()) >= opts.ImportScope {
-					return nil, -1, fmt.Errorf("proof: record %d: imported clause mentions variable %d outside sharing scope %d",
-						i, int(l.Var())+1, opts.ImportScope)
-				}
-			}
 		case OpAxiom:
 			return nil, -1, fmt.Errorf("proof: record %d: axiom not allowed in a checked trace", i)
 		default:
 			return nil, -1, fmt.Errorf("proof: record %d: unknown op %d", i, byte(rec.Op))
 		}
-		c.add(i, rec.Op, rec.Lits)
+		c.byRecord[i] = c.install(rec.Lits)
 		if len(rec.Lits) == 0 {
-			if rec.Op != OpLearn {
-				// An empty import is an obligation the producer asserts
-				// wholesale; admitted modes accept it as given.
-				return c, -1, nil
-			}
 			emptyAt = i
 			break
 		}
@@ -137,8 +99,8 @@ func runCheck(f *cnf.Formula, t *Trace, opts CheckOptions) (*checker, int, error
 		}
 		id := c.byRecord[i]
 		c.deactivate(id)
-		if !c.marked[id] || rec.Op != OpLearn {
-			continue // unused lemma, or an import/axiom obligation
+		if !c.marked[id] {
+			continue // unused lemma
 		}
 		if err := c.rup(rec.Lits); err != nil {
 			return nil, -1, fmt.Errorf("proof: record %d (%v): %w", i, cnf.Clause(rec.Lits), err)
@@ -203,17 +165,6 @@ func (c *checker) install(lits []cnf.Lit) int32 {
 	}
 	c.byKey[key(lits)] = append(c.byKey[key(lits)], id)
 	c.lastID = id
-	return id
-}
-
-func (c *checker) add(recIdx int, op Op, lits []cnf.Lit) int32 {
-	id := c.install(lits)
-	c.byRecord[recIdx] = id
-	if op != OpLearn {
-		// Imports and axioms are admitted obligations: never RUP-checked,
-		// so mark them up front to keep the bookkeeping uniform.
-		c.marked[id] = true
-	}
 	return id
 }
 

@@ -64,7 +64,7 @@ func refuteWithSolver(t *testing.T, f *cnf.Formula) *proof.Trace {
 func TestSolverTraceChecks(t *testing.T) {
 	f := php(4, 3)
 	tr := refuteWithSolver(t, f)
-	if err := proof.CheckTrace(f, tr, proof.CheckOptions{}); err != nil {
+	if err := proof.CheckTrace(f, tr); err != nil {
 		t.Fatalf("solver refutation rejected: %v", err)
 	}
 }
@@ -82,7 +82,7 @@ func TestCheckTraceRejectsAdversarial(t *testing.T) {
 				break
 			}
 		}
-		if err := proof.CheckTrace(f, &cut, proof.CheckOptions{}); err == nil {
+		if err := proof.CheckTrace(f, &cut); err == nil {
 			t.Fatal("trace without an empty clause accepted")
 		}
 	})
@@ -95,18 +95,20 @@ func TestCheckTraceRejectsAdversarial(t *testing.T) {
 			{Op: proof.OpLearn, Lits: []cnf.Lit{cnf.PosLit(0)}},
 			{Op: proof.OpLearn},
 		}}
-		if err := proof.CheckTrace(f, bogus, proof.CheckOptions{}); err == nil {
+		if err := proof.CheckTrace(f, bogus); err == nil {
 			t.Fatal("non-RUP derivation accepted")
 		}
 	})
 
 	t.Run("import-rejected-strict", func(t *testing.T) {
-		withImport := &proof.Trace{Records: append([]proof.Record{
-			{Op: proof.OpImport, Lits: []cnf.Lit{cnf.PosLit(0)}},
+		// Op value 2 once tagged clauses imported from other solvers; it is
+		// retired, and the checker rejects it like any unknown op.
+		withRetired := &proof.Trace{Records: append([]proof.Record{
+			{Op: proof.Op(2), Lits: []cnf.Lit{cnf.PosLit(0)}},
 		}, tr.Records...)}
-		err := proof.CheckTrace(f, withImport, proof.CheckOptions{})
-		if err == nil || !strings.Contains(err.Error(), "import") {
-			t.Fatalf("import in strict mode: got %v", err)
+		err := proof.CheckTrace(f, withRetired)
+		if err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Fatalf("op 2 record: got %v", err)
 		}
 	})
 
@@ -114,36 +116,9 @@ func TestCheckTraceRejectsAdversarial(t *testing.T) {
 		withAxiom := &proof.Trace{Records: append([]proof.Record{
 			{Op: proof.OpAxiom, Lits: []cnf.Lit{cnf.PosLit(0)}},
 		}, tr.Records...)}
-		err := proof.CheckTrace(f, withAxiom, proof.CheckOptions{})
+		err := proof.CheckTrace(f, withAxiom)
 		if err == nil || !strings.Contains(err.Error(), "axiom") {
 			t.Fatalf("axiom in strict mode: got %v", err)
-		}
-	})
-
-	t.Run("import-out-of-scope", func(t *testing.T) {
-		// Imports are admitted only below the declared sharing scope; a
-		// clause mentioning a variable at or past it must be rejected even
-		// in the permissive mode.
-		out := &proof.Trace{Records: []proof.Record{
-			{Op: proof.OpImport, Lits: []cnf.Lit{cnf.PosLit(cnf.Var(f.NumVars - 1))}},
-			{Op: proof.OpLearn},
-		}}
-		opts := proof.CheckOptions{AllowImports: true, ImportScope: f.NumVars - 1}
-		err := proof.CheckTrace(f, out, opts)
-		if err == nil || !strings.Contains(err.Error(), "scope") {
-			t.Fatalf("out-of-scope import: got %v", err)
-		}
-	})
-
-	t.Run("import-in-scope-admitted", func(t *testing.T) {
-		// An in-scope import is an axiom: asserting a unit that
-		// contradicts PHP's propagation makes the empty clause RUP.
-		in := &proof.Trace{Records: append([]proof.Record{
-			{Op: proof.OpImport, Lits: []cnf.Lit{cnf.PosLit(0)}},
-		}, tr.Records...)}
-		opts := proof.CheckOptions{AllowImports: true, ImportScope: f.NumVars}
-		if err := proof.CheckTrace(f, in, opts); err != nil {
-			t.Fatalf("in-scope import rejected: %v", err)
 		}
 	})
 
@@ -155,7 +130,7 @@ func TestCheckTraceRejectsAdversarial(t *testing.T) {
 			recs = append(recs, proof.Record{Op: proof.OpDelete, Lits: append([]cnf.Lit(nil), c...)})
 		}
 		recs = append(recs, proof.Record{Op: proof.OpLearn})
-		if err := proof.CheckTrace(f, &proof.Trace{Records: recs}, proof.CheckOptions{}); err == nil {
+		if err := proof.CheckTrace(f, &proof.Trace{Records: recs}); err == nil {
 			t.Fatal("trace that deleted its own support accepted")
 		}
 	})
@@ -179,7 +154,7 @@ func TestSimpTraceChecks(t *testing.T) {
 	if !res.Unsat {
 		t.Fatal("expected preprocessing to prove UNSAT")
 	}
-	if err := proof.CheckTrace(f, rec.Trace(), proof.CheckOptions{}); err != nil {
+	if err := proof.CheckTrace(f, rec.Trace()); err != nil {
 		t.Fatalf("simp refutation rejected: %v", err)
 	}
 }
@@ -204,7 +179,7 @@ func TestSimpPlusSolverTraceChecks(t *testing.T) {
 			t.Fatalf("expected UNSAT, got %v", st)
 		}
 	}
-	if err := proof.CheckTrace(f, rec.Trace(), proof.CheckOptions{}); err != nil {
+	if err := proof.CheckTrace(f, rec.Trace()); err != nil {
 		t.Fatalf("simp+solver refutation rejected against the original formula: %v", err)
 	}
 }
@@ -352,11 +327,11 @@ func TestCertifyEndToEnd(t *testing.T) {
 func TestTrim(t *testing.T) {
 	f := php(5, 4)
 	tr := refuteWithSolver(t, f)
-	trimmed, err := proof.Trim(f, tr, proof.CheckOptions{})
+	trimmed, err := proof.Trim(f, tr)
 	if err != nil {
 		t.Fatalf("Trim rejected a valid refutation: %v", err)
 	}
-	if err := proof.CheckTrace(f, trimmed, proof.CheckOptions{}); err != nil {
+	if err := proof.CheckTrace(f, trimmed); err != nil {
 		t.Fatalf("trimmed trace no longer verifies: %v", err)
 	}
 	if len(trimmed.Records) > len(tr.Records) {
@@ -372,7 +347,7 @@ func TestTrim(t *testing.T) {
 		t.Fatalf("trimmed trace does not end with the empty clause: %+v", last)
 	}
 	// Idempotence: trimming a trimmed trace changes nothing.
-	again, err := proof.Trim(f, trimmed, proof.CheckOptions{})
+	again, err := proof.Trim(f, trimmed)
 	if err != nil {
 		t.Fatalf("re-trim failed: %v", err)
 	}
@@ -386,7 +361,7 @@ func TestTrimRejectsInvalid(t *testing.T) {
 	f := php(4, 3)
 	// A trace that never derives the empty clause.
 	tr := &proof.Trace{Records: []proof.Record{{Op: proof.OpLearn, Lits: []cnf.Lit{cnf.PosLit(0)}}}}
-	if _, err := proof.Trim(f, tr, proof.CheckOptions{}); err == nil {
+	if _, err := proof.Trim(f, tr); err == nil {
 		t.Fatal("Trim accepted a trace with no empty clause")
 	}
 	// A non-RUP lemma on the path to the empty clause.
@@ -396,7 +371,7 @@ func TestTrimRejectsInvalid(t *testing.T) {
 		{Op: proof.OpLearn, Lits: []cnf.Lit{cnf.PosLit(0)}},
 		{Op: proof.OpLearn},
 	}}
-	if _, err := proof.Trim(sat, bogus, proof.CheckOptions{}); err == nil {
+	if _, err := proof.Trim(sat, bogus); err == nil {
 		t.Fatal("Trim accepted a bogus refutation of a satisfiable formula")
 	}
 }

@@ -6,8 +6,8 @@
 // A certificate that passes this package's checker is therefore vouched for
 // by a second, much smaller implementation — the trusted base is the
 // ~hundred-line RUP checker in check.go plus the bound encoder in
-// encode.go, not the CDCL core, the preprocessor, the sharing bus, or any
-// of the eleven optimizers.
+// encode.go, not the CDCL core, the preprocessor, or any of the eleven
+// optimizers.
 //
 // Three layers:
 //
@@ -47,17 +47,13 @@ const (
 	// ignored by the checker: the active set stays a superset of what the
 	// producer used, which keeps RUP checks sound.
 	OpDelete
-	// OpImport adds a clause received from the sharing bus. Imports are
-	// explicit obligations, not lemmas: the checker either rejects them
-	// outright (strict mode, used for certificates — certificate traces
-	// come from solo solvers) or admits them as axioms only when every
-	// variable falls inside the declared sharing scope (see
-	// CheckOptions.ImportScope).
-	OpImport
+	// Op value 2 is retired: it once tagged clauses imported from other
+	// solvers. Decoding and checking reject it as an unknown op.
+
 	// OpAxiom adds a clause the producer asserts as given — a caller
 	// AddClause issued after proof logging started. Certificate traces
-	// must not contain axioms; the checker rejects them in every mode.
-	OpAxiom
+	// must not contain axioms; the checker rejects them.
+	OpAxiom Op = 3
 )
 
 func (o Op) String() string {
@@ -66,8 +62,6 @@ func (o Op) String() string {
 		return "learn"
 	case OpDelete:
 		return "delete"
-	case OpImport:
-		return "import"
 	case OpAxiom:
 		return "axiom"
 	}
@@ -86,7 +80,7 @@ type Trace struct {
 }
 
 // Recorder accumulates a Trace. It satisfies the sat.Proof and simp proof
-// sink interfaces structurally (Learn/Delete/Import/Axiom), copying every
+// sink interfaces structurally (Learn/Delete/Axiom), copying every
 // literal slice it is handed — producers reuse their buffers.
 type Recorder struct {
 	t Trace
@@ -107,9 +101,6 @@ func (r *Recorder) Learn(lits []cnf.Lit) { r.add(OpLearn, lits) }
 // Delete records a clause deletion.
 func (r *Recorder) Delete(lits []cnf.Lit) { r.add(OpDelete, lits) }
 
-// Import records a clause imported from the sharing bus.
-func (r *Recorder) Import(lits []cnf.Lit) { r.add(OpImport, lits) }
-
 // Axiom records a clause added by the caller after logging started.
 func (r *Recorder) Axiom(lits []cnf.Lit) { r.add(OpAxiom, lits) }
 
@@ -123,10 +114,8 @@ func (r *Recorder) Len() int { return len(r.t.Records) }
 
 // DRATWriter streams proof records as standard ASCII DRAT ("d" prefix for
 // deletions, literals in DIMACS form, 0-terminated) to an io.Writer, for
-// cross-checking with external tools such as drat-trim. Imports and axioms
-// are emitted as plain additions — external checkers treat them as lemmas,
-// so a DRAT file containing imports only checks if the imports happen to be
-// RUP; solo (non-sharing) runs never emit them.
+// cross-checking with external tools such as drat-trim. Axioms are emitted
+// as plain additions — external checkers treat them as lemmas.
 type DRATWriter struct {
 	w   *bufio.Writer
 	err error
@@ -159,9 +148,6 @@ func (d *DRATWriter) Learn(lits []cnf.Lit) { d.line("", lits) }
 
 // Delete emits a "d" deletion line.
 func (d *DRATWriter) Delete(lits []cnf.Lit) { d.line("d ", lits) }
-
-// Import emits an addition line (see the type comment).
-func (d *DRATWriter) Import(lits []cnf.Lit) { d.line("", lits) }
 
 // Axiom emits an addition line (see the type comment).
 func (d *DRATWriter) Axiom(lits []cnf.Lit) { d.line("", lits) }
@@ -223,7 +209,7 @@ func decodeTrace(buf []byte, numVars int) (*Trace, []byte, error) {
 		}
 		op := Op(buf[0])
 		buf = buf[1:]
-		if op > OpAxiom {
+		if op != OpLearn && op != OpDelete && op != OpAxiom {
 			return nil, nil, fmt.Errorf("proof: unknown op %d", byte(op))
 		}
 		var k uint64

@@ -17,13 +17,9 @@ import "repro/internal/cnf"
 //   - Delete: every clause removal — reduceDB, level-0 simplification —
 //     logged before the arena slot is freed. Arena GC emits nothing: it
 //     compacts storage for clauses whose deletion was already logged.
-//   - Import: every foreign clause attached from the sharing bus, logged
-//     as an explicit obligation (it is justified by the exporting solver's
-//     proof, not this one's). Checkers either reject imports (strict mode)
-//     or admit them only inside the declared sharing scope.
 //   - Axiom: clauses the caller adds after logging starts (incremental
-//     optimizers adding relaxation encodings mid-run). Checkers admit them
-//     only when explicitly allowed.
+//     optimizers adding relaxation encodings mid-run). The checker in
+//     internal/proof rejects them.
 //
 // Clauses added before SetProof are not logged: they are the formula the
 // proof is relative to, and the checker is given them separately.
@@ -33,24 +29,17 @@ import "repro/internal/cnf"
 type Proof interface {
 	Learn(lits []cnf.Lit)
 	Delete(lits []cnf.Lit)
-	Import(lits []cnf.Lit)
 	Axiom(lits []cnf.Lit)
 }
 
 // SetProof attaches a proof sink (nil detaches). Attach it after loading
 // the base formula: clauses added while a sink is attached are logged as
-// axioms, which strict checkers reject.
+// axioms, which the checker rejects.
 func (s *Solver) SetProof(p Proof) { s.proof = p }
 
 func (s *Solver) proofLearn(lits []cnf.Lit) {
 	if s.proof != nil {
 		s.proof.Learn(lits)
-	}
-}
-
-func (s *Solver) proofImport(lits []cnf.Lit) {
-	if s.proof != nil {
-		s.proof.Import(lits)
 	}
 }
 

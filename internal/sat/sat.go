@@ -98,11 +98,6 @@ type Stats struct {
 	// Solve calls by assumption-prefix trail reuse — the solver-warmth signal
 	// the serving layer's incremental sessions report.
 	TrailReused int64
-
-	// Clause-sharing traffic (see share.go); all zero without an Exchange.
-	Exported       int64 // learnt clauses offered to the exchange
-	Imported       int64 // foreign clauses attached (or enqueued as units)
-	ImportSubsumed int64 // foreign clauses dropped: duplicate or level-0 satisfied
 }
 
 // watcher is one entry of a watch list: the watched clause plus a blocker
@@ -189,12 +184,6 @@ type Solver struct {
 	lbdTotal        float64 // sum of all learnt LBDs
 	lbdCount        int64
 	trailEma        float64 // running trail size at conflicts (restart blocking)
-
-	exchange   Exchange
-	shareVars  int   // variables below this bound are portfolio-shared
-	shareSince int64 // conflicts since the last export (rate limiter)
-	shareSeen  map[uint64]struct{}
-	shareBuf   []cnf.Lit
 
 	proof    Proof     // nil unless SetProof attached a sink
 	proofBuf []cnf.Lit // scratch for deletion logging
@@ -958,10 +947,6 @@ func (s *Solver) search(nofConflicts int64, conflictBudget *int64) searchOutcome
 				s.uncheckedEnqueue(learnt[0], cr)
 			}
 			s.noteLearntLBD(lbd)
-			if s.exchange != nil {
-				s.shareSince++
-				s.maybeExport(learnt, lbd)
-			}
 			s.varInc /= s.varDecay
 			s.claInc /= s.claDecay
 
@@ -1088,12 +1073,6 @@ func (s *Solver) Solve(assumps ...cnf.Lit) Status {
 	}
 	s.stats.TrailReused += int64(match)
 	s.cancelUntil(match)
-	// A large backlog of foreign clauses is worth more than the kept trail
-	// prefix (which one backtrack rebuilds next search anyway): drop to
-	// level 0 so the import point below can drain it.
-	if s.exchange != nil && s.decisionLevel() > 0 && s.exchange.Pending() >= importEagerMin {
-		s.cancelUntil(0)
-	}
 	s.assumptions = assumps
 
 	s.maxLearnts = float64(len(s.clauses)) / 3
@@ -1112,16 +1091,6 @@ func (s *Solver) Solve(assumps ...cnf.Lit) Status {
 	for curRestarts := 0; ; curRestarts++ {
 		if s.budgetExhausted() {
 			break
-		}
-		// Level-0 boundaries — the first episode of a from-scratch call and
-		// every restart — are where foreign clauses enter; mid-trail resumes
-		// (assumption-prefix reuse) are left untouched.
-		if s.exchange != nil && s.decisionLevel() == 0 {
-			s.importClauses()
-			if !s.ok {
-				status = Unsat
-				break
-			}
 		}
 		restartLim := int64(-1) // adaptive policies restart on their own
 		if s.restartPolicy == RestartLuby {

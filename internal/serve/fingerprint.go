@@ -2,17 +2,16 @@ package serve
 
 import "repro/internal/cnf"
 
-// Canonical formula fingerprinting, reusing the splitmix64 discipline of the
-// clause-exchange layer (internal/sat/share.go): every literal is hashed
-// through the SplitMix64 finalizer and the hashes are combined by addition,
-// both within a clause and across clauses. Addition is commutative — two
-// copies of the same formula fingerprint identically regardless of clause
-// order or of literal order inside a clause — but, unlike the XOR used by
-// the exchange layer's per-clause dedup, it is duplicate-sensitive: a
-// repeated literal (DIMACS parsing does not dedup) or a repeated clause
-// changes the fingerprint instead of cancelling out. Cancellation would be
-// fatal here, because two *different* formulas colliding on the cache key
-// could serve a wrong UNSAT verdict (UNSAT carries no model to re-verify).
+// Canonical formula fingerprinting: every literal is hashed through the
+// SplitMix64 finalizer and the hashes are combined by addition, both within
+// a clause and across clauses. Addition is commutative — two copies of the
+// same formula fingerprint identically regardless of clause order or of
+// literal order inside a clause — but, unlike XOR, it is
+// duplicate-sensitive: a repeated literal (DIMACS parsing does not dedup) or
+// a repeated clause changes the fingerprint instead of cancelling out.
+// Cancellation would be fatal here, because two *different* formulas
+// colliding on the cache key could serve a wrong UNSAT verdict (UNSAT
+// carries no model to re-verify).
 //
 // The fingerprint is a cache key, not a proof of identity: a 64-bit collision
 // between two different formulas is possible, so the cache additionally keys

@@ -182,14 +182,6 @@ type Options struct {
 	// Parallelism caps the number of solvers AlgoPortfolio races
 	// concurrently; 0 races the full line-up. Other algorithms ignore it.
 	Parallelism int `json:"par,omitempty"`
-	// ShareClauses makes AlgoPortfolio members exchange learnt clauses:
-	// each CDCL-based racer exports its glue and binary learnt clauses over
-	// the instance's variables to a lock-free bus and imports the others'
-	// at restart boundaries, so the portfolio deduces shared structure once
-	// instead of once per member. Other algorithms ignore it. Off by
-	// default; solving behavior with it off is identical to not having a
-	// bus at all.
-	ShareClauses bool `json:"share,omitempty"`
 	// OnImprove, when non-nil, receives every anytime bound improvement of
 	// a Solve/SolveContext run as it is proved: lower bounds published by
 	// the core-guided algorithms after every core (AlgoOLL publishes one
@@ -205,10 +197,10 @@ type Options struct {
 	// — no solver code involved. Certification runs as a post-solve pass:
 	// a fresh proof-logged solver refutes "some assignment satisfies the
 	// hards at cost ≤ optimum−1", so it works uniformly for every
-	// algorithm, including preprocessed, clause-sharing, and portfolio
-	// runs. It roughly doubles the UNSAT work of a solve; off by default.
-	// If the result cannot be certified (for example the context expires
-	// mid-pass), SolveContext returns an error.
+	// algorithm, including preprocessed and portfolio runs. It roughly
+	// doubles the UNSAT work of a solve; off by default. If the result
+	// cannot be certified (for example the context expires mid-pass),
+	// SolveContext returns an error.
 	Certify bool `json:"cert,omitempty"`
 }
 
@@ -256,12 +248,6 @@ type Result struct {
 	// Winner names the member that decided an AlgoPortfolio race; empty
 	// for single-algorithm runs (and for portfolio runs that timed out).
 	Winner string
-	// ClausesExported / ClausesImported total the learnt-clause traffic of
-	// an AlgoPortfolio run with ShareClauses enabled (zero otherwise).
-	ClausesExported, ClausesImported int64
-	// Sharing is a human-readable per-member breakdown of that traffic,
-	// including the winner's import hit rate; empty without sharing.
-	Sharing string
 	// Cached reports that the result was served from a Server's
 	// verified-result cache instead of a fresh solve; always false for the
 	// direct Solve entry points.
@@ -308,11 +294,7 @@ func (r Result) String() string {
 	case Unsatisfiable:
 		inner.Status = opt.StatusUnsat
 	}
-	s := inner.String()
-	if r.Sharing != "" {
-		s += " " + r.Sharing
-	}
-	return s
+	return inner.String()
 }
 
 // ErrWeighted is returned when a unit-weight-only algorithm is asked to
@@ -362,8 +344,7 @@ func SolveContext(ctx context.Context, w *WCNF, o Options) (Result, error) {
 // is achievable" must pass backward RUP checking against a bound encoding
 // the checker rebuilds itself. A nil error means the verdict is
 // machine-checked — trusting it does not require trusting the solver that
-// produced it, the preprocessor, the sharing bus, or any cache it passed
-// through.
+// produced it, the preprocessor, or any cache it passed through.
 func CheckCertificate(w *WCNF, cert []byte) error {
 	return proof.CheckBytes(w, cert)
 }
@@ -428,9 +409,7 @@ func buildSolver(w *WCNF, o Options) (opt.Solver, Algorithm, error) {
 	case AlgoBnB:
 		solver = bnb.New(io_)
 	case AlgoPortfolio:
-		e := portfolio.New(io_, o.Parallelism)
-		e.Share = o.ShareClauses
-		solver = e
+		solver = portfolio.New(io_, o.Parallelism)
 	default:
 		return nil, algo, fmt.Errorf("maxsat: unknown algorithm %q", algo)
 	}
@@ -442,20 +421,17 @@ func buildSolver(w *WCNF, o Options) (opt.Solver, Algorithm, error) {
 
 func fromInternal(r opt.Result, algo Algorithm) Result {
 	out := Result{
-		Cost:            r.Cost,
-		LowerBound:      r.LowerBound,
-		Model:           r.Model,
-		Algorithm:       algo,
-		Winner:          r.Solver,
-		Certificate:     r.Certificate,
-		ClausesExported: r.Exported,
-		ClausesImported: r.Imported,
-		Sharing:         r.ShareSummary(),
-		Iterations:      r.Iterations,
-		SatCalls:        r.SatCalls,
-		UnsatCalls:      r.UnsatCalls,
-		Conflicts:       r.Conflicts,
-		Elapsed:         r.Elapsed,
+		Cost:        r.Cost,
+		LowerBound:  r.LowerBound,
+		Model:       r.Model,
+		Algorithm:   algo,
+		Winner:      r.Solver,
+		Certificate: r.Certificate,
+		Iterations:  r.Iterations,
+		SatCalls:    r.SatCalls,
+		UnsatCalls:  r.UnsatCalls,
+		Conflicts:   r.Conflicts,
+		Elapsed:     r.Elapsed,
 	}
 	switch r.Status {
 	case opt.StatusOptimal:

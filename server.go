@@ -89,8 +89,8 @@ type ServerConfig struct {
 	StallTimeout time.Duration
 	// MaxRetries bounds server-side retries of transiently failed jobs (a
 	// solver panic, a memory-budget exhaustion, a watchdog kill). Retries run
-	// on a degraded profile — solo line-up, no clause sharing, halved memory
-	// budget per attempt — with exponential backoff between attempts. Zero
+	// on a degraded profile — solo line-up, halved memory budget per
+	// attempt — with exponential backoff between attempts. Zero
 	// disables: the first failure is the job's result.
 	MaxRetries int
 
@@ -286,16 +286,14 @@ func (s *Server) canonical(client string, w *WCNF, o Options) (serve.JobSpec, Op
 // attemptOptions is o as attempt g of a served solve runs it: a portfolio
 // races exactly the members it was granted, and a server-side retry of a
 // transient failure runs degraded — whatever sank the previous attempt
-// (memory pressure, a racing member's bug, sharing-induced state), the
-// rerun gets a smaller target. Solo line-up, no cross-member traffic,
-// memory budget halved per extra attempt.
+// (memory pressure, a racing member's bug), the rerun gets a smaller
+// target. Solo line-up, memory budget halved per extra attempt.
 func attemptOptions(o Options, g serve.Grant) Options {
 	if o.Algorithm == AlgoPortfolio {
 		o.Parallelism = g.Slots
 	}
 	if g.Attempt > 0 {
 		o.Parallelism = 1
-		o.ShareClauses = false
 		if o.MemoryBudget > 0 {
 			o.MemoryBudget >>= g.Attempt
 		}

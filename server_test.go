@@ -129,7 +129,7 @@ func TestServerUpdatesMonotone(t *testing.T) {
 
 // TestServerCancelNoGoroutineLeak cancels running and queued jobs (including
 // a portfolio job) and then closes the server; every solver goroutine must
-// exit. Run under -race this also exercises the exchange teardown.
+// exit. Run under -race this also exercises the portfolio's teardown.
 func TestServerCancelNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s := NewServer(ServerConfig{Workers: 2})
@@ -137,7 +137,7 @@ func TestServerCancelNoGoroutineLeak(t *testing.T) {
 	var jobs []*Job
 	for _, o := range []Options{
 		{},
-		{Algorithm: AlgoPortfolio, Parallelism: 4, ShareClauses: true},
+		{Algorithm: AlgoPortfolio, Parallelism: 4},
 		{Algorithm: AlgoBnB},
 	} {
 		job, err := s.Submit(inst.W, o)
@@ -414,7 +414,8 @@ func TestParentLogsLoad(t *testing.T) {
 // TestOptionsPayloadBytes pins the journaled options payload, which is also
 // the in-flight coalescing key: golden payloads written by an earlier build
 // decode to the options they were written for, and a durable server encodes
-// those options to the same bytes.
+// those options to the same bytes. A payload with a key that no option reads
+// any more ("share") still decodes, and re-encodes without the key.
 func TestOptionsPayloadBytes(t *testing.T) {
 	s, err := OpenServer(ServerConfig{DataDir: t.TempDir()})
 	if err != nil {
@@ -422,20 +423,23 @@ func TestOptionsPayloadBytes(t *testing.T) {
 	}
 	defer s.Close()
 	full := Options{Algorithm: AlgoPortfolio, Timeout: 2 * time.Second, MemoryBudget: 1 << 20,
-		SkipAtLeast1: true, Preprocess: true, Parallelism: 3, ShareClauses: true, Certify: true}
+		SkipAtLeast1: true, Preprocess: true, Parallelism: 3, Certify: true}
+	fullGolden := `{"alg":"portfolio","to":2000000000,"mem":1048576,"skip":true,"pre":true,"par":3,"cert":true}`
 	for _, c := range []struct {
-		golden string
-		want   Options
+		payload string // as a journal holds it
+		want    Options
+		golden  string // the bytes want encodes to
 	}{
-		{`{"alg":"msu4-v2"}`, Options{Algorithm: AlgoMSU4V2}},
-		{`{"alg":"portfolio","to":2000000000,"mem":1048576,"skip":true,"pre":true,"par":3,"share":true,"cert":true}`, full},
+		{`{"alg":"msu4-v2"}`, Options{Algorithm: AlgoMSU4V2}, `{"alg":"msu4-v2"}`},
+		{fullGolden, full, fullGolden},
+		{`{"alg":"portfolio","to":2000000000,"mem":1048576,"skip":true,"pre":true,"par":3,"share":true,"cert":true}`, full, fullGolden},
 	} {
 		var got Options
-		if err := json.Unmarshal([]byte(c.golden), &got); err != nil {
-			t.Fatalf("decode %s: %v", c.golden, err)
+		if err := json.Unmarshal([]byte(c.payload), &got); err != nil {
+			t.Fatalf("decode %s: %v", c.payload, err)
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Fatalf("decode %s: got %+v, want %+v", c.golden, got, c.want)
+			t.Fatalf("decode %s: got %+v, want %+v", c.payload, got, c.want)
 		}
 		spec, _, err := s.canonical("", gen.Pigeonhole(3).W, got)
 		if err != nil {

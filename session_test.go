@@ -151,10 +151,10 @@ func (sc *sessionScript) solveBoth(step int) {
 
 // TestSessionDifferential is the randomized differential suite: delta
 // scripts over gen-family bases × {msu3, msu4-v2, oll, portfolio} ×
-// {preprocess on/off} × {clause sharing on/off}; every intermediate session
+// {preprocess on/off} × {certify on/off}; every intermediate session
 // solve must return the same verdict as a from-scratch solve of the
 // accumulated formula, with a verifiable certificate on the certified
-// subset of configs.
+// half of the configs.
 func TestSessionDifferential(t *testing.T) {
 	algos := []Algorithm{AlgoMSU3, AlgoMSU4V2, AlgoOLL, AlgoPortfolio}
 	bases := []*WCNF{
@@ -166,14 +166,13 @@ func TestSessionDifferential(t *testing.T) {
 	cfg := 0
 	for _, algo := range algos {
 		for _, pre := range []bool{false, true} {
-			for _, share := range []bool{false, true} {
+			for _, cert := range []bool{false, true} {
 				cfg++
-				name := fmt.Sprintf("%s/pre=%v/share=%v", algo, pre, share)
+				name := fmt.Sprintf("%s/pre=%v/cert=%v", algo, pre, cert)
 				opts := Options{
-					Algorithm:    algo,
-					Preprocess:   pre,
-					ShareClauses: share,
-					Certify:      pre == share, // certify half the grid
+					Algorithm:  algo,
+					Preprocess: pre,
+					Certify:    cert,
 				}
 				base := bases[cfg%len(bases)]
 
