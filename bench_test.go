@@ -362,38 +362,6 @@ func BenchmarkSATSolver(b *testing.B) {
 	}
 }
 
-// BenchmarkMSU4Minimize measures the core-minimization option: budgeted
-// destructive shrinking of every extracted core before relaxation.
-func BenchmarkMSU4Minimize(b *testing.B) {
-	insts := []gen.Instance{
-		gen.EquivMiter(8),
-		gen.Coloring(7, 10, 26, 3),
-		gen.BMCShift(10, 9),
-	}
-	for _, minimize := range []bool{false, true} {
-		name := "off"
-		if minimize {
-			name = "on"
-		}
-		minimize := minimize
-		b.Run(name, func(b *testing.B) {
-			relaxed := 0
-			for i := 0; i < b.N; i++ {
-				relaxed = 0
-				for _, in := range insts {
-					m := &core.MSU4{MinimizeCores: minimize}
-					r := m.Solve(context.Background(), in.W, nil)
-					if r.Status != opt.StatusOptimal {
-						b.Fatalf("%s: %v", in.Name, r.Status)
-					}
-					relaxed += r.UnsatCalls
-				}
-			}
-			b.ReportMetric(float64(relaxed), "unsat_iters")
-		})
-	}
-}
-
 // BenchmarkWeighted compares the weighted-capable algorithms (the paper's
 // future-work direction) on weighted over-constrained colouring instances.
 func BenchmarkWeighted(b *testing.B) {

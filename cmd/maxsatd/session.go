@@ -43,13 +43,13 @@ type sessionJSON struct {
 }
 
 func sessionView(sess *maxsat.Session) sessionJSON {
-	acc := sess.Accumulated()
+	vars, clauses := sess.Size()
 	solves, reused := sess.Counters()
 	return sessionJSON{
 		ID:      sess.ID(),
 		Client:  sess.Client(),
-		Vars:    acc.NumVars,
-		Clauses: len(acc.Clauses),
+		Vars:    vars,
+		Clauses: clauses,
 		Solves:  solves,
 		Reused:  reused,
 	}

@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/cnf"
-	"repro/internal/ls"
 	"repro/internal/opt"
 	"repro/internal/sat"
 )
@@ -36,10 +35,6 @@ type BnB struct {
 	// the trivial distance bound (ablation; reproduces the gap the [17]
 	// technique closed).
 	DisableUPLB bool
-	// LocalSearchUB, when positive, runs that many WalkSAT flips to seed
-	// the initial upper bound before the search, replacing the greedy
-	// majority assignment when it finds something better.
-	LocalSearchUB int
 }
 
 // New returns a maxsatz-style solver with the given options.
@@ -153,17 +148,6 @@ func (b *BnB) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res o
 	if gHardOK {
 		s.ub = int64(gCost) - baseCost
 		s.best = greedy
-	}
-	if b.LocalSearchUB > 0 {
-		lr := ls.Minimize(ctx, w, ls.Params{
-			Seed:     1,
-			MaxFlips: b.LocalSearchUB,
-			Tries:    3,
-		})
-		if lr.Cost >= 0 && int64(lr.Cost)-baseCost < s.ub {
-			s.ub = int64(lr.Cost) - baseCost
-			s.best = lr.Model
-		}
 	}
 	if s.best != nil {
 		prep.PublishUB(shared, cnf.Weight(s.ub+baseCost), s.best)

@@ -173,40 +173,3 @@ func TestName(t *testing.T) {
 		t.Fatal("name")
 	}
 }
-
-func TestLocalSearchUBCorrectness(t *testing.T) {
-	rng := rand.New(rand.NewSource(606))
-	for iter := 0; iter < 25; iter++ {
-		w := randomWCNF(rng, 3+rng.Intn(7), 4+rng.Intn(20), iter%2 == 0, false)
-		want, _, feasible := brute.MinCostWCNF(w)
-		solver := &BnB{LocalSearchUB: 500}
-		r := solver.Solve(context.Background(), w, nil)
-		if !feasible {
-			if r.Status != opt.StatusUnsat {
-				t.Fatalf("iter %d: status %v, want UNSAT", iter, r.Status)
-			}
-			continue
-		}
-		if r.Status != opt.StatusOptimal || r.Cost != want {
-			t.Fatalf("iter %d: status %v cost %d, want optimal %d", iter, r.Status, r.Cost, want)
-		}
-		if !opt.VerifyModel(w, r) {
-			t.Fatalf("iter %d: model inconsistent", iter)
-		}
-	}
-}
-
-func TestLocalSearchUBReducesNodes(t *testing.T) {
-	// With a strong initial UB the search should not explore more nodes.
-	rng := rand.New(rand.NewSource(607))
-	w := randomWCNF(rng, 14, 80, false, false)
-	plain := New(opt.Options{}).Solve(context.Background(), w, nil)
-	seeded := (&BnB{LocalSearchUB: 5000}).Solve(context.Background(), w, nil)
-	if plain.Cost != seeded.Cost {
-		t.Fatalf("costs differ: %d vs %d", plain.Cost, seeded.Cost)
-	}
-	if seeded.Iterations > plain.Iterations*2 {
-		t.Fatalf("seeded UB explored far more nodes: %d vs %d",
-			seeded.Iterations, plain.Iterations)
-	}
-}

@@ -10,7 +10,6 @@ import (
 	"repro/internal/card"
 	"repro/internal/cnf"
 	"repro/internal/opt"
-	"repro/internal/sat"
 )
 
 func lit(i int) cnf.Lit { return cnf.FromDIMACS(i) }
@@ -337,51 +336,6 @@ func TestMSU4LargerStructured(t *testing.T) {
 		if r.Status != opt.StatusOptimal || r.Cost != want {
 			t.Fatalf("%s: cost %d, want %d", s.Name(), r.Cost, want)
 		}
-	}
-}
-
-func TestMSU4MinimizeCores(t *testing.T) {
-	// Correctness under minimization, cross-checked against brute force.
-	rng := rand.New(rand.NewSource(777))
-	for iter := 0; iter < 30; iter++ {
-		w := randomWCNF(rng, 3+rng.Intn(7), 4+rng.Intn(20), iter%2 == 0)
-		want, _, feasible := brute.MinCostWCNF(w)
-		m := &MSU4{MinimizeCores: true}
-		r := m.Solve(context.Background(), w, nil)
-		if !feasible {
-			if r.Status != opt.StatusUnsat {
-				t.Fatalf("iter %d: status %v, want UNSAT", iter, r.Status)
-			}
-			continue
-		}
-		if r.Status != opt.StatusOptimal || r.Cost != want {
-			t.Fatalf("iter %d: status %v cost %d, want optimal %d", iter, r.Status, r.Cost, want)
-		}
-		if !opt.VerifyModel(w, r) {
-			t.Fatalf("iter %d: model inconsistent", iter)
-		}
-	}
-}
-
-func TestMinimizeCoreShrinks(t *testing.T) {
-	// Build a solver where the assumption core {s1, s2, s3} can be shrunk:
-	// s1 -> x, s2 -> ¬x, s3 -> y. Only {s1, s2} is needed.
-	s := sat.New()
-	s.AddClause(lit(-10), lit(1))
-	s.AddClause(lit(-11), lit(-1))
-	s.AddClause(lit(-12), lit(2))
-	assumps := []cnf.Lit{lit(10), lit(11), lit(12)}
-	if s.Solve(assumps...) != sat.Unsat {
-		t.Fatal("want unsat")
-	}
-	coreIn := append([]cnf.Lit{}, s.Core()...)
-	coreOut, probes := minimizeCore(s, coreIn, sat.Budget{})
-	if len(coreOut) > 2 {
-		t.Fatalf("core not shrunk: %v (probes %d)", coreOut, probes)
-	}
-	// Result is still a core.
-	if s.Solve(coreOut...) != sat.Unsat {
-		t.Fatal("minimized set is not a core")
 	}
 }
 

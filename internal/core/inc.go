@@ -95,8 +95,8 @@ func (m *Inc) add(c cnf.Clause, w cnf.Weight) {
 		return
 	}
 	if w != cnf.HardWeight && w != 1 {
-		// Weighted softs never reach the retained path; treat one as
-		// poisoning so the caller falls back for good.
+		// The retained search is unweighted: a weighted soft poisons the
+		// engine, so Absorb reports false and the caller falls back for good.
 		m.broken = true
 		return
 	}
@@ -146,12 +146,14 @@ func (m *Inc) externalModel(model cnf.Assignment, n int) cnf.Assignment {
 }
 
 // SolveDelta implements opt.Incremental: the msu3 loop resumed from the
-// retained relaxed set and lower bound. A panic anywhere inside is recovered
-// into StatusUnknown and poisons the engine (the serving layer then falls
-// back to from-scratch solves and retires it at the next Absorb).
+// retained relaxed set and lower bound. Result.Solver stays empty, as it
+// does from MSU3.Solve: the caller knows which engine it ran. A panic
+// anywhere inside is recovered into StatusUnknown and poisons the engine
+// (the serving layer then falls back to from-scratch solves and retires it
+// at the next Absorb).
 func (m *Inc) SolveDelta(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res opt.Result) {
 	start := time.Now()
-	res = opt.Result{Cost: -1, Solver: m.Name()}
+	res = opt.Result{Cost: -1}
 	defer func() {
 		if p := recover(); p != nil {
 			m.broken = true

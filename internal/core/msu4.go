@@ -44,11 +44,6 @@ type MSU4 struct {
 	// notes the constraint is optional but "most often useful"; this switch
 	// is the A2 ablation.
 	SkipAtLeast1 bool
-	// MinimizeCores destructively shrinks every extracted core with
-	// budgeted probe SAT calls before relaxing its clauses (see
-	// minimizeCore). Fewer blocking variables per iteration at the price of
-	// extra SAT work.
-	MinimizeCores bool
 	// ReencodeBounds re-encodes the line-30 constraint at every improved
 	// bound with Encoding behind a guard (the pre-incremental behaviour, and
 	// the regime the paper's v1/v2 comparison measures) instead of
@@ -200,11 +195,6 @@ func (m *MSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 			// contains only it plays the role the permanently-encoded
 			// bound's empty core played before incrementality.
 			coreSels = dropLit(coreSels, boundLit)
-			if m.MinimizeCores && len(coreSels) > 1 {
-				// Probe calls are not main-loop iterations; their work is
-				// still visible through res.Conflicts.
-				coreSels, _ = minimizeCore(s, coreSels, m.Opts.Budget(ctx))
-			}
 			if len(coreSels) == 0 {
 				// The core contains no initial clause (paper line 21-22).
 				if res.Model == nil {

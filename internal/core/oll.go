@@ -33,8 +33,7 @@ import (
 // reuse of the incremental SAT core applies, and the shared opt.Bounds is
 // published after every core.
 //
-// Three weighted-instance staples ride on top, each individually
-// disablable for ablation:
+// Three weighted-instance staples ride on top:
 //
 //   - Stratification (Ansótegui, Bonet & Levy 2012): solve high-weight
 //     strata first; a SAT outcome over a stratum yields an upper bound
@@ -52,19 +51,8 @@ import (
 // classic unweighted OLL/MSCG scheme.
 type OLL struct {
 	Opts opt.Options
-	// NoStratify disables stratified weight levels (ablation; unweighted
-	// instances have a single stratum regardless).
-	NoStratify bool
-	// NoHarden disables the hardening rule (ablation).
-	NoHarden bool
-	// NoExhaust disables weight-aware core exhaustion (ablation).
-	NoExhaust bool
 	// ExhaustConflicts caps each exhaustion probe; 0 means 4000.
 	ExhaustConflicts int64
-	// MinimizeCores destructively shrinks every extracted core before
-	// reformulation (see minimizeCore); smaller cores mean smaller
-	// totalizers at the price of extra budgeted SAT probes.
-	MinimizeCores bool
 	// Probe, when non-nil, receives the mechanism counters of the last
 	// Solve call (tests and diagnostics; not safe for concurrent reuse).
 	Probe *OLLProbe
@@ -72,8 +60,8 @@ type OLL struct {
 
 // OLLProbe counts the internal mechanisms of one OLL run.
 type OLLProbe struct {
-	// Strata is the number of weight strata actually solved (1 when
-	// stratification is off or the instance is unweighted).
+	// Strata is the number of weight strata actually solved (1 when the
+	// instance is unweighted).
 	Strata int
 	// Hardened counts assumptions turned into hard units by the hardening
 	// rule.
@@ -151,7 +139,7 @@ func (m *OLL) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res o
 		run.addItem(c.assumption(), weightOf[c], nil, 0)
 	}
 	run.strat = 1
-	if !m.NoStratify && w.Weighted() {
+	if w.Weighted() {
 		if next, ok := nextStratum(run.items, cnf.Weight(math.MaxInt64)); ok {
 			run.strat = next
 		}
@@ -210,7 +198,7 @@ func (r *ollRun) finishBest() {
 // incumbent model. Returns false when a hardened unit conflicts at level 0
 // (no model beats the incumbent — finish via finishBest).
 func (r *ollRun) harden() bool {
-	if r.m.NoHarden || r.res.Model == nil {
+	if r.res.Model == nil {
 		return true
 	}
 	gap := r.bestCost - r.lb
@@ -256,9 +244,6 @@ func (r *ollRun) advanceSum(sum *card.IncTotalizer, bound int, wt cnf.Weight) *o
 // Returns false when a probe proved the clause database unsatisfiable
 // (finish via finishBest).
 func (r *ollRun) exhaust(it *ollItem) bool {
-	if r.m.NoExhaust {
-		return true
-	}
 	outer := r.m.Opts.Budget(r.ctx)
 	pb := outer
 	pb.MaxConflicts = r.m.ExhaustConflicts
@@ -409,9 +394,6 @@ func (r *ollRun) processCore() bool {
 		// Unsatisfiable with no assumption involved.
 		r.finishBest()
 		return false
-	}
-	if r.m.MinimizeCores && len(coreLits) > 1 {
-		coreLits, _ = minimizeCore(s, coreLits, r.m.Opts.Budget(r.ctx))
 	}
 	if r.probe != nil {
 		r.probe.Cores++

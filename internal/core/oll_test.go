@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/brute"
 	"repro/internal/cnf"
+	"repro/internal/gen"
 	"repro/internal/opt"
 )
 
@@ -53,17 +54,12 @@ func randWeighted(rng *rand.Rand) *cnf.WCNF {
 	return w
 }
 
-// TestOLLAgainstBruteForce is the main differential suite: the full engine
-// and every single-mechanism ablation must agree with brute force on random
-// weighted instances, with and without preprocessing.
+// TestOLLAgainstBruteForce is the main differential suite: the engine must
+// agree with brute force on random weighted instances, with and without
+// preprocessing and with an exhaustion budget too small to finish a probe.
 func TestOLLAgainstBruteForce(t *testing.T) {
 	solvers := []*OLL{
 		NewOLL(opt.Options{}),
-		{NoStratify: true},
-		{NoHarden: true},
-		{NoExhaust: true},
-		{NoStratify: true, NoHarden: true, NoExhaust: true},
-		{MinimizeCores: true},
 		{Opts: opt.Options{Preprocess: true}},
 		{ExhaustConflicts: 1},
 	}
@@ -166,22 +162,16 @@ func TestOLLStratificationLadder(t *testing.T) {
 }
 
 func TestOLLLadderAllMechanisms(t *testing.T) {
-	// Weight ladders exercise residual-weight bookkeeping hard; every
-	// ablation must agree with brute force on all of them.
+	// Weight ladders exercise residual-weight bookkeeping hard: the engine,
+	// with stratification, hardening and exhaustion all running, must agree
+	// with brute force on all of them.
 	for _, n := range []int{2, 4, 6} {
 		for _, base := range []cnf.Weight{1, 2, 7} {
 			w := ladder(n, base)
 			want, _, _ := brute.MinCostWCNF(w)
-			for si, m := range []*OLL{
-				NewOLL(opt.Options{}),
-				{NoStratify: true},
-				{NoHarden: true},
-				{NoExhaust: true},
-			} {
-				r := m.Solve(context.Background(), w, nil)
-				if r.Status != opt.StatusOptimal || r.Cost != want {
-					t.Fatalf("n=%d base=%d solver %d: got %v, want optimal %d", n, base, si, r, want)
-				}
+			r := NewOLL(opt.Options{}).Solve(context.Background(), w, nil)
+			if r.Status != opt.StatusOptimal || r.Cost != want {
+				t.Fatalf("n=%d base=%d: got %v, want optimal %d", n, base, r, want)
 			}
 		}
 	}
@@ -242,16 +232,18 @@ func TestOLLExhaustionAndSumCores(t *testing.T) {
 		t.Fatal("neither exhaustion nor a core over a sum output fired on soft pigeonhole")
 	}
 
-	// With exhaustion disabled the second violation must be found by a
-	// core over the first core's totalizer output: cores over cores.
+	// Cores over cores: on the BLO selection family exhaustion cannot
+	// settle every totalizer alone, so later cores contain totalizer
+	// outputs of earlier ones.
+	in := gen.SelectionWeighted(5, 4, 2)
 	probe2 := &OLLProbe{}
-	m2 := &OLL{NoExhaust: true, Probe: probe2}
-	r2 := m2.Solve(context.Background(), w, nil)
-	if r2.Status != opt.StatusOptimal || r2.Cost != 6 {
-		t.Fatalf("no-exhaust: got %v, want optimal 6", r2)
+	m2 := &OLL{Probe: probe2}
+	r2 := m2.Solve(context.Background(), in.W, nil)
+	if r2.Status != opt.StatusOptimal || r2.Cost != in.KnownCost {
+		t.Fatalf("%s: got %v, want optimal %d", in.Name, r2, in.KnownCost)
 	}
 	if probe2.SumCores == 0 {
-		t.Fatal("no core ever contained a totalizer output")
+		t.Fatalf("%s: no core ever contained a totalizer output", in.Name)
 	}
 }
 

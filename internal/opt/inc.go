@@ -23,11 +23,11 @@ import (
 type Incremental interface {
 	// Name identifies the retained engine in results and audit logs.
 	Name() string
-	// Absorb extends the retained formula with delta clauses. Soft clauses
-	// must have unit weight (the caller routes weighted deltas away from the
-	// retained path). It reports whether the engine is still usable: false
-	// means the engine has poisoned itself (for example a recovered panic)
-	// and the caller must Close it and fall back to from-scratch solves.
+	// Absorb extends the retained formula with delta clauses, copying what
+	// it keeps. It reports whether the engine is still usable: false means
+	// the engine refused the delta (a soft clause of weight ≠ 1) or has
+	// poisoned itself (for example a recovered panic), and the caller must
+	// Close it and fall back to from-scratch solves.
 	Absorb(hards []cnf.Clause, softs []cnf.WClause) bool
 	// SolveDelta re-optimizes the accumulated formula. w is the serving
 	// layer's snapshot of that same formula (used to size the returned

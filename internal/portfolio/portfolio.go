@@ -109,9 +109,6 @@ type Engine struct {
 	// WeightedMembers, by instance kind. Jobs == 1 degenerates to the first
 	// member running alone, plus the WalkSAT seeder.
 	Jobs int
-	// NoSeed disables the WalkSAT upper-bound seeder, which walks at most
-	// 50000 flips over 3 tries.
-	NoSeed bool
 	// Label overrides the reported name (e.g. "portfolio-4").
 	Label string
 }
@@ -193,22 +190,18 @@ func (e *Engine) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) opt
 		}()
 	}
 	seedDone := make(chan struct{})
-	if e.NoSeed {
-		close(seedDone)
-	} else {
-		go func() {
-			defer close(seedDone)
-			ls.Minimize(runCtx, w.Clone(), ls.Params{
-				Seed:     1,
-				MaxFlips: 50000,
-				Tries:    3,
-				Prep:     prep,
-				OnImprove: func(cost cnf.Weight, model cnf.Assignment) {
-					bounds.PublishUB(cost, model)
-				},
-			})
-		}()
-	}
+	go func() {
+		defer close(seedDone)
+		ls.Minimize(runCtx, w.Clone(), ls.Params{
+			Seed:     1,
+			MaxFlips: 50000,
+			Tries:    3,
+			Prep:     prep,
+			OnImprove: func(cost cnf.Weight, model cnf.Assignment) {
+				bounds.PublishUB(cost, model)
+			},
+		})
+	}()
 
 	var (
 		res    opt.Result

@@ -172,10 +172,8 @@ func TestPortfolioSharedBoundsJoin(t *testing.T) {
 }
 
 func TestPortfolioJobsTruncation(t *testing.T) {
-	e := New(opt.Options{}, 1)
-	e.NoSeed = true
 	in := gen.EquivMiter(6)
-	r := e.Solve(context.Background(), in.W, nil)
+	r := New(opt.Options{}, 1).Solve(context.Background(), in.W, nil)
 	if r.Status != opt.StatusOptimal {
 		t.Fatalf("single-member portfolio: %v", r.Status)
 	}

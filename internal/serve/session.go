@@ -22,11 +22,13 @@
 //
 // The retained (warm) solver path is sound only for monotone growth: adding
 // hard clauses or unit-weight soft clauses preserves every core, bound, and
-// learnt clause the engine retained (see opt.Incremental). Reweighting can
-// lower the optimum — it retires the retained engine for good — and
-// assumptions scope a single solve, so an assumption-bearing solve routes
-// to the from-scratch path while the retained engine stays valid for later
-// assumption-free solves.
+// learnt clause the engine retained (see opt.Incremental). Push hands each
+// delta's clauses to the engine at once, and the engine alone decides what
+// it can take: one that refuses a delta (a weighted soft clause) is retired
+// for good. Reweighting can lower the optimum — it retires the retained
+// engine too — and assumptions scope a single solve, so an
+// assumption-bearing solve routes to the from-scratch path while the
+// retained engine stays valid for later assumption-free solves.
 package serve
 
 import (
@@ -89,9 +91,10 @@ type Delta struct {
 // SolveFunc: same snapshot/bounds/grant contract, plus the session's
 // retained engine — non-nil exactly when the serving layer judged the
 // retained path sound for this solve (no assumptions active, engine alive,
-// first attempt). The second return reports whether the retained engine
-// produced the answer; implementations fall back to a from-scratch run (and
-// return false) when retained is nil or its answer is unusable.
+// first attempt), and then already holding every pushed clause. The second
+// return reports whether the retained engine produced the answer;
+// implementations fall back to a from-scratch run (and return false) when
+// retained is nil or its answer is unusable.
 type SessionSolveFunc func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant, retained opt.Incremental) (opt.Result, bool)
 
 // SessionSpec describes one session at open time.
@@ -137,8 +140,6 @@ type Session struct {
 	acc      *cnf.WCNF // accumulated formula (server-owned)
 	softIdx  []int     // acc.Clauses index of each soft, in soft order
 	assume   []cnf.Lit
-	pendingH []cnf.Clause  // pushed but not yet absorbed by the engine
-	pendingS []cnf.WClause //
 	retained opt.Incremental
 	solving  bool
 	cur      *job // the in-flight solve's job (nil while submitting)
@@ -325,24 +326,26 @@ func (sess *Session) completeLocked() {
 	}
 }
 
-// retireEngineLocked permanently drops the retained engine (non-monotone
-// mutation, absorb failure, or poisoning). Caller holds sess.mu; the engine
-// is closed outside the solve path, which is idle by the Push/Solve
-// serialization. Pending deltas the engine never saw are dropped with it.
+// retireEngineLocked permanently drops the retained engine (a reweight, or
+// a delta the engine refused). Caller holds sess.mu; the engine is closed
+// outside the solve path, which is idle by the Push/Solve serialization.
 func (sess *Session) retireEngineLocked(why string) {
 	if sess.retained == nil {
 		return
 	}
 	sess.retained.Close()
 	sess.retained = nil
-	sess.pendingH, sess.pendingS = nil, nil
 	sess.s.audit(AuditEvent{Client: sess.client, Action: "session-retire",
 		JobID: sess.id, Detail: why})
 }
 
-// Push applies one delta to the accumulated formula. The delta is validated
-// before anything is applied, so a rejected Push leaves the session
-// unchanged. Push fails with ErrSessionBusy while a solve is in flight.
+// Push applies one delta to the accumulated formula and hands its clauses
+// to the retained engine at once: Push is refused while a solve is in
+// flight (ErrSessionBusy), so the engine is idle whenever a Push is
+// accepted. The engine alone decides what it can take; one it refuses, a
+// weighted soft clause for instance, is retired, and so is one that sees a
+// reweight. The delta is validated before anything is applied, so a
+// rejected Push leaves the session unchanged.
 func (sess *Session) Push(d Delta) error {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -374,29 +377,9 @@ func (sess *Session) Push(d Delta) error {
 		sess.softIdx = append(sess.softIdx, len(sess.acc.Clauses))
 		sess.acc.AddSoft(c.Weight, c.Clause...)
 	}
-	if sess.retained != nil {
-		// Buffer for the engine; absorption happens at the next Solve, when
-		// the engine is provably idle. Non-unit softs retire the engine (the
-		// retained path is unweighted); the clauses themselves stay in acc,
-		// so from-scratch solves still see them.
-		for _, c := range d.Hards {
-			sess.pendingH = append(sess.pendingH, c.Clone())
-		}
-		nonUnit := false
-		for _, c := range d.Softs {
-			if c.Weight != 1 {
-				nonUnit = true
-				break
-			}
-		}
-		if nonUnit {
-			sess.retireEngineLocked("weighted soft clause")
-		} else {
-			for _, c := range d.Softs {
-				sess.pendingS = append(sess.pendingS,
-					cnf.WClause{Clause: c.Clause.Clone(), Weight: 1})
-			}
-		}
+	// A refused delta stays in acc, so from-scratch solves still see it.
+	if sess.retained != nil && !sess.retained.Absorb(d.Hards, d.Softs) {
+		sess.retireEngineLocked("absorb refused")
 	}
 	if len(d.Reweights) > 0 {
 		for _, rw := range d.Reweights {
@@ -421,6 +404,20 @@ func (sess *Session) Accumulated() *cnf.WCNF {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	return sess.snapshotLocked()
+}
+
+// Size reports the variable and clause counts of the formula Accumulated
+// would return, assumption units included, without copying it.
+func (sess *Session) Size() (vars, clauses int) {
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	vars = sess.acc.NumVars
+	for _, a := range sess.assume {
+		if int(a.Var()) >= vars {
+			vars = int(a.Var()) + 1
+		}
+	}
+	return vars, len(sess.acc.Clauses) + len(sess.assume)
 }
 
 func (sess *Session) snapshotLocked() *cnf.WCNF {
@@ -454,16 +451,6 @@ func (sess *Session) Solve(ctx context.Context) (*Handle, error) {
 		return nil, ErrSessionBusy
 	}
 	sess.touchLocked()
-	// Feed buffered deltas to the engine now: no solve is in flight, so the
-	// engine is idle. An absorb failure means the engine poisoned itself —
-	// retire it and run from scratch.
-	if sess.retained != nil && (len(sess.pendingH) > 0 || len(sess.pendingS) > 0) {
-		h, sf := sess.pendingH, sess.pendingS
-		sess.pendingH, sess.pendingS = nil, nil
-		if !sess.retained.Absorb(h, sf) {
-			sess.retireEngineLocked("absorb failed")
-		}
-	}
 	snap := sess.snapshotLocked()
 	// The retained path is offered only when it is sound: engine alive and
 	// no assumptions scoping this solve. The engine stays valid across an
@@ -593,7 +580,6 @@ func (s *Server) teardownSession(sess *Session, evicted bool) {
 		sess.retained.Close()
 		sess.retained = nil
 	}
-	sess.pendingH, sess.pendingS = nil, nil
 	sess.mu.Unlock()
 	s.sem.release(1)
 	s.mu.Lock()

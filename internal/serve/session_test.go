@@ -23,7 +23,7 @@ type fakeEngine struct {
 	absorbs int
 	solves  int
 	closed  bool
-	broken  bool // next Absorb reports the engine unusable
+	broken  bool // every Absorb reports the engine unusable
 }
 
 func (f *fakeEngine) Name() string { return "fake-inc" }
@@ -109,9 +109,12 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	// A monotone delta: pin the variable, optimum stays 1, and the engine
-	// absorbs before the next solve.
+	// absorbs it at once, before the next solve.
 	if err := sess.Push(Delta{Hards: []cnf.Clause{{cnf.PosLit(0)}}}); err != nil {
 		t.Fatalf("Push: %v", err)
+	}
+	if absorbs, _, _ := eng.snapshot(); absorbs != 1 {
+		t.Fatalf("engine saw %d absorbs right after the Push, want 1", absorbs)
 	}
 	r = sessionWait(t, sess)
 	if r.Status != opt.StatusOptimal || r.Cost != 1 || !r.Reused {
@@ -482,6 +485,53 @@ func TestSessionEngineRouting(t *testing.T) {
 		t.Fatalf("engine routing %v, want %v", sawEngine, want)
 	}
 	sess.Close()
+}
+
+// TestSessionRefusedAbsorbRetiresEngine: the engine alone decides what it
+// can take. One that refuses a delta, even a hard clause, is closed by that
+// Push, and every later solve runs from scratch.
+func TestSessionRefusedAbsorbRetiresEngine(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	eng := &fakeEngine{broken: true}
+	sess := mustOpen(t, s, SessionSpec{
+		Base: contradiction(), OptsKey: "o", Solve: bruteSessionSolve(), Retained: eng,
+	})
+	defer sess.Close()
+	if err := sess.Push(Delta{Hards: []cnf.Clause{{cnf.PosLit(1)}}}); err != nil {
+		t.Fatalf("Push: %v", err)
+	}
+	if _, _, closed := eng.snapshot(); !closed {
+		t.Fatal("refused absorb did not retire the engine")
+	}
+	if r := sessionWait(t, sess); r.Status != opt.StatusOptimal || r.Cost != 1 || r.Reused {
+		t.Fatalf("solve after retirement: status %v cost %d reused %t, want OPTIMAL 1 from scratch",
+			r.Status, r.Cost, r.Reused)
+	}
+}
+
+// TestSessionSizeMatchesAccumulated: Size reports Accumulated's variable
+// and clause counts after every kind of push, a variable first named by an
+// assumption included.
+func TestSessionSizeMatchesAccumulated(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	sess := mustOpen(t, s, SessionSpec{Base: contradiction(), Solve: bruteSessionSolve()})
+	defer sess.Close()
+	for i, d := range []Delta{
+		{Hards: []cnf.Clause{{cnf.PosLit(0), cnf.NegLit(2)}}},
+		{Softs: []cnf.WClause{{Clause: cnf.Clause{cnf.PosLit(3)}, Weight: 2}}},
+		{Assumptions: []cnf.Lit{cnf.NegLit(9)}},
+	} {
+		if err := sess.Push(d); err != nil {
+			t.Fatalf("push %d: %v", i, err)
+		}
+		acc := sess.Accumulated()
+		if vars, clauses := sess.Size(); vars != acc.NumVars || clauses != len(acc.Clauses) {
+			t.Fatalf("push %d: Size() = %d vars, %d clauses; Accumulated has %d, %d",
+				i, vars, clauses, acc.NumVars, len(acc.Clauses))
+		}
+	}
 }
 
 // TestSessionBadDelta: validation failures leave the session unchanged.

@@ -131,13 +131,14 @@ func (s *Server) OpenSessionAs(ctx context.Context, client string, base *WCNF, o
 }
 
 // sessionSolve builds the session's solve closure: warm path first when the
-// serving layer offers the retained engine, from-scratch fallback otherwise
+// serving layer offers the retained engine (which has absorbed every pushed
+// delta, and is never offered to a retry), from-scratch fallback otherwise
 // — with the same degraded-retry profile and certification post-pass as
 // one-shot jobs, so session results are bit-for-bit interchangeable.
 func sessionSolve(o Options) serve.SessionSolveFunc {
 	return func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g serve.Grant, retained opt.Incremental) (opt.Result, bool) {
 		ro := attemptOptions(o, g)
-		if retained != nil && g.Attempt == 0 {
+		if retained != nil {
 			r := retained.SolveDelta(ctx, w, shared)
 			if r.Status == opt.StatusOptimal || r.Status == opt.StatusUnsat || ctx.Err() != nil {
 				return certifyServed(ctx, w, r, ro), true
@@ -226,6 +227,10 @@ func (sess *Session) Solve(ctx context.Context) (*Job, error) {
 // Accumulated returns a copy of the formula the next Solve would answer
 // for: base plus every pushed delta, with active assumptions as hard units.
 func (sess *Session) Accumulated() *WCNF { return sess.s.Accumulated() }
+
+// Size reports the variable and clause counts of the formula Accumulated
+// would return, without copying it.
+func (sess *Session) Size() (vars, clauses int) { return sess.s.Size() }
 
 // Counters reports how many solves this session has submitted and how many
 // the warm solver answered.

@@ -330,3 +330,43 @@ func TestPortfolioSessionKeyIsOneMember(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionWarmAnswerNamesNoWinner: Winner names a portfolio race's
+// member, so a warm session answer leaves it empty like any
+// single-algorithm run, and a one-shot cache hit on the same formula does
+// not pass an engine name on either.
+func TestSessionWarmAnswerNamesNoWinner(t *testing.T) {
+	s := NewServer(ServerConfig{Workers: 2})
+	defer s.Close()
+	base := NewWCNF(1)
+	base.AddSoft(1, FromDIMACS(1))
+	base.AddSoft(1, FromDIMACS(-1))
+	sess, err := s.OpenSession(context.Background(), base, Options{Algorithm: AlgoMSU3})
+	if err != nil {
+		t.Fatalf("open session: %v", err)
+	}
+	defer sess.Close()
+	job, err := sess.Solve(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != Optimal || warm.Cost != 1 || !warm.Reused || warm.Winner != "" {
+		t.Fatalf("warm solve: status %v cost %d reused %t winner %q, want OPTIMAL 1, reused, no winner",
+			warm.Status, warm.Cost, warm.Reused, warm.Winner)
+	}
+	one, err := s.Submit(sess.Accumulated(), Options{Algorithm: AlgoOLL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hit, err := one.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Cached || hit.Winner != "" {
+		t.Fatalf("one-shot oll: cached %t winner %q, want a cache hit with no winner", hit.Cached, hit.Winner)
+	}
+}
