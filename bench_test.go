@@ -14,6 +14,7 @@ package maxsat
 //	BenchmarkMSU4AtLeast1  — A2 ablation: the optional line-19 constraint
 //	BenchmarkMSU1Variants  — A3 ablation: AMO encodings inside msu1
 //	BenchmarkSolvers       — per-algorithm end-to-end on a fixed miter
+//	BenchmarkCheckCert     — the independent certificate checker alone
 //
 // Benchmarks use a scaled-down per-instance timeout so the whole suite
 // regenerates quickly; cmd/experiments runs the same artifacts with the
@@ -22,6 +23,7 @@ package maxsat
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,6 +35,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/opt"
 	"repro/internal/portfolio"
+	"repro/internal/proof"
 	"repro/internal/sat"
 )
 
@@ -126,6 +129,71 @@ func BenchmarkTable1Cert(b *testing.B) {
 		b.ReportMetric(float64(certs), "certified")
 		b.ReportMetric(float64((certified - plain).Milliseconds()), "cert_overhead_ms")
 		b.StartTimer()
+	}
+}
+
+// certSuite is a set of certificates with the instances they certify.
+type certSuite struct {
+	ws      []*cnf.WCNF
+	certs   [][]byte
+	records int // trace records over all certificates
+}
+
+// certSuites builds each suite of BenchmarkCheckCert once per process.
+var certSuites = map[string]func() (certSuite, error){
+	"table1":   sync.OnceValues(func() (certSuite, error) { return buildCertSuite(gen.Suite(42), AlgoMSU4V2) }),
+	"weighted": sync.OnceValues(func() (certSuite, error) { return buildCertSuite(gen.WeightedSuite(1), AlgoOLL) }),
+}
+
+func buildCertSuite(insts []gen.Instance, algo Algorithm) (certSuite, error) {
+	var cs certSuite
+	for _, in := range insts {
+		r, err := Solve(in.W, Options{Algorithm: algo, Certify: true, Timeout: 30 * time.Second})
+		if err != nil {
+			return cs, err
+		}
+		if r.Certificate == nil {
+			continue
+		}
+		cert, err := proof.Decode(r.Certificate)
+		if err != nil {
+			return cs, err
+		}
+		for _, st := range cert.Steps {
+			cs.records += len(st.Trace.Records)
+		}
+		cs.ws = append(cs.ws, in.W)
+		cs.certs = append(cs.certs, r.Certificate)
+	}
+	return cs, nil
+}
+
+// BenchmarkCheckCert times the independent checker alone: one op re-checks
+// every certificate of a suite with CheckCertificate, the work of a
+// verified cache hit and of the records a durable daemon re-proves at
+// start-up. The certificates are built once, outside the timer: table1
+// holds msu4-v2 certificates of the Table 1 suite, weighted holds OLL
+// certificates of the weighted suite that maxsatbench's durable-weighted
+// workload stores. certs and records (trace records over all certificates)
+// size the work.
+func BenchmarkCheckCert(b *testing.B) {
+	for _, name := range []string{"table1", "weighted"} {
+		b.Run(name, func(b *testing.B) {
+			cs, err := certSuites[name]()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, c := range cs.certs {
+					if err := CheckCertificate(cs.ws[j], c); err != nil {
+						b.Fatalf("certificate %d rejected: %v", j, err)
+					}
+				}
+			}
+			b.ReportMetric(float64(len(cs.certs)), "certs")
+			b.ReportMetric(float64(cs.records), "records")
+		})
 	}
 }
 

@@ -14,14 +14,16 @@ import (
 // conflict. Verification is backward (drat-trim style): a forward pass
 // indexes additions and deletions up to the first empty clause, then a
 // reverse sweep checks only the lemmas marked as antecedents of later
-// conflicts, unwinding additions and deletions as it goes.
+// conflicts, unwinding additions and deletions as it goes. As in drat-trim,
+// the unit clauses' propagation fixpoint is derived once and kept across
+// lemma checks, until the sweep retires a clause it rests on.
 //
 // The propagation engine here is written against cnf.Clause slices and
 // shares nothing with internal/sat — this function is the independent half
 // of the proof pipeline. Only OpLearn and OpDelete records are admitted;
 // any other op rejects the trace.
 func CheckTrace(f *cnf.Formula, t *Trace) error {
-	_, _, err := runCheck(f, t)
+	_, err := newChecker(f).run(t)
 	return err
 }
 
@@ -36,17 +38,14 @@ func CheckTrace(f *cnf.Formula, t *Trace) error {
 //
 // Trimming a trace that fails verification returns the error.
 func Trim(f *cnf.Formula, t *Trace) (*Trace, error) {
-	c, emptyAt, err := runCheck(f, t)
+	c := newChecker(f)
+	emptyAt, err := c.run(t)
 	if err != nil {
 		return nil, err
 	}
 	out := &Trace{}
-	for i := range emptyAt {
-		rec := t.Records[i]
-		if rec.Op == OpDelete {
-			continue
-		}
-		if c.marked[c.byRecord[i]] {
+	for i, rec := range t.Records[:emptyAt] {
+		if rec.Op != OpDelete && c.marked[c.byRecord[i]] {
 			out.Records = append(out.Records, rec)
 		}
 	}
@@ -54,24 +53,24 @@ func Trim(f *cnf.Formula, t *Trace) (*Trace, error) {
 	return out, nil
 }
 
-// runCheck is the shared verification core behind CheckTrace and Trim. On
-// success it returns the checker (whose marked flags record which additions
-// some conflict consumed) and the index of the empty learnt clause.
-func runCheck(f *cnf.Formula, t *Trace) (*checker, int, error) {
-	c := newChecker(f)
+// run verifies t against the checker's formula. On success it returns the
+// index of the empty learnt clause, and the marked flags record which
+// additions some conflict consumed.
+func (c *checker) run(t *Trace) (int, error) {
 	// Forward pass: admit records, build the clause timeline, find the
 	// first empty-clause addition.
+	c.byRecord = make([]int32, len(t.Records))
 	emptyAt := -1
 	for i, rec := range t.Records {
 		switch rec.Op {
 		case OpLearn:
 		case OpDelete:
-			c.delete(i, rec.Lits)
+			c.byRecord[i] = c.delete(rec.Lits)
 			continue
 		case OpAxiom:
-			return nil, -1, fmt.Errorf("proof: record %d: axiom not allowed in a checked trace", i)
+			return -1, fmt.Errorf("proof: record %d: axiom not allowed in a checked trace", i)
 		default:
-			return nil, -1, fmt.Errorf("proof: record %d: unknown op %d", i, byte(rec.Op))
+			return -1, fmt.Errorf("proof: record %d: unknown op %d", i, byte(rec.Op))
 		}
 		c.byRecord[i] = c.install(rec.Lits)
 		if len(rec.Lits) == 0 {
@@ -80,80 +79,107 @@ func runCheck(f *cnf.Formula, t *Trace) (*checker, int, error) {
 		}
 	}
 	if emptyAt < 0 {
-		return nil, -1, fmt.Errorf("proof: trace does not derive the empty clause")
+		return -1, fmt.Errorf("proof: trace does not derive the empty clause")
 	}
 
 	// The final obligation: with everything before the empty clause
 	// active, unit propagation alone must conflict.
-	c.deactivateLast() // the empty clause itself is not an antecedent
+	c.active[c.byRecord[emptyAt]] = false // the empty clause itself is not an antecedent
 	if err := c.rup(nil); err != nil {
-		return nil, -1, fmt.Errorf("proof: empty clause: %w", err)
+		return -1, fmt.Errorf("proof: empty clause: %w", err)
 	}
 
 	// Backward sweep.
 	for i := emptyAt - 1; i >= 0; i-- {
 		rec := t.Records[i]
+		id := c.byRecord[i]
 		if rec.Op == OpDelete {
-			c.undelete(i)
+			if id >= 0 {
+				c.undelete(id)
+			}
 			continue
 		}
-		id := c.byRecord[i]
 		c.deactivate(id)
 		if !c.marked[id] {
 			continue // unused lemma
 		}
 		if err := c.rup(rec.Lits); err != nil {
-			return nil, -1, fmt.Errorf("proof: record %d (%v): %w", i, cnf.Clause(rec.Lits), err)
+			return -1, fmt.Errorf("proof: record %d (%v): %w", i, cnf.Clause(rec.Lits), err)
 		}
 	}
-	return c, emptyAt, nil
+	return emptyAt, nil
 }
 
 // checker is the verification state: a clause database with activity
 // flags, two-watched-literal propagation, and antecedent marking.
 type checker struct {
-	nVars    int
-	clauses  [][]cnf.Lit
+	clauses  [][]cnf.Lit // sorted literal sets until propagation reorders them
 	active   []bool
 	marked   []bool
 	watches  [][]int32 // watches[lit] = ids of clauses watching lit
 	units    []int32   // ids of clauses with < 2 literals
-	byKey    map[string][]int32
-	byRecord map[int]int32 // record index -> clause id
-	deleted  map[int]int32 // delete-record index -> deactivated id (or absent)
-	lastID   int32
+	byRecord []int32   // record index -> id it added, or for a deletion the id it deactivated (-1: none)
+	// byKey maps a clause's literal set to the ids installed with it. It
+	// is built at the first deletion: certificate traces never delete, so
+	// they never pay for it.
+	byKey map[string][]int32
 
 	val    []int8 // 1 true, -1 false, 0 unassigned
 	trail  []cnf.Lit
 	reason []int32 // per var: clause id forcing it, or -1
 	queue  int
+
+	// The units' fixpoint, kept across lemma checks. While topValid,
+	// trail[:top] is the propagation fixpoint of the active unit clauses,
+	// or, when topConfl ≥ 0, that propagation reached a conflict at
+	// clause topConfl (already marked) and every lemma is RUP.
+	topValid bool
+	top      int
+	topConfl int32
+
+	seen  []uint32 // per var: the markFrom call that last visited it
+	stamp uint32
+	stack []cnf.Lit
 }
 
 func newChecker(f *cnf.Formula) *checker {
 	c := &checker{
-		nVars:    f.NumVars,
-		byKey:    make(map[string][]int32),
-		byRecord: make(map[int]int32),
-		deleted:  make(map[int]int32),
-		val:      make([]int8, f.NumVars),
-		reason:   make([]int32, f.NumVars),
+		watches: make([][]int32, 2*f.NumVars),
+		val:     make([]int8, f.NumVars),
+		reason:  make([]int32, f.NumVars),
+		seen:    make([]uint32, f.NumVars),
 	}
-	c.watches = make([][]int32, 2*f.NumVars)
+	for v := range c.reason {
+		c.reason[v] = -1
+	}
 	for _, cl := range f.Clauses {
 		c.install(cl)
 	}
 	return c
 }
 
+// canonical returns a fresh copy of lits as a sorted set, the form install
+// stores and deletions match on; order and repetition are irrelevant to
+// RUP, and the two watches of a set are always distinct.
+func canonical(lits []cnf.Lit) []cnf.Lit {
+	s := slices.Clone(lits)
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// key returns the map key of a literal set in canonical form.
+func key(set []cnf.Lit) string {
+	b := make([]byte, 0, 4*len(set))
+	for _, l := range set {
+		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
+	}
+	return string(b)
+}
+
 // install appends a clause (copying it), activates it, and hooks watches.
 func (c *checker) install(lits []cnf.Lit) int32 {
 	id := int32(len(c.clauses))
-	cl := make([]cnf.Lit, len(lits))
-	copy(cl, lits)
-	// Sort and drop duplicate literals so the two watches are always
-	// distinct; order is irrelevant to RUP.
-	slices.Sort(cl)
-	cl = slices.Compact(cl)
+	cl := canonical(lits)
 	c.clauses = append(c.clauses, cl)
 	c.active = append(c.active, true)
 	c.marked = append(c.marked, false)
@@ -163,69 +189,113 @@ func (c *checker) install(lits []cnf.Lit) int32 {
 	} else {
 		c.units = append(c.units, id)
 	}
-	c.byKey[key(lits)] = append(c.byKey[key(lits)], id)
-	c.lastID = id
+	if c.byKey != nil {
+		k := key(cl)
+		c.byKey[k] = append(c.byKey[k], id)
+	}
 	return id
 }
 
-func (c *checker) delete(recIdx int, lits []cnf.Lit) {
-	ids := c.byKey[key(lits)]
+// delete deactivates the most recently installed active clause with the
+// literal set of lits and returns its id, or -1 when none is active.
+// Deleting a clause that is not active is ignored: the checker's active set
+// stays a superset of the producer's, and RUP is monotone in the clause
+// set.
+func (c *checker) delete(lits []cnf.Lit) int32 {
+	if c.byKey == nil {
+		// Deletions come in the forward pass, before any propagation, so
+		// every installed clause is still in canonical form.
+		c.byKey = make(map[string][]int32, len(c.clauses))
+		for id, cl := range c.clauses {
+			k := key(cl)
+			c.byKey[k] = append(c.byKey[k], int32(id))
+		}
+	}
+	ids := c.byKey[key(canonical(lits))]
 	for i := len(ids) - 1; i >= 0; i-- {
 		if c.active[ids[i]] {
 			c.active[ids[i]] = false
-			c.deleted[recIdx] = ids[i]
-			return
+			return ids[i]
 		}
 	}
-	// Deleting a clause that is not active is ignored: the checker's
-	// active set stays a superset of the producer's, and RUP is monotone
-	// in the clause set.
+	return -1
 }
 
-func (c *checker) undelete(recIdx int) {
-	if id, ok := c.deleted[recIdx]; ok {
-		c.active[id] = true
+// undelete reactivates a clause the forward pass deleted. It may be unit or
+// falsified under the kept fixpoint, so the fixpoint is rebuilt.
+func (c *checker) undelete(id int32) {
+	c.active[id] = true
+	c.dropTop()
+}
+
+// deactivate retires clause id in the backward sweep. Retiring the
+// fixpoint's conflict or the reason of one of its literals invalidates it;
+// retiring any other clause leaves the fixpoint implied by the clauses
+// still active, and still a fixpoint.
+func (c *checker) deactivate(id int32) {
+	c.active[id] = false
+	if !c.topValid {
+		return
+	}
+	if cl := c.clauses[id]; id == c.topConfl || len(cl) > 0 && c.reason[cl[0].Var()] == id {
+		c.dropTop()
 	}
 }
 
-func (c *checker) deactivate(id int32) { c.active[id] = false }
-func (c *checker) deactivateLast()     { c.active[c.lastID] = false }
-
-// key returns a canonical map key for a clause (sorted literal set).
-func key(lits []cnf.Lit) string {
-	s := make([]cnf.Lit, len(lits))
-	copy(s, lits)
-	slices.Sort(s)
-	b := make([]byte, 0, 4*len(s))
-	for _, l := range s {
-		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
-	}
-	return string(b)
+// dropTop discards the kept fixpoint; the next rup derives it again.
+func (c *checker) dropTop() {
+	c.backtrack(0)
+	c.topValid = false
 }
 
-// rup asserts the negation of lemma, propagates over the active clauses,
-// and requires a conflict; the conflict's antecedents are marked. The
-// assignment is fully reset afterwards.
-func (c *checker) rup(lemma []cnf.Lit) error {
-	defer c.reset()
-	for _, l := range lemma {
-		if !c.enqueue(l.Neg(), -1) {
-			// The negated lemma is itself contradictory (the lemma is a
-			// tautology): trivially valid, nothing to mark.
-			return nil
-		}
-	}
+// settle derives the fixpoint of the active unit clauses on an empty trail.
+// A conflict there is marked once and recorded in topConfl.
+func (c *checker) settle() {
+	c.topValid, c.topConfl = true, -1
 	for _, id := range c.units {
 		if !c.active[id] {
 			continue
 		}
 		cl := c.clauses[id]
 		if len(cl) == 0 {
+			c.topConfl = id
 			c.markFrom(id)
-			return nil
+			return
 		}
 		if !c.enqueue(cl[0], id) {
+			c.topConfl = id
 			c.markConflict(cl[0], id)
+			return
+		}
+	}
+	if confl := c.propagate(); confl >= 0 {
+		c.topConfl = confl
+		c.markFrom(confl)
+		return
+	}
+	c.top = len(c.trail)
+}
+
+// rup asserts the negation of lemma on top of the units' fixpoint,
+// propagates over the active clauses, and requires a conflict; the
+// conflict's antecedents are marked. The trail is cut back to the fixpoint
+// afterwards.
+func (c *checker) rup(lemma []cnf.Lit) error {
+	if !c.topValid {
+		c.settle()
+	}
+	if c.topConfl >= 0 {
+		return nil // the units alone conflict: every lemma is RUP
+	}
+	defer c.backtrack(c.top)
+	for _, l := range lemma {
+		if !c.enqueue(l.Neg(), -1) {
+			// l is already true. The fixpoint implied it (mark why), or
+			// an earlier literal of the lemma did, which makes the lemma a
+			// tautology: trivially valid, and its reason -1 marks nothing.
+			if r := c.reason[l.Var()]; r >= 0 {
+				c.markFrom(r)
+			}
 			return nil
 		}
 	}
@@ -323,23 +393,26 @@ func (c *checker) propagate() int32 {
 // markFrom marks the conflicting clause and, transitively, every reason
 // clause of the literals falsifying it.
 func (c *checker) markFrom(confl int32) {
-	seen := make(map[cnf.Var]bool)
-	var stack []cnf.Lit
+	c.stamp++
+	if c.stamp == 0 { // wrapped: clear stamps that could match again
+		clear(c.seen)
+		c.stamp = 1
+	}
 	c.marked[confl] = true
-	stack = append(stack, c.clauses[confl]...)
+	stack := append(c.stack[:0], c.clauses[confl]...)
 	for len(stack) > 0 {
-		l := stack[len(stack)-1]
+		v := stack[len(stack)-1].Var()
 		stack = stack[:len(stack)-1]
-		v := l.Var()
-		if seen[v] {
+		if c.seen[v] == c.stamp {
 			continue
 		}
-		seen[v] = true
+		c.seen[v] = c.stamp
 		if r := c.reason[v]; r >= 0 {
 			c.marked[r] = true
 			stack = append(stack, c.clauses[r]...)
 		}
 	}
+	c.stack = stack
 }
 
 // markConflict handles a conflict found while asserting unit clauses: the
@@ -351,11 +424,12 @@ func (c *checker) markConflict(l cnf.Lit, id int32) {
 	}
 }
 
-func (c *checker) reset() {
-	for _, l := range c.trail {
+// backtrack unassigns trail[n:].
+func (c *checker) backtrack(n int) {
+	for _, l := range c.trail[n:] {
 		c.val[l.Var()] = 0
 		c.reason[l.Var()] = -1
 	}
-	c.trail = c.trail[:0]
-	c.queue = 0
+	c.trail = c.trail[:n]
+	c.queue = n
 }

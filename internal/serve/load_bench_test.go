@@ -1,0 +1,96 @@
+package serve
+
+import (
+	"context"
+	"math/rand/v2"
+	"path/filepath"
+	"sync"
+	"testing"
+
+	"repro/internal/cnf"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/opt"
+	"repro/internal/store"
+)
+
+// storeLoadPayloads are the records BenchmarkStoreLoad boots from, built
+// once per process: certified OLL verdicts of 300 renamings of the weighted
+// suite, the records maxsatbench's durable-weighted workload stores.
+var storeLoadPayloads = sync.OnceValues(func() ([][]byte, error) {
+	const records = 300
+	ctx := context.Background()
+	insts := gen.WeightedSuite(1)
+	payloads := make([][]byte, records)
+	for i := range payloads {
+		w := renamed(insts[i%len(insts)].W, rand.New(rand.NewPCG(uint64(i), 1)))
+		r := core.NewOLL(opt.Options{}).Solve(ctx, w, nil)
+		cert, err := opt.Certify(ctx, w, r, opt.Options{})
+		if err != nil {
+			return nil, err
+		}
+		payloads[i] = encodeStoreEntry(w, "oll", cert)
+	}
+	return payloads, nil
+})
+
+// renamed permutes w's variables and flips the sign of a random half of
+// them: the same instance under another fingerprint.
+func renamed(w *cnf.WCNF, rng *rand.Rand) *cnf.WCNF {
+	perm := rng.Perm(w.NumVars)
+	flip := make([]bool, w.NumVars)
+	for v := range flip {
+		flip[v] = rng.IntN(2) == 1
+	}
+	out := &cnf.WCNF{NumVars: w.NumVars, Clauses: make([]cnf.WClause, len(w.Clauses))}
+	for i, c := range w.Clauses {
+		lits := make(cnf.Clause, len(c.Clause))
+		for j, l := range c.Clause {
+			lits[j] = cnf.PosLit(cnf.Var(perm[l.Var()]))
+			if l.Sign() != flip[l.Var()] {
+				lits[j] = lits[j].Neg()
+			}
+		}
+		out.Clauses[i] = cnf.WClause{Clause: lits, Weight: c.Weight}
+	}
+	return out
+}
+
+// BenchmarkStoreLoad times a durable server's boot: OpenResultStore on a
+// log of 300 certified records, then New, which re-proves every record
+// before it returns. It reports ms/record, the boot time per stored record.
+func BenchmarkStoreLoad(b *testing.B) {
+	payloads, err := storeLoadPayloads()
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "results.log")
+	l, _, _, err := store.Open(path, store.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := l.Append(recResult, p, false); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := OpenResultStore(path, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := New(Config{Workers: 1, Store: rs})
+		b.StopTimer()
+		if st := s.Stats(); st.Recovered != int64(len(payloads)) {
+			b.Fatalf("recovered %d of %d records (%d rejected)", st.Recovered, len(payloads), st.RecoveredRejected)
+		}
+		s.Close()
+		rs.Close()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*len(payloads)), "ms/record")
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -267,6 +268,133 @@ func TestStoreRecoversPastCacheCapacity(t *testing.T) {
 			t.Fatalf("formula %d after restart: cached=%t, want %t: %+v", i, r.Cached, i > 0, r)
 		}
 	}
+}
+
+// TestStoreParallelLoadKeepsLogOrder restarts on a store that holds more
+// records than the memory tier, four of them with a certificate that
+// Faults.CorruptStore corrupted on the way to disk, and asserts that the
+// parallel re-proof keeps the sequential contract: the memory tier holds the
+// newest accepted records in LRU order, every record is counted, the
+// rejections are audited in log order, and the compacted log keeps exactly
+// the accepted records.
+func TestStoreParallelLoadKeepsLogOrder(t *testing.T) {
+	const n, capacity = 12, 3
+	// Each corrupted record flips one bit of its certificate's kind byte
+	// (1, OPTIMAL), so each rejection names a kind of its own.
+	corruptBit := map[int]int{1: 1, 4: 0, 5: 2, 9: 3}
+	path := filepath.Join(t.TempDir(), "results.log")
+
+	var payloadLen, certLen int // of the record being saved
+	faults := &Faults{CorruptStore: func(seq uint64) int {
+		bit, ok := corruptBit[int(seq)]
+		if !ok {
+			return -1
+		}
+		kindByte := payloadLen - certLen + 4 // after the "MXC1" magic
+		return 8*kindByte + bit
+	}}
+	rs := openStoreT(t, path, faults)
+	formulas := make([]*cnf.WCNF, n)
+	for i := range formulas {
+		w := cnf.NewWCNF(i + 1)
+		w.AddSoft(1, cnf.PosLit(cnf.Var(i)))
+		w.AddSoft(1, cnf.NegLit(cnf.Var(i)))
+		formulas[i] = w
+	}
+	// Record 0 takes far longer to re-prove than the rest, so with two or
+	// more workers it finishes last; its verdict must still be seeded
+	// first.
+	formulas[0] = pigeonholeSoft(6, 5)
+	for i, w := range formulas {
+		cert := certifying()(context.Background(), w, nil, Grant{}).Certificate
+		if len(cert) == 0 {
+			t.Fatalf("formula %d: no certificate", i)
+		}
+		meta := fmt.Sprintf("record %d", i)
+		payloadLen, certLen = len(encodeStoreEntry(w, meta, cert)), len(cert)
+		if err := rs.save(w, meta, cert); err != nil {
+			t.Fatalf("save %d: %v", i, err)
+		}
+	}
+	rs.Close()
+
+	var accepted []int
+	var wantAudits []string
+	for i := range formulas {
+		if bit, ok := corruptBit[i]; ok {
+			wantAudits = append(wantAudits, fmt.Sprintf("store: entry rejected: proof: unknown certificate kind %d", 1^(1<<bit)))
+		} else {
+			accepted = append(accepted, i)
+		}
+	}
+	var audits []string
+	rs2 := openStoreT(t, path, nil)
+	s := New(Config{Workers: 1, CacheEntries: capacity, Store: rs2, Audit: func(e AuditEvent) {
+		if e.Action == "recover" {
+			audits = append(audits, e.Detail)
+		}
+	}})
+	if st := s.Stats(); st.Recovered != int64(len(accepted)) || st.RecoveredRejected != int64(len(corruptBit)) {
+		t.Errorf("Recovered = %d, RecoveredRejected = %d, want %d and %d",
+			st.Recovered, st.RecoveredRejected, len(accepted), len(corruptBit))
+	}
+	if !slices.Equal(audits, wantAudits) {
+		t.Errorf("recovery audits:\n got %q\nwant %q", audits, wantAudits)
+	}
+	var lru, wantLRU []string // most recently used first
+	for el := s.results.ll.Front(); el != nil; el = el.Next() {
+		lru = append(lru, el.Value.(*verdict).meta)
+	}
+	for _, i := range slices.Backward(accepted[len(accepted)-capacity:]) {
+		wantLRU = append(wantLRU, fmt.Sprintf("record %d", i))
+	}
+	if !slices.Equal(lru, wantLRU) {
+		t.Errorf("memory tier %q, want %q", lru, wantLRU)
+	}
+	for el, i := s.results.ll.Front(), len(accepted)-1; el != nil; el, i = el.Next(), i-1 {
+		v := el.Value.(*verdict)
+		if v.key != keyFor(formulas[accepted[i]]) || v.res.Status != opt.StatusOptimal || v.res.Cost != 1 {
+			t.Errorf("%s: memory-tier entry does not hold its formula's verdict: %+v", v.meta, v.res)
+		}
+	}
+	s.Close()
+	rs2.Close()
+
+	rs3 := openStoreT(t, path, nil)
+	defer rs3.Close()
+	var compacted []string
+	for _, e := range rs3.entries {
+		compacted = append(compacted, e.meta)
+	}
+	var wantCompacted []string
+	for _, i := range accepted {
+		wantCompacted = append(wantCompacted, fmt.Sprintf("record %d", i))
+	}
+	if rs3.dropped != 0 || !slices.Equal(compacted, wantCompacted) {
+		t.Errorf("compacted log holds %q (%d dropped), want %q", compacted, rs3.dropped, wantCompacted)
+	}
+}
+
+// pigeonholeSoft places pigeons in holes with one soft clause per pigeon:
+// the optimum leaves pigeons−holes of them homeless.
+func pigeonholeSoft(pigeons, holes int) *cnf.WCNF {
+	w := cnf.NewWCNF(pigeons * holes)
+	v := func(p, h int) cnf.Lit { return cnf.PosLit(cnf.Var(p*holes + h)) }
+	for p := 0; p < pigeons; p++ {
+		var c []cnf.Lit
+		for h := 0; h < holes; h++ {
+			c = append(c, v(p, h))
+		}
+		w.AddSoft(1, c...)
+	}
+	for h := 0; h < holes; h++ {
+		for p := 0; p < pigeons; p++ {
+			for q := p + 1; q < pigeons; q++ {
+				w.AddHard(v(p, h).Neg(), v(q, h).Neg())
+			}
+		}
+	}
+	return w
 }
 
 // TestJournalReplay shuts a server down with one running and one queued job

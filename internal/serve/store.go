@@ -5,8 +5,10 @@ import (
 	"container/list"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cnf"
 	"repro/internal/opt"
@@ -38,7 +40,9 @@ import (
 //   - load: every disk record is re-proved against its own recovered
 //     formula, and the served result is rebuilt from the certificate alone.
 //     Every record is re-proved and counted, also past the memory tier's
-//     capacity; rejected records are compacted away.
+//     capacity; the records are re-proved on every CPU, then the memory
+//     tier is seeded and rejections are audited in log order. Rejected
+//     records are compacted away.
 type verifiedStore struct {
 	disk   *ResultStore // nil keeps every verdict in memory only
 	faults *Faults
@@ -127,7 +131,7 @@ func (vs *verifiedStore) insert(w *cnf.WCNF, k formulaKey, id uint64, r Result) 
 // load re-proves every record the disk tier recovered at open and seeds the
 // memory tier, in log order, with the ones that pass. It returns how many
 // records it accepted and how many the integrity layer or the checker
-// rejected; each rejection is audited.
+// rejected; each rejection is audited, in log order.
 func (vs *verifiedStore) load(audit func(AuditEvent)) (recovered, rejected int64) {
 	rs := vs.disk
 	if rs == nil {
@@ -138,21 +142,14 @@ func (vs *verifiedStore) load(audit func(AuditEvent)) (recovered, rejected int64
 		audit(AuditEvent{Action: "recover", Detail: fmt.Sprintf("store: %d records dropped by integrity layer", rs.dropped)})
 	}
 	var kept []storeEntry
-	for _, e := range rs.entries {
-		cert, err := proof.Decode(e.cert)
-		if err == nil {
-			err = proof.Check(e.w, cert)
-		}
-		if err != nil {
+	for i, p := range reprove(rs.entries) {
+		if p.err != nil {
 			rejected++
-			audit(AuditEvent{Action: "recover", Detail: "store: entry rejected: " + err.Error()})
+			audit(AuditEvent{Action: "recover", Detail: "store: entry rejected: " + p.err.Error()})
 			continue
 		}
-		res := opt.Result{Status: opt.StatusUnsat, Cost: -1, Certificate: e.cert}
-		if cert.Kind == proof.KindOptimal {
-			res.Status, res.Cost, res.LowerBound, res.Model = opt.StatusOptimal, cert.Cost, cert.Cost, cert.Model
-		}
-		vs.remember(keyFor(e.w), res, e.meta)
+		e := rs.entries[i]
+		vs.remember(keyFor(e.w), p.res, e.meta)
 		recovered++
 		kept = append(kept, e)
 	}
@@ -162,6 +159,55 @@ func (vs *verifiedStore) load(audit func(AuditEvent)) (recovered, rejected int64
 	}
 	rs.entries = nil // the memory tier owns the data now
 	return recovered, rejected
+}
+
+// proved is one stored record's re-proof: the verdict its certificate
+// carries, or why the certificate was rejected.
+type proved struct {
+	res opt.Result
+	err error
+}
+
+// reprove decodes and checks the certificate of every entry against the
+// entry's own formula. The records are independent, so it checks them on
+// GOMAXPROCS goroutines, each taking the next unchecked index; the
+// verdicts come back in entry order.
+func reprove(entries []storeEntry) []proved {
+	out := make([]proved, len(entries))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(entries)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(entries) {
+					return
+				}
+				out[i] = reproveOne(entries[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// reproveOne rebuilds the served result of one entry from its certificate
+// alone; the decoded proof steps are dropped once checked.
+func reproveOne(e storeEntry) proved {
+	cert, err := proof.Decode(e.cert)
+	if err == nil {
+		err = proof.Check(e.w, cert)
+	}
+	if err != nil {
+		return proved{err: err}
+	}
+	res := opt.Result{Status: opt.StatusUnsat, Cost: -1, Certificate: e.cert}
+	if cert.Kind == proof.KindOptimal {
+		res.Status, res.Cost, res.LowerBound, res.Model = opt.StatusOptimal, cert.Cost, cert.Cost, cert.Model
+	}
+	return proved{res: res}
 }
 
 // remember puts a trusted verdict at the front of the memory tier, evicting
