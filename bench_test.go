@@ -488,29 +488,3 @@ func BenchmarkWeightedFamilies(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkClauseManagement compares MiniSat's activity-based learnt-clause
-// deletion (the paper-era policy) against Glucose-style LBD deletion on a
-// pigeonhole proof.
-func BenchmarkClauseManagement(b *testing.B) {
-	for _, mode := range []sat.ClauseManagement{sat.ActivityBased, sat.LBDBased} {
-		name := "activity"
-		if mode == sat.LBDBased {
-			name = "lbd"
-		}
-		mode := mode
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := sat.New()
-				s.Management = mode
-				in := gen.Pigeonhole(7)
-				for _, c := range in.W.Clauses {
-					s.AddClauseFrom(c.Clause)
-				}
-				if st := s.Solve(); st != sat.Unsat {
-					b.Fatalf("php: %v", st)
-				}
-			}
-		})
-	}
-}

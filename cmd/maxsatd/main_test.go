@@ -277,6 +277,11 @@ func TestBadRequests(t *testing.T) {
 	if _, code := postSolve(t, ts, []byte("this is not dimacs"), ""); code != http.StatusBadRequest {
 		t.Errorf("garbage body: status %d, want 400", code)
 	}
+	// A variable index no literal can encode is a parse error, never a
+	// solve sized by it.
+	if _, code := postSolve(t, ts, []byte("p cnf 5 1\n3000000000 0\n"), ""); code != http.StatusBadRequest {
+		t.Errorf("out-of-range literal: status %d, want 400", code)
+	}
 	body := dimacs(t, gen.Pigeonhole(3).W)
 	if _, code := postSolve(t, ts, body, "?alg=nope"); code != http.StatusBadRequest {
 		t.Errorf("unknown algorithm: status %d, want 400", code)

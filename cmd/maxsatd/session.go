@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro"
+	"repro/internal/cnf"
 )
 
 // Session endpoints: the incremental-solving surface of the daemon.
@@ -146,7 +147,7 @@ func (d *daemon) sessionDelta(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			v, err := strconv.Atoi(tok)
-			if err != nil || v == 0 {
+			if err != nil || v == 0 || v > cnf.MaxDIMACSVar || v < -cnf.MaxDIMACSVar {
 				httpError(w, http.StatusBadRequest, "bad assumption literal %q", tok)
 				return
 			}

@@ -179,6 +179,22 @@ func TestSessionHTTPErrors(t *testing.T) {
 	if code := sessionReq(t, ts, "POST", base+"/delta?assume=0", nil, "", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad assumption: status %d, want 400", code)
 	}
+	// Variable indices no literal can encode are rejected before they reach
+	// the session, whose size stays as opened.
+	if code := sessionReq(t, ts, "POST", base+"/delta?assume=3000000000", nil, "", nil); code != http.StatusBadRequest {
+		t.Fatalf("out-of-range assumption: status %d, want 400", code)
+	}
+	if code := sessionReq(t, ts, "POST", base+"/delta", []byte("1 3000000000 0\n"), "", nil); code != http.StatusBadRequest {
+		t.Fatalf("out-of-range delta literal: status %d, want 400", code)
+	}
+	var after sessionJSON
+	if code := sessionReq(t, ts, "POST", base+"/delta", nil, "", &after); code != http.StatusOK {
+		t.Fatalf("empty delta: status %d", code)
+	}
+	if after.Vars != sess.Vars || after.Clauses != sess.Clauses {
+		t.Fatalf("session size %d vars %d clauses after rejected deltas, want %d/%d",
+			after.Vars, after.Clauses, sess.Vars, sess.Clauses)
+	}
 	// A weighted soft under msu3 (unit-weight-only) is rejected before it
 	// reaches the accumulation.
 	if code := sessionReq(t, ts, "POST", base+"/delta", []byte("5 2 0\n"), "", nil); code != http.StatusBadRequest {

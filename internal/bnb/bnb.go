@@ -31,10 +31,6 @@ import (
 // partial MaxSAT.
 type BnB struct {
 	Opts opt.Options
-	// DisableUPLB turns off the unit-propagation lower bound, leaving only
-	// the trivial distance bound (ablation; reproduces the gap the [17]
-	// technique closed).
-	DisableUPLB bool
 }
 
 // New returns a maxsatz-style solver with the given options.
@@ -91,7 +87,6 @@ type searcher struct {
 	ctx     context.Context
 	pulse   *atomic.Int64 // liveness heartbeat (sat.WithProgress)
 	aborted bool
-	upLB    bool
 	hardBad bool // hard clause falsified during the current assign batch
 }
 
@@ -111,8 +106,7 @@ func (b *BnB) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res o
 	}
 	defer prep.Finish(&res)
 
-	s := &searcher{nv: w.NumVars, upLB: !b.DisableUPLB, ctx: ctx, shared: shared, prep: prep,
-		pulse: sat.ProgressFrom(ctx)}
+	s := &searcher{nv: w.NumVars, ctx: ctx, shared: shared, prep: prep, pulse: sat.ProgressFrom(ctx)}
 	if s.expired() {
 		res.Status = opt.StatusUnknown
 		return res
@@ -349,7 +343,7 @@ func (s *searcher) dfs() {
 		s.undoTo(mark)
 		return
 	}
-	if s.upLB && s.cost+s.underestimate() >= s.ub {
+	if s.cost+s.underestimate() >= s.ub {
 		s.undoTo(mark)
 		return
 	}

@@ -61,45 +61,40 @@ func TestAgainstBruteForce(t *testing.T) {
 		weighted := iter%3 == 0
 		w := randomWCNF(rng, 3+rng.Intn(8), 4+rng.Intn(24), partial, weighted)
 		want, _, feasible := brute.MinCostWCNF(w)
-		for _, solver := range []*BnB{New(opt.Options{}), {DisableUPLB: true}} {
-			r := solver.Solve(context.Background(), w, nil)
-			if !feasible {
-				if r.Status != opt.StatusUnsat {
-					t.Fatalf("iter %d (uplb=%v): status %v, want UNSAT",
-						iter, !solver.DisableUPLB, r.Status)
-				}
-				continue
+		r := New(opt.Options{}).Solve(context.Background(), w, nil)
+		if !feasible {
+			if r.Status != opt.StatusUnsat {
+				t.Fatalf("iter %d: status %v, want UNSAT", iter, r.Status)
 			}
-			if r.Status != opt.StatusOptimal {
-				t.Fatalf("iter %d (uplb=%v): status %v", iter, !solver.DisableUPLB, r.Status)
-			}
-			if r.Cost != want {
-				t.Fatalf("iter %d (uplb=%v): cost %d, want %d\n%v",
-					iter, !solver.DisableUPLB, r.Cost, want, w.Clauses)
-			}
-			if !opt.VerifyModel(w, r) {
-				t.Fatalf("iter %d: model inconsistent", iter)
-			}
+			continue
+		}
+		if r.Status != opt.StatusOptimal {
+			t.Fatalf("iter %d: status %v", iter, r.Status)
+		}
+		if r.Cost != want {
+			t.Fatalf("iter %d: cost %d, want %d\n%v", iter, r.Cost, want, w.Clauses)
+		}
+		if !opt.VerifyModel(w, r) {
+			t.Fatalf("iter %d: model inconsistent", iter)
 		}
 	}
 }
 
 func TestUPLBPrunesMore(t *testing.T) {
-	// On contradictory-unit-rich instances, the UP lower bound should
-	// explore no more nodes than the trivial bound.
+	// Eight contradictory unit pairs: the unit-propagation lower bound finds
+	// all eight disjoint inconsistencies at the root, so the search settles
+	// in one node. The trivial distance bound alone needs 511.
 	w := cnf.NewWCNF(8)
 	for v := 1; v <= 8; v++ {
 		w.AddSoft(1, lit(v))
 		w.AddSoft(1, lit(-v))
 	}
-	with := New(opt.Options{}).Solve(context.Background(), w, nil)
-	without := (&BnB{DisableUPLB: true}).Solve(context.Background(), w, nil)
-	if with.Cost != 8 || without.Cost != 8 {
-		t.Fatalf("costs %d/%d, want 8", with.Cost, without.Cost)
+	r := New(opt.Options{}).Solve(context.Background(), w, nil)
+	if r.Status != opt.StatusOptimal || r.Cost != 8 {
+		t.Fatalf("status %v cost %d, want OPTIMAL 8", r.Status, r.Cost)
 	}
-	if with.Iterations > without.Iterations {
-		t.Fatalf("UP LB explored more nodes (%d) than trivial bound (%d)",
-			with.Iterations, without.Iterations)
+	if r.Iterations != 1 {
+		t.Fatalf("explored %d nodes, want 1: the UP lower bound did not close the root", r.Iterations)
 	}
 }
 

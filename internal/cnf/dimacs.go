@@ -23,6 +23,32 @@ func parseErr(line int, format string, args ...any) error {
 	return &ParseError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
+// MaxDIMACSVar is the largest DIMACS variable index a Lit can encode: the
+// negative literal of variable 2^30 is 2(2^30−1)+1, the largest int32.
+// The parsers reject a larger literal or header variable count.
+const MaxDIMACSVar = 1 << 30
+
+// parseVarCount parses a header's variable count.
+func parseVarCount(line int, tok string) (int, error) {
+	nv, err := strconv.Atoi(tok)
+	if err != nil || nv < 0 || nv > MaxDIMACSVar {
+		return 0, parseErr(line, "bad variable count %q (want 0..%d)", tok, MaxDIMACSVar)
+	}
+	return nv, nil
+}
+
+// parseLit parses one DIMACS literal token; 0 is the clause terminator.
+func parseLit(line int, tok string) (int, error) {
+	v, err := strconv.Atoi(tok)
+	if err != nil {
+		return 0, parseErr(line, "bad literal %q", tok)
+	}
+	if v > MaxDIMACSVar || v < -MaxDIMACSVar {
+		return 0, parseErr(line, "literal %q out of range (variables are 1..%d)", tok, MaxDIMACSVar)
+	}
+	return v, nil
+}
+
 // ParseDIMACS reads a DIMACS CNF formula. It tolerates comment lines anywhere,
 // clauses spanning multiple lines, and clause/variable counts in the header
 // that disagree with the body (the body wins for variables; a mismatched
@@ -50,9 +76,9 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 			if len(fields) != 4 || fields[1] != "cnf" {
 				return nil, parseErr(line, "malformed header %q (want \"p cnf <vars> <clauses>\")", text)
 			}
-			nv, err := strconv.Atoi(fields[2])
-			if err != nil || nv < 0 {
-				return nil, parseErr(line, "bad variable count %q", fields[2])
+			nv, err := parseVarCount(line, fields[2])
+			if err != nil {
+				return nil, err
 			}
 			if _, err := strconv.Atoi(fields[3]); err != nil {
 				return nil, parseErr(line, "bad clause count %q", fields[3])
@@ -65,9 +91,9 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 			return nil, parseErr(line, "clause before p line")
 		}
 		for _, tok := range strings.Fields(text) {
-			v, err := strconv.Atoi(tok)
+			v, err := parseLit(line, tok)
 			if err != nil {
-				return nil, parseErr(line, "bad literal %q", tok)
+				return nil, err
 			}
 			if v == 0 {
 				f.Clauses = append(f.Clauses, cur)
@@ -178,9 +204,9 @@ func ParseWCNF(r io.Reader) (*WCNF, error) {
 			default:
 				return nil, parseErr(line, "unknown format %q", fields[1])
 			}
-			nv, err := strconv.Atoi(fields[2])
-			if err != nil || nv < 0 {
-				return nil, parseErr(line, "bad variable count %q", fields[2])
+			nv, err := parseVarCount(line, fields[2])
+			if err != nil {
+				return nil, err
 			}
 			declaredVars = nv
 			sawHeader = true
@@ -227,9 +253,9 @@ func ParseWCNF(r io.Reader) (*WCNF, error) {
 		var cur Clause
 		closed := false
 		for _, tok := range toks[start:] {
-			v, err := strconv.Atoi(tok)
+			v, err := parseLit(line, tok)
 			if err != nil {
-				return nil, parseErr(line, "bad literal %q", tok)
+				return nil, err
 			}
 			if v == 0 {
 				closed = true

@@ -47,6 +47,33 @@ func TestParseDIMACSBodyGrowsVars(t *testing.T) {
 	}
 }
 
+// TestParseVarRange checks the largest variable index a Lit encodes,
+// 2^30, in every dialect, and the line number of an out-of-range literal.
+// It only parses: a solver sizes its per-variable state from NumVars.
+func TestParseVarRange(t *testing.T) {
+	for _, in := range []string{
+		"p cnf 1073741824 1\n1073741824 0\n",
+		"p wcnf 1073741824 1 10\n10 -1073741824 0\n",
+		"1 1073741824 0\n",
+	} {
+		w, err := ParseWCNF(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%q: %v", in, err)
+		}
+		if w.NumVars != MaxDIMACSVar {
+			t.Fatalf("%q: NumVars %d, want %d", in, w.NumVars, MaxDIMACSVar)
+		}
+	}
+	f, err := ParseDIMACS(strings.NewReader("p cnf 1 1\n-1073741824 0\n"))
+	if err != nil || f.NumVars != MaxDIMACSVar || f.Clauses[0][0].Var() != MaxDIMACSVar-1 {
+		t.Fatalf("largest literal: %v %+v", err, f)
+	}
+	_, err = ParseWCNF(strings.NewReader("p cnf 5 2\n1 0\n2 3000000000 0\n"))
+	if pe, ok := err.(*ParseError); !ok || pe.Line != 3 {
+		t.Fatalf("out-of-range literal: error %v, want a ParseError on line 3", err)
+	}
+}
+
 func TestParseDIMACSErrors(t *testing.T) {
 	cases := []string{
 		"1 2 0\n",                // clause before header
@@ -59,6 +86,11 @@ func TestParseDIMACSErrors(t *testing.T) {
 		"c only a comment\n",     // missing header
 		"p cnf 1\n",              // short header
 		"p cnf 1 1 1 1\n1 0\n",   // long header
+		// Beyond what a Lit encodes (MaxDIMACSVar).
+		"p cnf 5 1\n2147483648 0\n",
+		"p cnf 5 1\n3000000000 0\n",
+		"p cnf 5 1\n-3000000000 0\n",
+		"p cnf 3000000000 1\n1 0\n",
 	}
 	for _, in := range cases {
 		if _, err := ParseDIMACS(strings.NewReader(in)); err == nil {
@@ -174,6 +206,14 @@ func TestParseWCNFErrors(t *testing.T) {
 		"0 1 0\n",                // 2022: zero weight
 		"-3 1 0\n",               // 2022: negative weight
 		"w 1 0\n",                // 2022: bad hard marker
+		// Beyond what a Lit encodes (MaxDIMACSVar), in every dialect.
+		"p wcnf 5 1 10\n1 2147483648 0\n",
+		"p wcnf 5 1 10\n1 -3000000000 0\n",
+		"p wcnf 3000000000 1 10\n1 1 0\n",
+		"p cnf 5 1\n3000000000 0\n",
+		"p cnf 3000000000 1\n1 0\n",
+		"h 3000000000 0\n",
+		"1 -2147483648 0\n",
 	}
 	for _, in := range cases {
 		if _, err := ParseWCNF(strings.NewReader(in)); err == nil {

@@ -41,7 +41,6 @@ func allSolvers(o opt.Options) []opt.Solver {
 		&MSU4{Opts: o, ReencodeBounds: true, Encoding: card.Sequential},
 		&MSU4{Opts: o, ReencodeBounds: true, Encoding: card.Totalizer},
 		&MSU4{Opts: o, SkipAtLeast1: true},
-		&MSU3{Opts: o, DisjointPhase: true},
 	}
 }
 
@@ -379,25 +378,6 @@ func TestMSU4AdoptsExternalUB(t *testing.T) {
 	}
 	if !opt.VerifyModel(w, r) {
 		t.Fatal("model inconsistent with cost")
-	}
-}
-
-func TestMSU3DisjointPhaseLowerBound(t *testing.T) {
-	// Six disjoint contradictory pairs: the disjoint phase alone should
-	// reach lb = 6 and the main loop should confirm immediately.
-	w := cnf.NewWCNF(6)
-	for v := 1; v <= 6; v++ {
-		w.AddSoft(1, lit(v))
-		w.AddSoft(1, lit(-v))
-	}
-	m := &MSU3{DisjointPhase: true}
-	r := m.Solve(context.Background(), w, nil)
-	if r.Status != opt.StatusOptimal || r.Cost != 6 {
-		t.Fatalf("status %v cost %d, want optimal 6", r.Status, r.Cost)
-	}
-	plain := NewMSU3(opt.Options{}).Solve(context.Background(), w, nil)
-	if plain.Cost != r.Cost {
-		t.Fatalf("disjoint phase changed the optimum: %d vs %d", r.Cost, plain.Cost)
 	}
 }
 

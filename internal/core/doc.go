@@ -38,11 +38,13 @@
 //   - MSU2, MSU3 — the intermediate algorithms of the companion report
 //     (Marques-Silva & Planes, arXiv:0712.0097): at most one blocking
 //     variable per clause and an UNSAT-driven lower-bound search. MSU3
-//     maintains the bound incrementally over a growing totalizer, in the
-//     Inc engine that also keeps serving sessions warm: a one-shot MSU3
-//     solve is a session with no deltas. MSU2 re-encodes the cardinality
-//     constraint (sequential/linear encoding) in a fresh solver each
-//     round, as solvers did before incremental encodings.
+//     maintains the bound incrementally over a growing totalizer, imposed
+//     from the first core on (the report's optional phase of unbounded
+//     disjoint cores is not implemented), in the Inc engine that also keeps
+//     serving sessions warm: a one-shot MSU3 solve is a session with no
+//     deltas. MSU2 re-encodes the cardinality constraint
+//     (sequential/linear encoding) in a fresh solver each round, as solvers
+//     did before incremental encodings.
 //
 // All algorithms handle partial MaxSAT (hard clauses) and require
 // unit-weight soft clauses; weighted instances must be routed to the PBO

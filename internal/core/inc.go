@@ -31,12 +31,11 @@ import (
 // their own variables), exactly like a one-shot totalizer that was built too
 // small would be unsound to keep querying.
 type Inc struct {
-	opts     opt.Options
-	disjoint bool // open every solve with MSU3.DisjointPhase's core extraction
-	s        *sat.Solver
-	vmap     []cnf.Var // external formula var → solver var
-	softs    []*softClause
-	owner    map[cnf.Var]*softClause
+	opts  opt.Options
+	s     *sat.Solver
+	vmap  []cnf.Var // external formula var → solver var
+	softs []*softClause
+	owner map[cnf.Var]*softClause
 
 	tot       *card.IncTotalizer
 	totLimit  int
@@ -177,8 +176,6 @@ func (m *Inc) solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, prep *
 		return
 	}
 	m.opts.ConfigureSolver(ctx, m.s)
-	// The disjoint phase imposes no bound and ends at its first SAT outcome.
-	disjoint := m.disjoint
 	for {
 		if ctx.Err() != nil {
 			finishUnknown(res, cnf.Weight(m.lb))
@@ -205,7 +202,7 @@ func (m *Inc) solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, prep *
 			}
 		}
 		boundLit := cnf.LitUndef
-		if m.tot != nil && !disjoint {
+		if m.tot != nil {
 			if bl, need := m.tot.Bound(m.lb); need {
 				boundLit = bl
 				m.assumps = append(m.assumps, bl)
@@ -222,12 +219,6 @@ func (m *Inc) solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, prep *
 
 		case sat.Sat:
 			res.SatCalls++
-			if disjoint && len(m.relaxedIn) > 0 {
-				// Relaxed clauses ran unbounded: the bounded search takes
-				// over at the credited lower bound.
-				disjoint = false
-				continue
-			}
 			model := m.s.Model()
 			res.Status = opt.StatusOptimal
 			res.Cost = cnf.Weight(modelCost(m.softs, model))
@@ -252,17 +243,13 @@ func (m *Inc) solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, prep *
 			switch {
 			case len(newBlocking) > 0:
 				// Fresh soft clauses entered a core: relax them and retry
-				// at the same bound (a disjoint core also credits one).
+				// at the same bound.
 				if m.tot == nil {
 					m.totLimit = len(m.softs) + 1
 					m.tot = card.NewIncTotalizer(m.s, nil, m.totLimit)
 				}
 				m.tot.AddInputs(newBlocking)
 				m.relaxedIn = append(m.relaxedIn, newBlocking...)
-				if disjoint {
-					m.lb++
-					shared.PublishLB(cnf.Weight(m.lb))
-				}
 			case sawBound:
 				// Core is {bound} (possibly with hard/relaxed context):
 				// the bound itself is too tight.

@@ -26,13 +26,6 @@ import (
 // optimality.
 type MSU3 struct {
 	Opts opt.Options
-	// DisjointPhase enables the report's preprocessing step: before the
-	// bounded search, repeatedly extract cores with no bound imposed,
-	// relaxing each and crediting the lower bound (disjoint cores in the
-	// sense of the paper's Proposition 1 — each round's core is disjoint
-	// from all previously relaxed clauses, so every assignment pays at
-	// least one unit per round).
-	DisjointPhase bool
 }
 
 // NewMSU3 returns msu3 with default options applied.
@@ -58,8 +51,6 @@ func (m *MSU3) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 	}
 	defer prep.Finish(&res)
 
-	inc := NewInc(m.Opts, w)
-	inc.disjoint = m.DisjointPhase
-	inc.solve(ctx, w, shared, prep, &res)
+	NewInc(m.Opts, w).solve(ctx, w, shared, prep, &res)
 	return res
 }

@@ -28,8 +28,6 @@ import (
 // attached.
 type WMSU4 struct {
 	Opts opt.Options
-	// SkipAtLeast1 disables the optional per-core clause (line 19).
-	SkipAtLeast1 bool
 }
 
 // NewWMSU4 returns wmsu4 with default options.
@@ -126,9 +124,7 @@ func (m *WMSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res
 					minW = cw
 				}
 			}
-			if !m.SkipAtLeast1 {
-				s.AddClause(newBlocking...)
-			}
+			s.AddClause(newBlocking...)
 			lb += minW
 			shared.PublishLB(lb)
 			if res.Model != nil && lb >= bestCost {

@@ -31,14 +31,13 @@ const CRefUndef CRef = ^CRef(0)
 //
 //	word 0   size<<3 | reloced<<2 | dead<<1 | learnt
 //	word 1   float32 activity bits (forwarding CRef while reloced during GC)
-//	word 2   LBD
-//	word 3+  literals, one cnf.Lit per word
+//	word 2+  literals, one cnf.Lit per word
 const (
 	hdrLearnt    = 1 << 0
 	hdrDead      = 1 << 1
 	hdrReloced   = 1 << 2
 	hdrSizeShift = 3
-	hdrWords     = 3
+	hdrWords     = 2
 )
 
 type arena struct {
@@ -72,7 +71,6 @@ func (a *arena) alloc(lits []cnf.Lit, learnt bool) CRef {
 	}
 	a.data[cr] = h
 	a.data[cr+1] = 0
-	a.data[cr+2] = 0
 	for i, l := range lits {
 		a.data[int(cr)+hdrWords+i] = uint32(l)
 	}
@@ -101,9 +99,6 @@ func (a *arena) activity(cr CRef) float32 {
 func (a *arena) setActivity(cr CRef, act float32) {
 	a.data[cr+1] = math.Float32bits(act)
 }
-
-func (a *arena) lbd(cr CRef) int32         { return int32(a.data[cr+2]) }
-func (a *arena) setLBD(cr CRef, lbd int32) { a.data[cr+2] = uint32(lbd) }
 
 // free marks cr dead. The words are reclaimed by the next GC pass; until
 // then propagate skips (and drops) watchers that reference the clause.

@@ -37,7 +37,6 @@ func TestArenaAllocFreeReloc(t *testing.T) {
 	cr1 := a.alloc(c1, false)
 	cr2 := a.alloc(c2, true)
 	a.setActivity(cr2, 3.5)
-	a.setLBD(cr2, 7)
 
 	if a.size(cr1) != 3 || a.size(cr2) != 2 {
 		t.Fatalf("sizes %d/%d, want 3/2", a.size(cr1), a.size(cr2))
@@ -67,8 +66,8 @@ func TestArenaAllocFreeReloc(t *testing.T) {
 	if to.size(n2) != 2 || !to.learnt(n2) || to.dead(n2) {
 		t.Fatal("relocated clause flags wrong")
 	}
-	if to.activity(n2) != 3.5 || to.lbd(n2) != 7 {
-		t.Fatalf("relocated act/lbd = %v/%v, want 3.5/7", to.activity(n2), to.lbd(n2))
+	if to.activity(n2) != 3.5 {
+		t.Fatalf("relocated activity = %v, want 3.5", to.activity(n2))
 	}
 	for i, want := range c2 {
 		if got := to.lit(n2, i); got != want {

@@ -110,18 +110,6 @@ type watcher struct {
 	blocker cnf.Lit
 }
 
-// ClauseManagement selects the learnt-clause deletion policy.
-type ClauseManagement int8
-
-// Deletion policies.
-const (
-	// ActivityBased is MiniSat's policy: delete low-activity halves.
-	ActivityBased ClauseManagement = iota
-	// LBDBased is the Glucose policy: delete high-LBD clauses first and
-	// always keep "glue" clauses (LBD <= 2).
-	LBDBased
-)
-
 // Solver is an incremental CDCL SAT solver. The zero value is not usable;
 // construct with New.
 type Solver struct {
@@ -169,11 +157,6 @@ type Solver struct {
 	budget Budget
 	pulse  *atomic.Int64 // liveness heartbeat from Budget.Ctx (see progress.go)
 	stats  Stats
-
-	// Management selects the learnt-clause deletion policy (default
-	// ActivityBased, the MiniSat behaviour matching the paper's era;
-	// LBDBased is the Glucose-style ablation).
-	Management ClauseManagement
 
 	lbdStamp   []uint32
 	lbdCounter uint32
@@ -699,19 +682,11 @@ func (s *Solver) locked(cr CRef) bool {
 func (s *Solver) reduceDB() {
 	extraLim := s.claInc / float64(len(s.learnts)+1)
 	ls := s.learnts
-	lbdMode := s.Management == LBDBased
 	// Sort ascending: clauses to delete first.
-	s.quickSortLearnts(ls, 0, len(ls)-1, lbdMode)
+	s.quickSortLearnts(ls, 0, len(ls)-1)
 	j := 0
 	for i, cr := range ls {
-		keepGlue := lbdMode && s.ca.lbd(cr) <= 2
-		del := s.ca.size(cr) > 2 && !s.locked(cr) && !keepGlue
-		if lbdMode {
-			del = del && i < len(ls)/2
-		} else {
-			del = del && (i < len(ls)/2 || float64(s.ca.activity(cr)) < extraLim)
-		}
-		if del {
+		if s.ca.size(cr) > 2 && !s.locked(cr) && (i < len(ls)/2 || float64(s.ca.activity(cr)) < extraLim) {
 			s.removeClause(cr)
 		} else {
 			ls[j] = cr
@@ -722,17 +697,9 @@ func (s *Solver) reduceDB() {
 	s.checkGarbage()
 }
 
-// learntLess orders learnt clauses for deletion: clauses to delete first.
-// ActivityBased is MiniSat's order (long low-activity first); LBDBased is
-// Glucose's (high LBD first, activity as tie-breaker).
-func (s *Solver) learntLess(a, b CRef, lbdMode bool) bool {
-	if lbdMode {
-		la, lb := s.ca.lbd(a), s.ca.lbd(b)
-		if la != lb {
-			return la > lb
-		}
-		return s.ca.activity(a) < s.ca.activity(b)
-	}
+// learntLess orders learnt clauses for deletion, clauses to delete first:
+// MiniSat's order, long low-activity clauses first.
+func (s *Solver) learntLess(a, b CRef) bool {
 	ab := s.ca.size(a) > 2
 	bb := s.ca.size(b) > 2
 	if ab != bb {
@@ -741,13 +708,13 @@ func (s *Solver) learntLess(a, b CRef, lbdMode bool) bool {
 	return s.ca.activity(a) < s.ca.activity(b)
 }
 
-func (s *Solver) quickSortLearnts(ls []CRef, lo, hi int, lbdMode bool) {
+func (s *Solver) quickSortLearnts(ls []CRef, lo, hi int) {
 	for lo < hi {
 		if hi-lo < 12 {
 			for i := lo + 1; i <= hi; i++ {
 				c := ls[i]
 				j := i - 1
-				for j >= lo && s.learntLess(c, ls[j], lbdMode) {
+				for j >= lo && s.learntLess(c, ls[j]) {
 					ls[j+1] = ls[j]
 					j--
 				}
@@ -760,13 +727,13 @@ func (s *Solver) quickSortLearnts(ls []CRef, lo, hi int, lbdMode bool) {
 		for {
 			for {
 				i++
-				if !s.learntLess(ls[i], p, lbdMode) {
+				if !s.learntLess(ls[i], p) {
 					break
 				}
 			}
 			for {
 				j--
-				if !s.learntLess(p, ls[j], lbdMode) {
+				if !s.learntLess(p, ls[j]) {
 					break
 				}
 			}
@@ -775,7 +742,7 @@ func (s *Solver) quickSortLearnts(ls []CRef, lo, hi int, lbdMode bool) {
 			}
 			ls[i], ls[j] = ls[j], ls[i]
 		}
-		s.quickSortLearnts(ls, lo, j, lbdMode)
+		s.quickSortLearnts(ls, lo, j)
 		lo = j + 1
 	}
 }
@@ -937,9 +904,12 @@ func (s *Solver) search(nofConflicts int64, conflictBudget *int64) searchOutcome
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], CRefUndef)
 			} else {
+				if s.restartPolicy == RestartGlucose {
+					// Before the enqueue: learnt[0] still carries its
+					// conflict level.
+					lbd = s.computeLBD(learnt)
+				}
 				cr := s.ca.alloc(learnt, true)
-				lbd = s.computeLBD(learnt)
-				s.ca.setLBD(cr, lbd)
 				s.learnts = append(s.learnts, cr)
 				s.attach(cr)
 				s.claBumpActivity(cr)

@@ -519,32 +519,6 @@ func TestRestartsHappen(t *testing.T) {
 	}
 }
 
-func TestLBDManagementCorrect(t *testing.T) {
-	// The Glucose-style deletion policy must not change verdicts.
-	rng := rand.New(rand.NewSource(1618))
-	for iter := 0; iter < 60; iter++ {
-		f := randomFormula(rng, 8+rng.Intn(8), 40+rng.Intn(40), 3)
-		s := New()
-		s.Management = LBDBased
-		s.AddFormula(f)
-		st := s.Solve()
-		want, _ := brute.SAT(f)
-		if (st == Sat) != want || st == Unknown {
-			t.Fatalf("iter %d: LBD mode got %v, brute sat=%v", iter, st, want)
-		}
-		if st == Sat && !f.Eval(s.Model()[:f.NumVars]) {
-			t.Fatalf("iter %d: LBD mode model invalid", iter)
-		}
-	}
-	// And on a structured proof.
-	s := New()
-	s.Management = LBDBased
-	addPigeonhole(s, 6)
-	if st := s.Solve(); st != Unsat {
-		t.Fatalf("PHP with LBD mode: %v", st)
-	}
-}
-
 // TestTrailReuseAcrossSolves checks the incremental-solve optimization:
 // between consecutive Solve calls the trail segment whose assumption prefix
 // is unchanged is kept, so an identical call re-propagates nothing, and a

@@ -127,7 +127,7 @@ func keepsOnlyAnswer(t *testing.T, s *Server, id uint64, want Result, wps ...wea
 	}
 }
 
-// TestFinishedJobKeepsOnlyAnswer checks that a job the RetainDone table keeps
+// TestFinishedJobKeepsOnlyAnswer checks that a job the retainDone table keeps
 // after it finishes holds its answer and no formula: neither the snapshot its
 // solve ran on nor, for a one-shot job, the caller's formula. A cache hit,
 // which never held a formula, is the control.
@@ -281,15 +281,15 @@ func bmcAccumulation(bits, depth int) *cnf.WCNF {
 	return w
 }
 
-// BenchmarkRetainedJob measures what the RetainDone table costs in memory.
-// It finishes 1,024 one-shot jobs, each submitting its own copy of
+// BenchmarkRetainedJob measures what the retainDone table costs in memory.
+// It finishes retainDone (1,024) one-shot jobs, each submitting its own copy of
 // session-bmc's mean-depth accumulation (the 6-bit counter to depth 48: 625
 // variables, 2,401 clauses) and answered with that formula's optimum and
 // model, and reports the live heap per retained job, read as HeapAlloc
 // after a GC. The cache is off so that only the job table is measured. It
 // reports and never gates.
 func BenchmarkRetainedJob(b *testing.B) {
-	const jobs = 1024
+	const jobs = retainDone
 	base := bmcAccumulation(6, 48)
 	answer := core.NewMSU3(opt.Options{}).Solve(context.Background(), base.Clone(), nil)
 	if answer.Status != opt.StatusOptimal {
@@ -302,7 +302,7 @@ func BenchmarkRetainedJob(b *testing.B) {
 	}
 	var perJob float64
 	for b.Loop() {
-		s := New(Config{Workers: 1, CacheEntries: -1, RetainDone: jobs})
+		s := New(Config{Workers: 1, CacheEntries: -1})
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

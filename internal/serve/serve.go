@@ -127,14 +127,6 @@ type Config struct {
 	// DefaultTimeout applies to jobs that do not set their own; 0 means
 	// unbounded.
 	DefaultTimeout time.Duration
-	// RetainDone bounds how many completed jobs stay addressable by ID
-	// (for poll-style clients); 0 means 1024, negative retains none beyond
-	// their live handles. A retained job keeps its answer — state, best
-	// bounds, and the Result with its model and certificate — but not its
-	// formula or solve, so it costs its model and certificate plus under a
-	// kilobyte: 1.5 KB a job for a 625-variable model without a certificate
-	// (BenchmarkRetainedJob).
-	RetainDone int
 
 	// RatePerSec is the per-client sustained submission rate (token
 	// bucket); 0 disables rate limiting.
@@ -349,9 +341,6 @@ func New(cfg Config) *Server {
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 256
 	}
-	if cfg.RetainDone == 0 {
-		cfg.RetainDone = 1024
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
@@ -387,7 +376,7 @@ func New(cfg Config) *Server {
 // submission: its identity, its lifecycle and, once done, its answer. It
 // reaches no formula, solve closure or bounds — those are the job's work,
 // held by its run goroutine alone — so a finished job kept in the
-// Config.RetainDone table holds its answer and nothing more.
+// retainDone table holds its answer and nothing more.
 type job struct {
 	id      uint64
 	key     jobKey
@@ -762,22 +751,26 @@ func (s *Server) finish(j *job, wk *work, res Result, cancelled bool) {
 	}
 }
 
-// retainLocked evicts completed jobs beyond the retention bound from the
-// by-ID map. Caller holds s.mu.
+// retainDone is how many completed jobs stay addressable by ID, for
+// poll-style clients. A retained job keeps its answer — state, best bounds,
+// and the Result with its model and certificate — but not its formula or
+// solve, so it costs its model and certificate plus under a kilobyte: 1.5 KB
+// a job for a 625-variable model without a certificate
+// (BenchmarkRetainedJob).
+const retainDone = 1024
+
+// retainLocked evicts completed jobs beyond retainDone from the by-ID map.
+// Caller holds s.mu.
 func (s *Server) retainLocked(id uint64) {
-	if s.cfg.RetainDone < 0 {
-		delete(s.jobs, id)
-		return
-	}
 	s.doneOrder = append(s.doneOrder, id)
-	for len(s.doneOrder) > s.cfg.RetainDone {
+	for len(s.doneOrder) > retainDone {
 		delete(s.jobs, s.doneOrder[0])
 		s.doneOrder = s.doneOrder[1:]
 	}
 }
 
 // Job returns a handle for an admitted job by ID. Completed jobs stay
-// addressable until evicted by the Config.RetainDone bound. The returned
+// addressable until evicted by the retainDone bound. The returned
 // handle carries no cancellation vote (Cancel on it is a no-op).
 func (s *Server) Job(id uint64) (*Handle, bool) {
 	s.mu.Lock()

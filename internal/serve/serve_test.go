@@ -420,13 +420,13 @@ func TestSubscribeStreamsMonotoneBounds(t *testing.T) {
 }
 
 func TestJobLookupAndRetention(t *testing.T) {
-	s := New(Config{Workers: 1, RetainDone: 2})
+	s := New(Config{Workers: 1})
 	defer s.Close()
 	var ids []uint64
-	for range 3 {
+	for range retainDone + 1 {
 		f := contradiction()
 		h := mustSubmit(t, s, JobSpec{Formula: f, Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
-			return opt.Result{Status: opt.StatusUnknown, Cost: -1} // never cached → 3 distinct runs
+			return opt.Result{Status: opt.StatusUnknown, Cost: -1} // never cached → distinct runs
 		}})
 		waitResult(t, h)
 		ids = append(ids, h.ID())
@@ -434,7 +434,10 @@ func TestJobLookupAndRetention(t *testing.T) {
 	if _, ok := s.Job(ids[0]); ok {
 		t.Error("oldest job survived past the retention bound")
 	}
-	h, ok := s.Job(ids[2])
+	if _, ok := s.Job(ids[1]); !ok {
+		t.Errorf("job %d of the last %d finished was evicted", ids[1], retainDone)
+	}
+	h, ok := s.Job(ids[len(ids)-1])
 	if !ok {
 		t.Fatal("latest job not addressable by ID")
 	}

@@ -169,9 +169,6 @@ type Options struct {
 	// divides the cap evenly across its racing members; algorithms that do
 	// not run a CDCL engine (AlgoBnB) ignore it. Zero means unbounded.
 	MemoryBudget int64 `json:"mem,omitempty"`
-	// SkipAtLeast1 disables msu4's optional per-core "at least one
-	// blocking variable" constraint (paper Algorithm 1, line 19).
-	SkipAtLeast1 bool `json:"skip,omitempty"`
 	// Preprocess enables soft-aware SatELite preprocessing: the hard
 	// clauses (plus a frozen selector shell per soft clause) are simplified
 	// once — unit propagation, subsumption, self-subsuming resolution,
@@ -389,7 +386,7 @@ func buildSolver(w *WCNF, o Options) (opt.Solver, Algorithm, error) {
 	var solver opt.Solver
 	switch algo {
 	case AlgoMSU4V2:
-		solver = &core.MSU4{Opts: io_, SkipAtLeast1: o.SkipAtLeast1}
+		solver = core.NewMSU4V2(io_)
 	case AlgoMSU1:
 		solver = core.NewMSU1(io_)
 	case AlgoMSU2:
@@ -399,7 +396,7 @@ func buildSolver(w *WCNF, o Options) (opt.Solver, Algorithm, error) {
 	case AlgoWMSU1:
 		solver = core.NewWMSU1(io_)
 	case AlgoWMSU4:
-		solver = &core.WMSU4{Opts: io_, SkipAtLeast1: o.SkipAtLeast1}
+		solver = core.NewWMSU4(io_)
 	case AlgoOLL:
 		solver = core.NewOLL(io_)
 	case AlgoPBO:

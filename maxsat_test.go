@@ -242,13 +242,6 @@ func TestPublicAPIAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestSkipAtLeast1Option(t *testing.T) {
-	r, err := SolveFormula(paperFormula(), Options{Algorithm: AlgoMSU4V2, SkipAtLeast1: true})
-	if err != nil || r.Cost != 2 {
-		t.Fatalf("SkipAtLeast1: cost %d err %v", r.Cost, err)
-	}
-}
-
 func TestWMSU1ViaFacade(t *testing.T) {
 	w := NewWCNF(1)
 	w.AddSoft(5, FromDIMACS(1))

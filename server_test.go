@@ -415,7 +415,7 @@ func TestParentLogsLoad(t *testing.T) {
 // the in-flight coalescing key: golden payloads written by an earlier build
 // decode to the options they were written for, and a durable server encodes
 // those options to the same bytes. A payload with a key that no option reads
-// any more ("share") still decodes, and re-encodes without the key.
+// any more ("skip", "share") still decodes, and re-encodes without the key.
 func TestOptionsPayloadBytes(t *testing.T) {
 	s, err := OpenServer(ServerConfig{DataDir: t.TempDir()})
 	if err != nil {
@@ -423,8 +423,8 @@ func TestOptionsPayloadBytes(t *testing.T) {
 	}
 	defer s.Close()
 	full := Options{Algorithm: AlgoPortfolio, Timeout: 2 * time.Second, MemoryBudget: 1 << 20,
-		SkipAtLeast1: true, Preprocess: true, Parallelism: 3, Certify: true}
-	fullGolden := `{"alg":"portfolio","to":2000000000,"mem":1048576,"skip":true,"pre":true,"par":3,"cert":true}`
+		Preprocess: true, Parallelism: 3, Certify: true}
+	fullGolden := `{"alg":"portfolio","to":2000000000,"mem":1048576,"pre":true,"par":3,"cert":true}`
 	for _, c := range []struct {
 		payload string // as a journal holds it
 		want    Options
@@ -432,6 +432,7 @@ func TestOptionsPayloadBytes(t *testing.T) {
 	}{
 		{`{"alg":"msu4-v2"}`, Options{Algorithm: AlgoMSU4V2}, `{"alg":"msu4-v2"}`},
 		{fullGolden, full, fullGolden},
+		{`{"alg":"portfolio","to":2000000000,"mem":1048576,"skip":true,"pre":true,"par":3,"cert":true}`, full, fullGolden},
 		{`{"alg":"portfolio","to":2000000000,"mem":1048576,"skip":true,"pre":true,"par":3,"share":true,"cert":true}`, full, fullGolden},
 	} {
 		var got Options
