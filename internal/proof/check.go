@@ -18,9 +18,9 @@ import (
 // the unit clauses' propagation fixpoint is derived once and kept across
 // lemma checks, until the sweep retires a clause it rests on.
 //
-// The propagation engine here is written against cnf.Clause slices and
-// shares nothing with internal/sat — this function is the independent half
-// of the proof pipeline. Only OpLearn and OpDelete records are admitted;
+// The propagation engine here runs over its own literal arena and shares
+// nothing with internal/sat — this function is the independent half of the
+// proof pipeline. Only OpLearn and OpDelete records are admitted;
 // any other op rejects the trace.
 func CheckTrace(f *cnf.Formula, t *Trace) error {
 	_, err := newChecker(f).run(t)
@@ -57,6 +57,22 @@ func Trim(f *cnf.Formula, t *Trace) (*Trace, error) {
 // index of the empty learnt clause, and the marked flags record which
 // additions some conflict consumed.
 func (c *checker) run(t *Trace) (int, error) {
+	// Size the clause store for the lemmas up to the first empty clause.
+	lemmas, n := 0, 0
+	for _, rec := range t.Records {
+		if rec.Op == OpLearn {
+			lemmas++
+			n += len(rec.Lits)
+			if len(rec.Lits) == 0 {
+				break
+			}
+		}
+	}
+	c.lits = slices.Grow(c.lits, n)
+	c.start = slices.Grow(c.start, lemmas)
+	c.status = slices.Grow(c.status, lemmas)
+	c.marked = slices.Grow(c.marked, lemmas)
+
 	// Forward pass: admit records, build the clause timeline, find the
 	// first empty-clause addition.
 	c.byRecord = make([]int32, len(t.Records))
@@ -84,7 +100,7 @@ func (c *checker) run(t *Trace) (int, error) {
 
 	// The final obligation: with everything before the empty clause
 	// active, unit propagation alone must conflict.
-	c.active[c.byRecord[emptyAt]] = false // the empty clause itself is not an antecedent
+	c.status[c.byRecord[emptyAt]] = retired // the empty clause itself is not an antecedent
 	if err := c.rup(nil); err != nil {
 		return -1, fmt.Errorf("proof: empty clause: %w", err)
 	}
@@ -110,13 +126,17 @@ func (c *checker) run(t *Trace) (int, error) {
 	return emptyAt, nil
 }
 
-// checker is the verification state: a clause database with activity
-// flags, two-watched-literal propagation, and antecedent marking.
+// checker is the verification state: a clause arena with a status per
+// clause, two-watched-literal propagation over per-literal values, and
+// antecedent marking.
 type checker struct {
-	clauses  [][]cnf.Lit // sorted literal sets until propagation reorders them
-	active   []bool
+	// lits is the literal arena: clause id holds lits[start[id]:start[id+1]],
+	// a sorted literal set until propagation reorders it.
+	lits     []cnf.Lit
+	start    []int
+	status   []status
 	marked   []bool
-	watches  [][]int32 // watches[lit] = ids of clauses watching lit
+	watches  [][]watch // watches[lit] = hooks of the clauses watching lit
 	units    []int32   // ids of clauses with < 2 literals
 	byRecord []int32   // record index -> id it added, or for a deletion the id it deactivated (-1: none)
 	// byKey maps a clause's literal set to the ids installed with it. It
@@ -124,7 +144,7 @@ type checker struct {
 	// they never pay for it.
 	byKey map[string][]int32
 
-	val    []int8 // 1 true, -1 false, 0 unassigned
+	vals   []int8 // per literal: 1 true, -1 false, 0 unassigned
 	trail  []cnf.Lit
 	reason []int32 // per var: clause id forcing it, or -1
 	queue  int
@@ -142,10 +162,27 @@ type checker struct {
 	stack []cnf.Lit
 }
 
+// status is a clause's standing in the sweep.
+type status uint8
+
+const (
+	active  status = iota
+	deleted        // by the forward pass; the sweep undeletes it on the way back
+	retired        // passed by the sweep: never active again, so its hooks can go
+)
+
 func newChecker(f *cnf.Formula) *checker {
+	n := 0
+	for _, cl := range f.Clauses {
+		n += len(cl)
+	}
 	c := &checker{
-		watches: make([][]int32, 2*f.NumVars),
-		val:     make([]int8, f.NumVars),
+		lits:    make([]cnf.Lit, 0, n),
+		start:   make([]int, 1, len(f.Clauses)+1),
+		watches: make([][]watch, 2*f.NumVars),
+		vals:    make([]int8, 2*f.NumVars),
+		status:  make([]status, 0, len(f.Clauses)),
+		marked:  make([]bool, 0, len(f.Clauses)),
 		reason:  make([]int32, f.NumVars),
 		seen:    make([]uint32, f.NumVars),
 	}
@@ -159,8 +196,9 @@ func newChecker(f *cnf.Formula) *checker {
 }
 
 // canonical returns a fresh copy of lits as a sorted set, the form install
-// stores and deletions match on; order and repetition are irrelevant to
-// RUP, and the two watches of a set are always distinct.
+// stores (in place, in the arena) and deletions match on; order and
+// repetition are irrelevant to RUP, and the two watches of a set are always
+// distinct.
 func canonical(lits []cnf.Lit) []cnf.Lit {
 	s := slices.Clone(lits)
 	slices.Sort(s)
@@ -176,17 +214,31 @@ func key(set []cnf.Lit) string {
 	return string(b)
 }
 
-// install appends a clause (copying it), activates it, and hooks watches.
+// clause returns the literals of clause id in the arena.
+func (c *checker) clause(id int32) []cnf.Lit {
+	return c.lits[c.start[id]:c.start[id+1]]
+}
+
+// install copies a clause into the arena in canonical form, activates it,
+// and hooks watches.
 func (c *checker) install(lits []cnf.Lit) int32 {
-	id := int32(len(c.clauses))
-	cl := canonical(lits)
-	c.clauses = append(c.clauses, cl)
-	c.active = append(c.active, true)
+	id := int32(len(c.start) - 1)
+	at := len(c.lits)
+	c.lits = append(c.lits, lits...)
+	slices.Sort(c.lits[at:])
+	c.lits = c.lits[:at+len(slices.Compact(c.lits[at:]))]
+	c.start = append(c.start, len(c.lits))
+	cl := c.lits[at:]
+	c.status = append(c.status, active)
 	c.marked = append(c.marked, false)
-	if len(cl) >= 2 {
-		c.watches[cl[0]] = append(c.watches[cl[0]], id)
-		c.watches[cl[1]] = append(c.watches[cl[1]], id)
-	} else {
+	switch {
+	case len(cl) == 2:
+		c.watches[cl[0]] = append(c.watches[cl[0]], watch{^id, cl[1]})
+		c.watches[cl[1]] = append(c.watches[cl[1]], watch{^id, cl[0]})
+	case len(cl) > 2:
+		c.watches[cl[0]] = append(c.watches[cl[0]], watch{id, cl[1]})
+		c.watches[cl[1]] = append(c.watches[cl[1]], watch{id, cl[0]})
+	default:
 		c.units = append(c.units, id)
 	}
 	if c.byKey != nil {
@@ -205,16 +257,16 @@ func (c *checker) delete(lits []cnf.Lit) int32 {
 	if c.byKey == nil {
 		// Deletions come in the forward pass, before any propagation, so
 		// every installed clause is still in canonical form.
-		c.byKey = make(map[string][]int32, len(c.clauses))
-		for id, cl := range c.clauses {
-			k := key(cl)
-			c.byKey[k] = append(c.byKey[k], int32(id))
+		c.byKey = make(map[string][]int32, len(c.status))
+		for id := range int32(len(c.status)) {
+			k := key(c.clause(id))
+			c.byKey[k] = append(c.byKey[k], id)
 		}
 	}
 	ids := c.byKey[key(canonical(lits))]
 	for i := len(ids) - 1; i >= 0; i-- {
-		if c.active[ids[i]] {
-			c.active[ids[i]] = false
+		if c.status[ids[i]] == active {
+			c.status[ids[i]] = deleted
 			return ids[i]
 		}
 	}
@@ -224,21 +276,29 @@ func (c *checker) delete(lits []cnf.Lit) int32 {
 // undelete reactivates a clause the forward pass deleted. It may be unit or
 // falsified under the kept fixpoint, so the fixpoint is rebuilt.
 func (c *checker) undelete(id int32) {
-	c.active[id] = true
+	c.status[id] = active
 	c.dropTop()
 }
 
 // deactivate retires clause id in the backward sweep. Retiring the
 // fixpoint's conflict or the reason of one of its literals invalidates it;
 // retiring any other clause leaves the fixpoint implied by the clauses
-// still active, and still a fixpoint.
+// still active, and still a fixpoint. A binary clause implies either of its
+// literals in place, so every literal is tested for being the clause's.
 func (c *checker) deactivate(id int32) {
-	c.active[id] = false
+	c.status[id] = retired
 	if !c.topValid {
 		return
 	}
-	if cl := c.clauses[id]; id == c.topConfl || len(cl) > 0 && c.reason[cl[0].Var()] == id {
+	if id == c.topConfl {
 		c.dropTop()
+		return
+	}
+	for _, l := range c.clause(id) {
+		if c.reason[l.Var()] == id {
+			c.dropTop()
+			return
+		}
 	}
 }
 
@@ -253,10 +313,10 @@ func (c *checker) dropTop() {
 func (c *checker) settle() {
 	c.topValid, c.topConfl = true, -1
 	for _, id := range c.units {
-		if !c.active[id] {
+		if c.status[id] != active {
 			continue
 		}
-		cl := c.clauses[id]
+		cl := c.clause(id)
 		if len(cl) == 0 {
 			c.topConfl = id
 			c.markFrom(id)
@@ -307,85 +367,96 @@ func (c *checker) rup(lemma []cnf.Lit) error {
 }
 
 func (c *checker) enqueue(l cnf.Lit, why int32) bool {
-	v := l.Var()
-	want := int8(1)
-	if l.Sign() {
-		want = -1
-	}
-	switch c.val[v] {
-	case want:
+	switch c.vals[l] {
+	case 1:
 		return true
-	case -want:
+	case -1:
 		return false
 	}
-	c.val[v] = want
-	c.reason[v] = why
+	c.vals[l], c.vals[l.Neg()] = 1, -1
+	c.reason[l.Var()] = why
 	c.trail = append(c.trail, l)
 	return true
 }
 
-func (c *checker) falsified(l cnf.Lit) bool {
-	v := c.val[l.Var()]
-	if l.Sign() {
-		return v == 1
-	}
-	return v == -1
-}
-
-func (c *checker) satisfied(l cnf.Lit) bool {
-	v := c.val[l.Var()]
-	if l.Sign() {
-		return v == -1
-	}
-	return v == 1
+// watch is a clause's hook on the watch list of one of its literals,
+// visited when that literal becomes false. ref is the clause id, or its
+// complement ^id for a binary clause. For a binary clause, other is the
+// literal the clause then implies; for a longer one, it is a blocker, a
+// literal of the clause whose truth satisfies it. Either way, a true other
+// settles the visit without reading the arena.
+type watch struct {
+	ref   int32
+	other cnf.Lit
 }
 
 // propagate runs two-watched-literal unit propagation. It returns the id
 // of a conflicting clause, or -1 at fixpoint.
 func (c *checker) propagate() int32 {
 	for c.queue < len(c.trail) {
-		p := c.trail[c.queue] // p became true; visit clauses watching ¬p
+		false_ := c.trail[c.queue].Neg() // visit the clauses watching it
 		c.queue++
-		false_ := p.Neg()
 		ws := c.watches[false_]
-		kept := ws[:0]
-		for wi := 0; wi < len(ws); wi++ {
-			id := ws[wi]
-			if !c.active[id] {
-				kept = append(kept, id) // keep hook; may be reactivated
+		j := 0
+	visit:
+		for i, w := range ws {
+			if c.vals[w.other] == 1 {
+				ws[j] = w
+				j++
 				continue
 			}
-			cl := c.clauses[id]
+			id := w.ref
+			if id < 0 {
+				id = ^id
+			}
+			if st := c.status[id]; st != active {
+				if st == deleted {
+					ws[j] = w // the sweep may undelete it
+					j++
+				}
+				continue
+			}
+			if w.ref < 0 { // binary: w.other is implied, or false
+				ws[j] = w
+				j++
+				if c.enqueue(w.other, id) {
+					continue
+				}
+				j += copy(ws[j:], ws[i+1:])
+				c.watches[false_] = ws[:j]
+				return id
+			}
+			cl := c.clause(id)
 			// Normalize: watched literals are cl[0], cl[1].
 			if cl[0] == false_ {
 				cl[0], cl[1] = cl[1], cl[0]
 			}
-			if c.satisfied(cl[0]) {
-				kept = append(kept, id)
+			first := cl[0]
+			if first != w.other && c.vals[first] == 1 {
+				ws[j] = watch{id, first}
+				j++
 				continue
 			}
 			// Find a replacement watch.
-			moved := false
 			for k := 2; k < len(cl); k++ {
-				if !c.falsified(cl[k]) {
+				if c.vals[cl[k]] != -1 {
 					cl[1], cl[k] = cl[k], cl[1]
-					c.watches[cl[1]] = append(c.watches[cl[1]], id)
-					moved = true
-					break
+					c.watches[cl[1]] = append(c.watches[cl[1]], watch{id, first})
+					continue visit
 				}
 			}
-			if moved {
-				continue
-			}
-			kept = append(kept, id)
-			if !c.enqueue(cl[0], id) {
+			ws[j] = watch{id, first}
+			j++
+			if !c.enqueue(first, id) {
 				// Conflict: keep the remaining hooks before returning.
-				kept = append(kept, ws[wi+1:]...)
-				c.watches[false_] = kept
+				j += copy(ws[j:], ws[i+1:])
+				c.watches[false_] = ws[:j]
 				return id
 			}
 		}
-		c.watches[false_] = kept
+		if j < len(ws) {
+			c.watches[false_] = ws[:j]
+		}
 	}
 	return -1
 }
@@ -399,7 +470,7 @@ func (c *checker) markFrom(confl int32) {
 		c.stamp = 1
 	}
 	c.marked[confl] = true
-	stack := append(c.stack[:0], c.clauses[confl]...)
+	stack := append(c.stack[:0], c.clause(confl)...)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1].Var()
 		stack = stack[:len(stack)-1]
@@ -409,7 +480,7 @@ func (c *checker) markFrom(confl int32) {
 		c.seen[v] = c.stamp
 		if r := c.reason[v]; r >= 0 {
 			c.marked[r] = true
-			stack = append(stack, c.clauses[r]...)
+			stack = append(stack, c.clause(r)...)
 		}
 	}
 	c.stack = stack
@@ -427,7 +498,7 @@ func (c *checker) markConflict(l cnf.Lit, id int32) {
 // backtrack unassigns trail[n:].
 func (c *checker) backtrack(n int) {
 	for _, l := range c.trail[n:] {
-		c.val[l.Var()] = 0
+		c.vals[l], c.vals[l.Neg()] = 0, 0
 		c.reason[l.Var()] = -1
 	}
 	c.trail = c.trail[:n]

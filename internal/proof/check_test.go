@@ -6,11 +6,15 @@ package proof_test
 // deletion index on demand.
 
 import (
+	"context"
 	"slices"
 	"testing"
 
 	"repro/internal/brute"
 	"repro/internal/cnf"
+	"repro/internal/core"
+	"repro/internal/gen"
+	"repro/internal/opt"
 	"repro/internal/proof"
 	"repro/internal/sat"
 )
@@ -130,7 +134,7 @@ func TestDeletionSemantics(t *testing.T) {
 	})
 }
 
-// TestRetiringDropsFixpoint feeds the checker two bogus refutations of
+// TestRetiringDropsFixpoint feeds the checker bogus refutations of
 // satisfiable formulas whose final conflict runs through the kept
 // fixpoint. Each must be rejected: the sweep has to drop the fixpoint when
 // it retires the clause the fixpoint conflicts on, or the reason of one of
@@ -149,6 +153,11 @@ func TestRetiringDropsFixpoint(t *testing.T) {
 		// RUP given b, and the fixpoint {b, a} conflicts on (¬a ∨ ¬b) with
 		// the lemmas as reasons of its literals.
 		{"retired-reason", formulaOf(2, []int{-1, 2}, []int{1, -2}, []int{-1, -2}), trace(learn(2), learn(1), learn())},
+		// The binary lemma (a ∨ b) is bogus. Under the formula's unit ¬a
+		// it implies b through its second literal, and b conflicts on
+		// (¬b ∨ c) and (¬b ∨ ¬c), so the fixpoint conflicts with the lemma
+		// as the reason of b.
+		{"retired-binary-reason", formulaOf(3, []int{-1}, []int{-2, 3}, []int{-2, -3}), trace(learn(1, 2), learn())},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if sat, _ := brute.SAT(tc.f); !sat {
@@ -161,6 +170,37 @@ func TestRetiringDropsFixpoint(t *testing.T) {
 				t.Error("checker accepted a refutation of a satisfiable formula")
 			}
 		})
+	}
+}
+
+// TestCheckAllocs checks a fixed certificate, the OLL certificate of
+// PHP(7, 6), and requires fewer allocations than the clauses the check
+// installs: the bound formula's clauses are carved from shared buffers and
+// the checker copies every clause into one arena, so what still allocates
+// is the watch lists, about one per watched literal. A checker or encoder
+// that allocates once per clause fails.
+func TestCheckAllocs(t *testing.T) {
+	in := gen.Pigeonhole(6)
+	r := core.NewOLL(opt.Options{}).Solve(context.Background(), in.W, nil)
+	data, err := opt.Certify(context.Background(), in.W, r, opt.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := proof.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	installed := 0
+	for _, st := range cert.Steps {
+		installed += len(proof.BoundFormula(in.W, st.Bound).Clauses) + len(st.Trace.Records)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if err := proof.Check(in.W, cert); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs >= float64(installed) {
+		t.Errorf("checking the certificate allocated %.0f times for %d installed clauses", allocs, installed)
 	}
 }
 

@@ -27,8 +27,25 @@ import (
 // clauses, after normalizing weights by their GCD. Capping keeps the size
 // O(softs · bound/gcd) in the worst case — fine for the small bounds
 // core-guided optima have on this repo's workloads.
+//
+// The clauses share backing buffers: each is a view capped at its own end,
+// so building a formula costs a few allocations rather than one per
+// clause, and appending to a clause copies it instead of overwriting the
+// next one.
 func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 	f := cnf.NewFormula(w.NumVars)
+	f.Clauses = make([]cnf.Clause, 0, len(w.Clauses))
+	// add appends the clause head ∨ tail, carved from the current buffer.
+	var buf []cnf.Lit
+	add := func(head []cnf.Lit, tail ...cnf.Lit) {
+		n := len(head) + len(tail)
+		if cap(buf)-len(buf) < n {
+			buf = make([]cnf.Lit, 0, max(n, 2*cap(buf), 256))
+		}
+		at := len(buf)
+		buf = append(append(buf, head...), tail...)
+		f.Clauses = append(f.Clauses, buf[at:len(buf):len(buf)])
+	}
 	type soft struct {
 		weight cnf.Weight
 		relax  cnf.Lit
@@ -37,12 +54,12 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 	next := cnf.Var(w.NumVars)
 	for _, c := range w.Clauses {
 		if c.Hard() {
-			f.AddClause(c.Clause...)
+			add(c.Clause)
 			continue
 		}
 		r := cnf.PosLit(next)
 		next++
-		f.AddClause(append(slices.Clone(c.Clause), r)...)
+		add(c.Clause, r)
 		softs = append(softs, soft{weight: c.Weight, relax: r})
 	}
 	if len(softs) == 0 || bound < 0 {
@@ -60,7 +77,7 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 	if b == 0 {
 		// Cost ≤ 0: no soft may be relaxed.
 		for _, s := range softs {
-			f.AddClause(s.relax.Neg())
+			add(nil, s.relax.Neg())
 		}
 		f.NumVars = int(next)
 		return f
@@ -114,10 +131,10 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 				node = append(node, out{val: v, lit: l})
 			}
 			for _, x := range a {
-				f.AddClause(x.lit.Neg(), lit[x.val])
+				add(nil, x.lit.Neg(), lit[x.val])
 			}
 			for _, y := range bn {
-				f.AddClause(y.lit.Neg(), lit[y.val])
+				add(nil, y.lit.Neg(), lit[y.val])
 			}
 			for _, x := range a {
 				for _, y := range bn {
@@ -125,7 +142,7 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 					if s > cap {
 						s = cap
 					}
-					f.AddClause(x.lit.Neg(), y.lit.Neg(), lit[s])
+					add(nil, x.lit.Neg(), y.lit.Neg(), lit[s])
 				}
 			}
 			merged = append(merged, node)
@@ -139,7 +156,7 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 	// the cap output when present).
 	for _, o := range nodes[0] {
 		if o.val > b {
-			f.AddClause(o.lit.Neg())
+			add(nil, o.lit.Neg())
 		}
 	}
 	f.NumVars = int(next)

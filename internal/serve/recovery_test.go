@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/opt"
 	"repro/internal/proof"
 	"repro/internal/sat"
+	"repro/internal/store"
 )
 
 // openStoreT / openJournalT open durability primitives with test fatality.
@@ -266,6 +268,81 @@ func TestStoreRecoversPastCacheCapacity(t *testing.T) {
 		r := waitResult(t, mustSubmit(t, s2, JobSpec{Formula: formulas[i], Solve: certifying()}))
 		if r.Status != opt.StatusOptimal || r.Cached != (i > 0) {
 			t.Fatalf("formula %d after restart: cached=%t, want %t: %+v", i, r.Cached, i > 0, r)
+		}
+	}
+}
+
+// TestStoreParallelDecodeMatchesSequential opens one log holding a
+// formula stored twice, a record whose formula does not parse and a record
+// of another kind among valid ones, and checks that the parallel decode at
+// open keeps what decoding the records one after another keeps: the same
+// entries in the same order, and the same count of dropped records.
+func TestStoreParallelDecodeMatchesSequential(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.log")
+	l, _, _, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	formula := func(i int) *cnf.WCNF {
+		w := cnf.NewWCNF(i + 1)
+		w.AddSoft(1, cnf.PosLit(cnf.Var(i)))
+		return w
+	}
+	unparsable := binary.AppendUvarint(nil, 0)
+	unparsable = binary.AppendUvarint(unparsable, 7)
+	unparsable = append(unparsable, "p wcnf?"...)
+	unparsable = binary.AppendUvarint(unparsable, 0)
+	var appended []store.Record
+	for i := range 24 {
+		r := store.Record{Kind: recResult, Payload: encodeStoreEntry(formula(i%9), fmt.Sprintf("record %d", i), []byte{byte(i)})}
+		switch i {
+		case 5:
+			r.Payload = unparsable
+		case 11:
+			r.Kind = recResult + 1
+		}
+		if err := l.Append(r.Kind, r.Payload, false); err != nil {
+			t.Fatal(err)
+		}
+		appended = append(appended, r)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The sequential decode: each record in log order, the newest record
+	// of a formula kept at the position of its first.
+	var want []storeEntry
+	wantDropped := 0
+	at := make(map[formulaKey]int)
+	for _, r := range appended {
+		e, err := decodeStoreEntry(r.Payload)
+		if r.Kind != recResult || err != nil {
+			wantDropped++
+			continue
+		}
+		if i, ok := at[keyFor(e.w)]; ok {
+			want[i] = e
+			continue
+		}
+		at[keyFor(e.w)] = len(want)
+		want = append(want, e)
+	}
+	if len(want) != 9 || wantDropped != 2 {
+		t.Fatalf("the log holds %d formulas and %d bad records, want 9 and 2", len(want), wantDropped)
+	}
+
+	rs := openStoreT(t, path, nil)
+	defer rs.Close()
+	if rs.dropped != wantDropped {
+		t.Errorf("dropped %d records, want %d", rs.dropped, wantDropped)
+	}
+	if len(rs.entries) != len(want) {
+		t.Fatalf("kept %d entries, want %d", len(rs.entries), len(want))
+	}
+	for i, e := range rs.entries {
+		if e.meta != want[i].meta || !slices.Equal(e.raw, want[i].raw) || keyFor(e.w) != keyFor(want[i].w) {
+			t.Errorf("entry %d is %q, want %q", i, e.meta, want[i].meta)
 		}
 	}
 }

@@ -169,28 +169,33 @@ type proved struct {
 }
 
 // reprove decodes and checks the certificate of every entry against the
-// entry's own formula. The records are independent, so it checks them on
-// GOMAXPROCS goroutines, each taking the next unchecked index; the
-// verdicts come back in entry order.
+// entry's own formula, on every CPU; the verdicts come back in entry order.
 func reprove(entries []storeEntry) []proved {
 	out := make([]proved, len(entries))
+	forEach(len(entries), func(i int) { out[i] = reproveOne(entries[i]) })
+	return out
+}
+
+// forEach calls do(i) for every i in [0, n) on up to GOMAXPROCS goroutines,
+// each taking the next index no goroutine has taken, and returns once every
+// call has. The calls must be independent; each writes its own result slot.
+func forEach(n int, do func(i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(entries)) {
+	for range min(runtime.GOMAXPROCS(0), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(entries) {
+				if i >= n {
 					return
 				}
-				out[i] = reproveOne(entries[i])
+				do(i)
 			}
 		}()
 	}
 	wg.Wait()
-	return out
 }
 
 // reproveOne rebuilds the served result of one entry from its certificate
@@ -261,32 +266,39 @@ const recResult byte = 1
 
 // OpenResultStore opens (creating if absent) the durable result store at
 // path. Frames the integrity layer rejects (bit rot, torn tails) are
-// truncated away and counted; among the surviving records the newest one
-// per formula wins, and the log is compacted when rewriting it would
-// reclaim space. faults injects storage faults for chaos tests; production
-// passes nil.
+// truncated away and counted, and so are records that do not decode; among
+// the rest the newest one per formula wins, and the log is compacted when
+// rewriting it would reclaim space. faults injects storage faults for chaos
+// tests; production passes nil.
 func OpenResultStore(path string, faults *Faults) (*ResultStore, error) {
 	l, recs, dropped, err := store.Open(path, store.Options{WriteHook: faults.storeWriteHook()})
 	if err != nil {
 		return nil, err
 	}
 	rs := &ResultStore{log: l, dropped: dropped, faults: faults}
+	// Parse the records on every CPU. A record of another kind, or one
+	// that does not decode, leaves its slot without a formula.
+	decoded := make([]storeEntry, len(recs))
+	forEach(len(recs), func(i int) {
+		if recs[i].Kind != recResult {
+			return
+		}
+		if e, err := decodeStoreEntry(recs[i].Payload); err == nil {
+			decoded[i] = e
+		}
+	})
 	byKey := make(map[formulaKey]int)
-	for _, r := range recs {
-		if r.Kind != recResult {
+	for _, e := range decoded {
+		if e.w == nil {
 			rs.dropped++
 			continue
 		}
-		e, err := decodeStoreEntry(r.Payload)
-		if err != nil {
-			rs.dropped++
-			continue
-		}
-		if i, ok := byKey[keyFor(e.w)]; ok {
+		k := keyFor(e.w)
+		if i, ok := byKey[k]; ok {
 			rs.entries[i] = e // newer record for the same formula wins
 			continue
 		}
-		byKey[keyFor(e.w)] = len(rs.entries)
+		byKey[k] = len(rs.entries)
 		rs.entries = append(rs.entries, e)
 	}
 	if len(rs.entries) < len(recs) {
