@@ -84,11 +84,15 @@ func goldenConfigs(t *testing.T) []goldenConfig {
 		{"msu1", served(AlgoMSU1, false)},
 		{"msu2", served(AlgoMSU2, false)},
 		{"msu3", served(AlgoMSU3, false)},
+		{"msu3+pre", served(AlgoMSU3, true)},
 		{"wmsu1", served(AlgoWMSU1, false)},
 		{"wmsu4", served(AlgoWMSU4, false)},
+		{"wmsu4+pre", served(AlgoWMSU4, true)},
 		{"pbo", served(AlgoPBO, false)},
+		{"pbo+pre", served(AlgoPBO, true)},
 		{"pbo-bin", served(AlgoPBOBin, false)},
 		{"maxsatz", served(AlgoBnB, false)},
+		{"maxsatz+pre", served(AlgoBnB, true)},
 	}
 	for _, name := range []string{"msu4-bdd", "msu4-sorter"} {
 		spec, ok := harness.SolverByName(name)
