@@ -126,7 +126,9 @@ func (m *WMSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res
 			}
 			s.AddClause(newBlocking...)
 			lb += minW
-			shared.PublishLB(lb)
+			// Under the line-30 bound Σ w·b ≤ bestCost−1 a core can carry
+			// lb past the optimum, which bestCost then is: publish no more.
+			shared.PublishLB(min(lb, bestCost))
 			if res.Model != nil && lb >= bestCost {
 				res.Status = opt.StatusOptimal
 				res.LowerBound = res.Cost

@@ -329,3 +329,56 @@ func TestOnImproveStreamsBounds(t *testing.T) {
 		t.Fatalf("final streamed UB %d, proved optimum %d", ub, r.Cost)
 	}
 }
+
+// TestObservedLowerBoundsNeverPassOptimum checks every lower bound an
+// OnImprove observer sees against the brute-force optimum, for every
+// single algorithm that takes weights, on random small weighted instances.
+func TestObservedLowerBoundsNeverPassOptimum(t *testing.T) {
+	algos := []Algorithm{AlgoWMSU1, AlgoWMSU4, AlgoOLL, AlgoPBO, AlgoPBOBin, AlgoBnB}
+	over := make(map[Algorithm]int)
+	feasibleCount := 0
+	rng := rand.New(rand.NewSource(7))
+	for iter := 0; iter < 3000; iter++ {
+		vars := 3 + rng.Intn(6)
+		w := NewWCNF(vars)
+		for i := 0; i < 4+rng.Intn(12); i++ {
+			width := 1 + rng.Intn(3)
+			var c []Lit
+			for j := 0; j < width; j++ {
+				c = append(c, NewLit(Var(rng.Intn(vars)), rng.Intn(2) == 0))
+			}
+			if rng.Intn(4) == 0 {
+				w.AddHard(c...)
+			} else {
+				w.AddSoft(Weight(1+rng.Intn(9)), c...)
+			}
+		}
+		want, _, feasible := brute.MinCostWCNF(w)
+		if !feasible {
+			continue
+		}
+		feasibleCount++
+		for _, algo := range algos {
+			maxLB := Weight(-1)
+			r, err := Solve(w.Clone(), Options{Algorithm: algo, OnImprove: func(e BoundUpdate) {
+				if e.HasLB && e.LB > maxLB {
+					maxLB = e.LB
+				}
+			}})
+			if err != nil {
+				t.Fatalf("iter %d %s: %v", iter, algo, err)
+			}
+			if r.Status != Optimal || r.Cost != want {
+				t.Fatalf("iter %d %s: got %v cost %d, want optimal %d", iter, algo, r.Status, r.Cost, want)
+			}
+			if maxLB > want {
+				over[algo]++
+			}
+		}
+	}
+	for _, algo := range algos {
+		if n := over[algo]; n > 0 {
+			t.Errorf("%s: an observed lower bound passed the optimum on %d of %d feasible instances", algo, n, feasibleCount)
+		}
+	}
+}
