@@ -264,6 +264,89 @@ func TestGoldenCounters(t *testing.T) {
 	}
 }
 
+// TestObservedSolveKeepsSearch checks that observing a solve leaves its
+// search alone. Every single algorithm buildSolver serves, with and without
+// Preprocess, solves a fixed set of golden instances twice: handed nil
+// bounds and handed opt.NewBounds(). Both runs must report the same
+// counters, and the bounds must end with the upper bound at the result's
+// cost and the lower bound at most that cost. The set is the instances that
+// every served configuration in the golden file finished under goldenKeep
+// (47: 40 unweighted and 7 weighted).
+func TestObservedSolveKeepsSearch(t *testing.T) {
+	golden := readGolden(t)
+	insts := goldenInstances(t)
+	var set []gen.Instance
+	for i, in := range insts {
+		if finishedByAll(golden, i) {
+			set = append(set, in)
+		}
+	}
+	for _, algo := range Algorithms() {
+		if algo == AlgoPortfolio {
+			continue // races: its counters vary from run to run
+		}
+		for _, pre := range []bool{false, true} {
+			name := string(algo)
+			if pre {
+				name += "+pre"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				o := Options{Algorithm: algo, Preprocess: pre}
+				for _, in := range set {
+					quiet, _, err := goldenSolve(served(algo, pre), in.W)
+					if errors.Is(err, ErrWeighted) {
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", in.Name, err)
+					}
+					if quiet.Status == opt.StatusUnknown {
+						t.Fatalf("%s: no longer finishes under the %v cap", in.Name, goldenCap)
+					}
+					b := opt.NewBounds()
+					watched, _, _ := goldenSolve(func(ctx context.Context, w *cnf.WCNF) (opt.Result, error) {
+						s, _, err := buildSolver(w, o)
+						return s.Solve(ctx, w, b), err
+					}, in.W)
+					q, got := goldenLine(name, in.Name, quiet, false, false), goldenLine(name, in.Name, watched, false, false)
+					if q != got {
+						t.Errorf("observing the solve moved its search:\n nil bounds    %s\n shared bounds %s", q, got)
+						continue
+					}
+					if quiet.Status != opt.StatusOptimal {
+						continue
+					}
+					if ub, ok := b.UB(); !ok || ub != watched.Cost {
+						t.Errorf("%s: bounds end with UB %d (set %v), result cost %d", in.Name, ub, ok, watched.Cost)
+					}
+					if lb, ok := b.LB(); ok && lb > watched.Cost {
+						t.Errorf("%s: bounds end with LB %d above the result cost %d", in.Name, lb, watched.Cost)
+					}
+				}
+			})
+		}
+	}
+}
+
+// finishedByAll reports whether every served configuration in the golden
+// file that takes instance i finished it under goldenKeep when the file was
+// recorded.
+func finishedByAll(golden map[string][]string, i int) bool {
+	for _, algo := range Algorithms() {
+		for _, name := range []string{string(algo), string(algo) + "+pre"} {
+			lines := golden[name]
+			if lines == nil {
+				continue
+			}
+			if reason, ok := excludedReason(lines[i]); ok && reason != excludedWeighted {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // excludedReason returns the reason of an excluded golden line.
 func excludedReason(line string) (string, bool) {
 	_, reason, ok := strings.Cut(line, " excluded: ")

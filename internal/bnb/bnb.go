@@ -39,6 +39,11 @@ func New(o opt.Options) *BnB { return &BnB{Opts: o} }
 // Name implements opt.Solver.
 func (b *BnB) Name() string { return "maxsatz" }
 
+// KeepSofts asks opt.Preprocessed to leave the soft clauses verbatim: the
+// unit-propagation lower bound and MOMS branching read them directly, and
+// selector indirection would blind both.
+func (b *BnB) KeepSofts() bool { return true }
+
 const (
 	vUndef int8 = iota
 	vTrue
@@ -69,10 +74,7 @@ type searcher struct {
 
 	// Bound exchange (nil-safe): improvements to ub are published, and an
 	// externally improved model replaces ub/best at every budget check.
-	// Published models pass through the preprocessing stage (when active)
-	// so bound witnesses are always original-formula models.
 	shared   *opt.Bounds
-	prep     *opt.Prep
 	baseCost int64
 
 	// Probe scratch (versioned to avoid clearing):
@@ -96,17 +98,7 @@ func (b *BnB) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res o
 	res = opt.Result{Cost: -1}
 	defer func() { res.Elapsed = time.Since(start) }()
 
-	// KeepSofts mode: the searcher's unit-propagation lower bound and MOMS
-	// branching read the soft clauses directly, so only hard structure is
-	// simplified; selector indirection would blind both heuristics.
-	prep, w := opt.MaybePrepKeepSofts(w, b.Opts)
-	if prep.HardUnsat() {
-		res.Status = opt.StatusUnsat
-		return res
-	}
-	defer prep.Finish(&res)
-
-	s := &searcher{nv: w.NumVars, ctx: ctx, shared: shared, prep: prep, pulse: sat.ProgressFrom(ctx)}
+	s := &searcher{nv: w.NumVars, ctx: ctx, shared: shared, pulse: sat.ProgressFrom(ctx)}
 	if s.expired() {
 		res.Status = opt.StatusUnknown
 		return res
@@ -144,7 +136,7 @@ func (b *BnB) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res o
 		s.best = greedy
 	}
 	if s.best != nil {
-		prep.PublishUB(shared, cnf.Weight(s.ub+baseCost), s.best)
+		shared.PublishUB(cnf.Weight(s.ub+baseCost), s.best)
 	}
 	s.observeShared()
 
@@ -356,7 +348,7 @@ func (s *searcher) dfs() {
 			// Unassigned isolated variables default to false.
 			s.best[i] = s.val[i] == vTrue
 		}
-		s.prep.PublishUB(s.shared, cnf.Weight(s.ub+s.baseCost), s.best)
+		s.shared.PublishUB(cnf.Weight(s.ub+s.baseCost), s.best)
 		s.undoTo(mark)
 		return
 	}

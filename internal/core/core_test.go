@@ -433,14 +433,13 @@ func TestMSU4IncrementalVsReencode(t *testing.T) {
 // the ORIGINAL formula (reconstruction round-trip).
 func TestCoreAlgorithmsPreprocessed(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
-	pre := opt.Options{Preprocess: true}
 	solvers := map[string]func() opt.Solver{
-		"msu1":  func() opt.Solver { return NewMSU1(pre) },
-		"msu2":  func() opt.Solver { return NewMSU2(pre) },
-		"msu3":  func() opt.Solver { return NewMSU3(pre) },
-		"msu4":  func() opt.Solver { return &MSU4{Opts: pre} },
-		"wmsu1": func() opt.Solver { return NewWMSU1(pre) },
-		"wmsu4": func() opt.Solver { return NewWMSU4(pre) },
+		"msu1":  func() opt.Solver { return opt.Preprocessed(NewMSU1(opt.Options{})) },
+		"msu2":  func() opt.Solver { return opt.Preprocessed(NewMSU2(opt.Options{})) },
+		"msu3":  func() opt.Solver { return opt.Preprocessed(NewMSU3(opt.Options{})) },
+		"msu4":  func() opt.Solver { return opt.Preprocessed(&MSU4{}) },
+		"wmsu1": func() opt.Solver { return opt.Preprocessed(NewWMSU1(opt.Options{})) },
+		"wmsu4": func() opt.Solver { return opt.Preprocessed(NewWMSU4(opt.Options{})) },
 	}
 	for iter := 0; iter < 60; iter++ {
 		vars := 3 + rng.Intn(5)

@@ -162,15 +162,13 @@ func (m *Inc) SolveDelta(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (
 		res.Elapsed = time.Since(start)
 	}()
 	if !m.broken {
-		m.solve(ctx, w, shared, nil, &res)
+		m.solve(ctx, w, shared, &res)
 	}
 	return res
 }
 
-// solve is the msu3 main loop over the accumulated formula, sized by w. A
-// non-nil prep lifts improved models to the original formula before they
-// are published.
-func (m *Inc) solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, prep *opt.Prep, res *opt.Result) {
+// solve is the msu3 main loop over the accumulated formula, sized by w.
+func (m *Inc) solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, res *opt.Result) {
 	if !m.s.Okay() {
 		res.Status = opt.StatusUnsat
 		return
@@ -224,7 +222,7 @@ func (m *Inc) solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, prep *
 			res.Cost = cnf.Weight(modelCost(m.softs, model))
 			res.LowerBound = res.Cost
 			res.Model = m.externalModel(model, w.NumVars)
-			prep.PublishUB(shared, res.Cost, res.Model)
+			shared.PublishUB(res.Cost, res.Model)
 			return
 
 		case sat.Unsat:

@@ -36,13 +36,6 @@ func (m *MSU2) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 	res = opt.Result{Cost: -1}
 	defer func() { res.Elapsed = time.Since(start) }()
 
-	prep, w := opt.MaybePrep(w, m.Opts)
-	if prep.HardUnsat() {
-		res.Status = opt.StatusUnsat
-		return res
-	}
-	defer prep.Finish(&res)
-
 	// relaxedIdx records which soft clauses have been relaxed so far; the
 	// rest are enforced each round.
 	relaxed := make([]bool, w.NumClauses())
@@ -125,7 +118,7 @@ func (m *MSU2) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 			res.Cost = cnf.Weight(cost)
 			res.LowerBound = res.Cost
 			res.Model = snapshotModel(model, w.NumVars)
-			prep.PublishUB(shared, res.Cost, res.Model)
+			shared.PublishUB(res.Cost, res.Model)
 			return res
 
 		case sat.Unsat:

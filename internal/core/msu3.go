@@ -36,21 +36,14 @@ func (m *MSU3) Name() string { return "msu3" }
 
 // Solve implements opt.Solver. Soft clauses must have unit weight. A
 // one-shot solve is a session with no deltas: Solve runs the Inc engine once
-// over the (optionally preprocessed) formula. Unlike Inc.SolveDelta it lets
-// a panic through, for the serving layer to count and retry.
+// over the formula. Unlike Inc.SolveDelta it lets a panic through, for the
+// serving layer to count and retry.
 func (m *MSU3) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res opt.Result) {
 	requireUnweighted(w, "msu3")
 	start := time.Now()
 	res = opt.Result{Cost: -1}
 	defer func() { res.Elapsed = time.Since(start) }()
 
-	prep, w := opt.MaybePrep(w, m.Opts)
-	if prep.HardUnsat() {
-		res.Status = opt.StatusUnsat
-		return res
-	}
-	defer prep.Finish(&res)
-
-	NewInc(m.Opts, w).solve(ctx, w, shared, prep, &res)
+	NewInc(m.Opts, w).solve(ctx, w, shared, &res)
 	return res
 }

@@ -77,13 +77,6 @@ func (m *MSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 	res = opt.Result{Cost: -1}
 	defer func() { res.Elapsed = time.Since(start) }()
 
-	prep, w := opt.MaybePrep(w, m.Opts)
-	if prep.HardUnsat() {
-		res.Status = opt.StatusUnsat
-		return res
-	}
-	defer prep.Finish(&res)
-
 	s := sat.New()
 	m.Opts.ConfigureSolver(ctx, s)
 	softs, ok := loadSoft(s, w)
@@ -250,7 +243,7 @@ func (m *MSU4) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res 
 				bestCost = cost
 				res.Cost = cnf.Weight(cost)
 				res.Model = snapshotModel(model, w.NumVars)
-				prep.PublishUB(shared, res.Cost, res.Model)
+				shared.PublishUB(res.Cost, res.Model)
 			}
 			if cost == 0 {
 				res.Status = opt.StatusOptimal

@@ -102,13 +102,6 @@ func (m *OLL) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res o
 		*probe = OLLProbe{}
 	}
 
-	prep, w := opt.MaybePrep(w, m.Opts)
-	if prep.HardUnsat() {
-		res.Status = opt.StatusUnsat
-		return res
-	}
-	defer prep.Finish(&res)
-
 	s := sat.New()
 	m.Opts.ConfigureSolver(ctx, s)
 	softs, ok := loadSoft(s, w)
@@ -126,7 +119,6 @@ func (m *OLL) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res o
 		ctx:      ctx,
 		s:        s,
 		w:        w,
-		prep:     prep,
 		shared:   shared,
 		softs:    softs,
 		weightOf: weightOf,
@@ -157,7 +149,6 @@ type ollRun struct {
 	ctx      context.Context
 	s        *sat.Solver
 	w        *cnf.WCNF
-	prep     *opt.Prep
 	shared   *opt.Bounds
 	softs    []*softClause
 	weightOf map[*softClause]cnf.Weight
@@ -292,7 +283,7 @@ func (r *ollRun) improveUB(model cnf.Assignment) {
 		r.bestCost = cost
 		r.res.Cost = cost
 		r.res.Model = snapshotModel(model, r.w.NumVars)
-		r.prep.PublishUB(r.shared, r.res.Cost, r.res.Model)
+		r.shared.PublishUB(r.res.Cost, r.res.Model)
 	}
 }
 

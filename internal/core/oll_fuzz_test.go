@@ -49,7 +49,7 @@ func FuzzOLLVsBrute(f *testing.F) {
 			return
 		}
 		want, _, feasible := brute.MinCostWCNF(w)
-		for _, m := range []*OLL{NewOLL(opt.Options{}), {Opts: opt.Options{Preprocess: true}}} {
+		for _, m := range []opt.Solver{NewOLL(opt.Options{}), opt.Preprocessed(NewOLL(opt.Options{}))} {
 			r := m.Solve(context.Background(), w, nil)
 			if !feasible {
 				if r.Status != opt.StatusUnsat {

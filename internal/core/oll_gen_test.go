@@ -22,16 +22,17 @@ func TestOLLWeightedFamilies(t *testing.T) {
 			}
 			want = ref.Cost
 		}
-		for _, m := range []*OLL{
-			NewOLL(opt.Options{}),
-			{Opts: opt.Options{Preprocess: true}},
-		} {
+		for _, pre := range []bool{false, true} {
+			var m opt.Solver = NewOLL(opt.Options{})
+			if pre {
+				m = opt.Preprocessed(m)
+			}
 			r := m.Solve(context.Background(), in.W, nil)
 			if r.Status != opt.StatusOptimal || r.Cost != want {
-				t.Fatalf("%s (pre=%v): got %v, want optimal %d", in.Name, m.Opts.Preprocess, r, want)
+				t.Fatalf("%s (pre=%v): got %v, want optimal %d", in.Name, pre, r, want)
 			}
 			if !opt.VerifyModel(in.W, r) {
-				t.Fatalf("%s (pre=%v): model inconsistent", in.Name, m.Opts.Preprocess)
+				t.Fatalf("%s (pre=%v): model inconsistent", in.Name, pre)
 			}
 		}
 	}

@@ -58,10 +58,10 @@ func randWeighted(rng *rand.Rand) *cnf.WCNF {
 // agree with brute force on random weighted instances, with and without
 // preprocessing and with an exhaustion budget too small to finish a probe.
 func TestOLLAgainstBruteForce(t *testing.T) {
-	solvers := []*OLL{
+	solvers := []opt.Solver{
 		NewOLL(opt.Options{}),
-		{Opts: opt.Options{Preprocess: true}},
-		{ExhaustConflicts: 1},
+		opt.Preprocessed(NewOLL(opt.Options{})),
+		&OLL{ExhaustConflicts: 1},
 	}
 	rng := rand.New(rand.NewSource(90210))
 	for iter := 0; iter < 120; iter++ {

@@ -47,13 +47,6 @@ func (m *WMSU1) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res
 	res = opt.Result{Cost: -1}
 	defer func() { res.Elapsed = time.Since(start) }()
 
-	prep, w := opt.MaybePrep(w, m.Opts)
-	if prep.HardUnsat() {
-		res.Status = opt.StatusUnsat
-		return res
-	}
-	defer prep.Finish(&res)
-
 	s := sat.New()
 	m.Opts.ConfigureSolver(ctx, s)
 	s.EnsureVars(w.NumVars)
@@ -116,7 +109,7 @@ func (m *WMSU1) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res
 			res.Cost = cost
 			res.LowerBound = cost
 			res.Model = snapshotModel(model, w.NumVars)
-			prep.PublishUB(shared, res.Cost, res.Model)
+			shared.PublishUB(res.Cost, res.Model)
 			return res
 
 		case sat.Unsat:

@@ -74,14 +74,14 @@ func WeightedSolvers() []SolverSpec {
 	}
 }
 
-// WithPreprocessing returns a copy of spec whose solver runs with the
-// soft-aware preprocessing stage enabled; its column is named "<name>+pre"
-// so with/without runs sit side by side in the paper-style tables.
+// WithPreprocessing returns a copy of spec whose solver runs behind the
+// soft-aware preprocessing stage (opt.Preprocessed); its column is named
+// "<name>+pre" so with/without runs sit side by side in the paper-style
+// tables.
 func WithPreprocessing(spec SolverSpec) SolverSpec {
 	mk := spec.Make
 	return SolverSpec{Name: spec.Name + "+pre", Make: func(o opt.Options) opt.Solver {
-		o.Preprocess = true
-		return mk(o)
+		return opt.Preprocessed(mk(o))
 	}}
 }
 

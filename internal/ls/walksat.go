@@ -13,7 +13,6 @@ import (
 	"math/rand"
 
 	"repro/internal/cnf"
-	"repro/internal/opt"
 )
 
 // Params tunes the walk.
@@ -29,14 +28,6 @@ type Params struct {
 	// callback must not retain past the call). The portfolio engine uses it
 	// to seed the shared upper bound while the walk is still running.
 	OnImprove func(cost cnf.Weight, model cnf.Assignment)
-	// Prep, when non-nil, marks the instance as the rewritten formula of a
-	// soft-aware preprocessing stage: the walk flips over the simplified
-	// clauses, but every improvement is restored to the original variable
-	// space and rescored against the original softs before it reaches
-	// Result or OnImprove. Restoration can only lower the cost (a restored
-	// model satisfies every soft clause its selector claims, and sometimes
-	// more), so the walk's improvement gate stays monotone.
-	Prep *opt.Prep
 }
 
 // Result is the best assignment found.
@@ -107,7 +98,6 @@ func Minimize(ctx context.Context, w *cnf.WCNF, p Params) Result {
 	}
 
 	best := Result{Cost: -1}
-	walkBest := cnf.Weight(-1) // best walk-space cost; gates rescoring
 	a := make(cnf.Assignment, n)
 	trueCnt := make([]int32, len(clauses))
 	falseClauses := make([]int32, 0, len(clauses))
@@ -141,32 +131,11 @@ func Minimize(ctx context.Context, w *cnf.WCNF, p Params) Result {
 		}
 		record := func() {
 			cost, hardOK := softCost(clauses, trueCnt, baseCost)
-			if !hardOK {
+			if !hardOK || (best.Cost >= 0 && cost >= best.Cost) {
 				return
 			}
-			if p.Prep != nil {
-				// Rescore on walk-space ties too, not only improvements: two
-				// models of equal walk cost can restore to different original
-				// costs (a gratuitously false selector whose clause the
-				// assignment satisfies anyway is free after restoration).
-				if walkBest >= 0 && cost > walkBest {
-					return
-				}
-				walkBest = cost
-				m := p.Prep.Restore(a)
-				c := p.Prep.Score(m)
-				if best.Cost >= 0 && c >= best.Cost {
-					return
-				}
-				best.Cost = c
-				best.Model = m
-			} else {
-				if best.Cost >= 0 && cost >= best.Cost {
-					return
-				}
-				best.Cost = cost
-				best.Model = append(cnf.Assignment{}, a...)
-			}
+			best.Cost = cost
+			best.Model = append(cnf.Assignment{}, a...)
 			if p.OnImprove != nil {
 				p.OnImprove(best.Cost, best.Model)
 			}

@@ -118,12 +118,6 @@ type Options struct {
 	// bound, WalkSAT) have intrinsically bounded footprints and ignore it.
 	// The portfolio engine divides the cap evenly across its racing members.
 	MemBytes int64
-	// Preprocess enables the soft-aware preprocessing stage (see Prep):
-	// the hard clauses are simplified once with soft-clause selectors
-	// frozen before the optimizer starts, and models are reconstructed
-	// back to the original variables before they reach Result.Model or a
-	// shared Bounds witness.
-	Preprocess bool
 	// Restart selects the CDCL restart policy; VarDecay (when non-zero)
 	// overrides the VSIDS decay; PosPhase flips the initial decision phase.
 	// Portfolio diversification knobs so clones of the same algorithm stop

@@ -1,15 +1,55 @@
 package opt
 
 import (
+	"context"
 	"sync"
+	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/simp"
 )
 
-// Prep is the soft-aware preprocessing stage shared by every MaxSAT
-// optimizer in this repository. It rewrites a weighted formula so that the
-// SatELite-style simplifier in internal/simp can be applied soundly:
+// Preprocessed returns s behind the soft-aware preprocessing stage, the one
+// place the stage runs. Each Solve rewrites the formula once (see prep),
+// hands s the rewritten formula, and restores the result to the original
+// variables, with Elapsed covering the stage. The stage runs in keepSofts
+// mode when s declares KeepSofts and in selectors mode otherwise.
+//
+// Bounds cross the boundary in original terms. s gets nil bounds when the
+// caller passes nil, and private bounds over the rewritten formula
+// otherwise: their lower bounds reach shared unchanged, because the two
+// optima coincide, and their models reach it restored and rescored. So s
+// searches one variable space, and runs the same search whether or not
+// anyone observes its bounds. Bounds that others publish into shared do not
+// reach s.
+func Preprocessed(s Solver) Solver { return preprocessed{s} }
+
+// softKeeper is implemented by optimizers whose search reads the soft
+// clauses themselves (branch and bound, PBO): Preprocessed leaves their
+// soft clauses verbatim.
+type softKeeper interface{ KeepSofts() bool }
+
+type preprocessed struct{ Solver }
+
+// Solve implements Solver.
+func (p preprocessed) Solve(ctx context.Context, w *cnf.WCNF, shared *Bounds) Result {
+	start := time.Now()
+	mode := selectors
+	if k, ok := p.Solver.(softKeeper); ok && k.KeepSofts() {
+		mode = keepSofts
+	}
+	res := Result{Status: StatusUnsat, Cost: -1}
+	if pr := newPrep(w, mode); !pr.unsat {
+		res = p.Solver.Solve(ctx, pr.out, pr.bounds(shared))
+		pr.finish(&res)
+	}
+	res.Elapsed = time.Since(start)
+	return res
+}
+
+// prep is the soft-aware preprocessing stage. It rewrites a weighted
+// formula so that the SatELite-style simplifier in internal/simp can be
+// applied soundly:
 //
 //   - every non-unit soft clause ω gets a fresh selector s, the hard shell
 //     ω ∨ ¬s, and is replaced by the unit soft clause (s) of the same
@@ -29,77 +69,44 @@ import (
 // The optimum of the rewritten formula equals the original optimum: any
 // model of one instance extends/restores to a model of the other with no
 // higher cost. Models found on the rewritten formula are lifted back with
-// Restore (simp model reconstruction plus truncation to the original
-// variables) and rescored against the original soft clauses, so Result
-// models and opt.Bounds witnesses published through a Prep are always valid
-// for the original formula.
-//
-// All methods tolerate a nil receiver (no-op), mirroring *Bounds, so
-// optimizer code calls through an optional *Prep unconditionally. A Prep's
-// read-only methods (Restore, Score, PublishUB) are safe for concurrent use
-// once the Prep is built — the portfolio engine preprocesses once and
-// shares one Prep across its racing members and the WalkSAT seeder.
-type Prep struct {
+// restore (simp model reconstruction plus truncation to the original
+// variables) and rescored against the original soft clauses. Once built, a
+// prep is read-only, so restore and score are safe for concurrent use by
+// the racing members of a portfolio.
+type prep struct {
 	origVars int
-	selVars  int           // selectors appended after the original variables
 	softs    []cnf.WClause // original soft clauses, for rescoring
 	simp     *simp.Result  // nil when preprocessing proved hard-UNSAT early
-	out      *cnf.WCNF
-	unsat    bool
+	out      *cnf.WCNF     // the rewritten formula
+	unsat    bool          // the hard clauses alone are unsatisfiable
 }
 
-// preprocessors recycles simp.Preprocessor buffers across Prep calls, so a
+// preprocessors recycles simp.Preprocessor buffers across prep calls, so a
 // harness sweep or repeated portfolio launches stay allocation-light.
 var preprocessors = sync.Pool{New: func() any { return simp.NewPreprocessor() }}
 
-// Mode selects how the preprocessing stage treats soft clauses.
-type Mode int8
+// prepMode selects how the preprocessing stage treats soft clauses.
+type prepMode int8
 
 // Preprocessing modes.
 const (
-	// Selectors rewrites every non-unit soft clause behind a fresh frozen
+	// selectors rewrites every non-unit soft clause behind a fresh frozen
 	// selector, so the soft clauses' own variables can be eliminated. The
 	// right mode for the SAT-based optimizers (core-guided, PBO), which
 	// immediately re-express softs through selectors anyway.
-	Selectors Mode = iota
-	// KeepSofts leaves soft clauses verbatim and freezes every variable
+	selectors prepMode = iota
+	// keepSofts leaves soft clauses verbatim and freezes every variable
 	// they mention; only hard-clause structure is simplified. The right
 	// mode for search-based optimizers (branch and bound, local search),
 	// whose bounding heuristics read the soft clauses directly and go
 	// blind behind selector indirection.
-	KeepSofts
+	keepSofts
 )
 
-// MaybePrep runs the preprocessing stage when o.Preprocess is set. It
-// returns the stage (nil when disabled) and the formula the optimizer
-// should solve: the rewritten one, or w itself when preprocessing is off or
-// proved the hard clauses unsatisfiable (then HardUnsat reports true and
-// the optimizer must return StatusUnsat without solving).
-func MaybePrep(w *cnf.WCNF, o Options) (*Prep, *cnf.WCNF) {
-	return maybePrep(w, o, Selectors)
-}
-
-// MaybePrepKeepSofts is MaybePrep in KeepSofts mode.
-func MaybePrepKeepSofts(w *cnf.WCNF, o Options) (*Prep, *cnf.WCNF) {
-	return maybePrep(w, o, KeepSofts)
-}
-
-func maybePrep(w *cnf.WCNF, o Options, mode Mode) (*Prep, *cnf.WCNF) {
-	if !o.Preprocess {
-		return nil, w
-	}
-	p := NewPrep(w, simp.Options{}, mode)
-	if p.unsat {
-		return p, w
-	}
-	return p, p.out
-}
-
-// NewPrep builds the preprocessing stage for w unconditionally. The Prep
-// references w's soft clauses for rescoring and must not outlive the Solve
-// call it serves.
-func NewPrep(w *cnf.WCNF, so simp.Options, mode Mode) *Prep {
-	p := &Prep{origVars: w.NumVars}
+// newPrep builds the preprocessing stage for w. The prep references w's
+// soft clauses for rescoring and must not outlive the Solve call it serves.
+func newPrep(w *cnf.WCNF, mode prepMode) *prep {
+	p := &prep{origVars: w.NumVars}
 
 	// Assemble the hard side: hard clauses plus, in Selectors mode, a
 	// selector shell per non-unit soft. Selectors are allocated directly
@@ -135,7 +142,7 @@ func NewPrep(w *cnf.WCNF, so simp.Options, mode Mode) *Prep {
 			l := c.Clause[0]
 			frozen = append(frozen, l.Var())
 			recs = append(recs, softRec{kind: softUnit, lit: l})
-		case mode == KeepSofts:
+		case mode == keepSofts:
 			for _, l := range c.Clause {
 				frozen = append(frozen, l.Var())
 			}
@@ -149,12 +156,10 @@ func NewPrep(w *cnf.WCNF, so simp.Options, mode Mode) *Prep {
 			recs = append(recs, softRec{kind: softSel, lit: cnf.PosLit(sel)})
 		}
 	}
-	p.selVars = int(next) - w.NumVars
 	hard.NumVars = int(next)
 
 	pre := preprocessors.Get().(*simp.Preprocessor)
-	so.Frozen = append(so.Frozen, frozen...)
-	sr := pre.Preprocess(hard, so)
+	sr := pre.Preprocess(hard, simp.Options{Frozen: frozen})
 	preprocessors.Put(pre)
 	if sr.Unsat {
 		p.unsat = true
@@ -212,36 +217,16 @@ func NewPrep(w *cnf.WCNF, so simp.Options, mode Mode) *Prep {
 	return p
 }
 
-// W returns the rewritten formula the optimizer should solve (nil when
-// preprocessing proved hard-UNSAT).
-func (p *Prep) W() *cnf.WCNF {
-	if p == nil {
-		return nil
-	}
-	return p.out
-}
-
-// HardUnsat reports that preprocessing derived the empty clause from the
-// hard side alone; the instance is UNSAT regardless of the softs.
-func (p *Prep) HardUnsat() bool { return p != nil && p.unsat }
-
-// Restore lifts a model of the rewritten formula back to the original
+// restore lifts a model of the rewritten formula back to the original
 // variable space: simp reconstruction recovers eliminated and fixed
 // variables, then the selector tail is dropped. The input is not modified.
-func (p *Prep) Restore(model cnf.Assignment) cnf.Assignment {
-	if p == nil {
-		return model
-	}
-	m := p.simp.Reconstruct(model)
-	return m[:p.origVars]
+func (p *prep) restore(model cnf.Assignment) cnf.Assignment {
+	return p.simp.Reconstruct(model)[:p.origVars]
 }
 
-// Score returns the original-formula cost of an original-space model: the
+// score returns the original-formula cost of an original-space model: the
 // total weight of original soft clauses it falsifies.
-func (p *Prep) Score(model cnf.Assignment) cnf.Weight {
-	if p == nil {
-		return 0
-	}
+func (p *prep) score(model cnf.Assignment) cnf.Weight {
 	var cost cnf.Weight
 	for _, c := range p.softs {
 		if !model.Satisfies(c.Clause) {
@@ -251,51 +236,52 @@ func (p *Prep) Score(model cnf.Assignment) cnf.Weight {
 	return cost
 }
 
-// PublishUB publishes an upper bound to shared on the optimizer's behalf:
-// the model is restored to the original space and rescored first, so bound
-// witnesses crossing a portfolio are always original-formula models. With a
-// nil Prep it degenerates to a plain publish.
-func (p *Prep) PublishUB(shared *Bounds, cost cnf.Weight, model cnf.Assignment) {
-	if p == nil {
-		shared.PublishUB(cost, model)
-		return
+// bounds returns the bounds the optimizer solves against: nil when the
+// caller passed none, otherwise private bounds over the rewritten formula
+// whose observer lifts every improvement into shared. Lower bounds pass
+// unchanged; a model is restored and rescored first, which can only lower
+// its cost.
+func (p *prep) bounds(shared *Bounds) *Bounds {
+	if shared == nil {
+		return nil
 	}
-	if shared == nil || model == nil {
-		return
-	}
-	m := p.Restore(model)
-	shared.PublishUB(p.Score(m), m)
+	inner := NewBounds()
+	var (
+		mu   sync.Mutex
+		sent = cnf.Weight(-1) // inner cost of the last model lifted
+	)
+	inner.SetObserver(func(e BoundsEvent) {
+		if e.HasLB {
+			shared.PublishLB(e.LB)
+		}
+		if !e.HasUB {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if sent >= 0 && e.UB >= sent {
+			return // this model, or a better one, is already lifted
+		}
+		cost, model, ok := inner.Best()
+		if !ok {
+			return
+		}
+		sent = cost
+		m := p.restore(model)
+		shared.PublishUB(p.score(m), m)
+	})
+	return inner
 }
 
-// restorable reports whether the model still needs restoring. Optimizer
-// models cover the rewritten variable space (original + selectors); models
-// adopted from shared bounds were published through PublishUB and are
-// already original-space, which their shorter length reveals. When no
-// selectors were added the two spaces have the same length and Restore is
-// applied unconditionally — it is idempotent there (fixed variables are
-// re-fixed to the same values, eliminated variables re-derive the same
-// way).
-func (p *Prep) restorable(model cnf.Assignment) bool {
-	return len(model) != p.origVars || p.selVars == 0
-}
-
-// Finish rewrites a result produced on the rewritten formula into
-// original-formula terms: the model is restored (when it still needs it)
-// and rescored against the original softs, and the lower bound is clamped
-// to the rescored cost. Lower bounds proved on the rewritten formula are
-// valid as-is because the two optima coincide. Call it exactly once, after
-// the optimizer loop finishes.
-func (p *Prep) Finish(res *Result) {
-	if p == nil || p.unsat || res.Model == nil {
+// finish rewrites a result of the rewritten formula into original terms:
+// the model is restored and rescored against the original softs, and the
+// lower bound is clamped to the rescored cost. Lower bounds proved on the
+// rewritten formula hold as they are, because the two optima coincide.
+func (p *prep) finish(res *Result) {
+	if res.Model == nil {
 		return
 	}
-	m := res.Model
-	if p.restorable(m) {
-		m = p.Restore(m)
-	}
-	res.Model = m
-	res.Cost = p.Score(m)
-	if res.LowerBound > res.Cost {
-		res.LowerBound = res.Cost
-	}
+	res.Model = p.restore(res.Model)
+	res.Cost = p.score(res.Model)
+	res.LowerBound = min(res.LowerBound, res.Cost)
 }

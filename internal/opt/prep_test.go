@@ -1,36 +1,16 @@
 package opt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"repro/internal/brute"
 	"repro/internal/cnf"
 	"repro/internal/sat"
-	"repro/internal/simp"
 )
 
 func plit(i int) cnf.Lit { return cnf.FromDIMACS(i) }
-
-func TestMaybePrepDisabled(t *testing.T) {
-	w := cnf.NewWCNF(2)
-	w.AddSoft(1, plit(1))
-	p, pw := MaybePrep(w, Options{})
-	if p != nil || pw != w {
-		t.Fatal("disabled preprocessing must be a no-op")
-	}
-	// Nil-safe method surface.
-	if p.HardUnsat() {
-		t.Fatal("nil Prep reports unsat")
-	}
-	var res Result
-	p.Finish(&res)
-	b := NewBounds()
-	p.PublishUB(b, 1, cnf.Assignment{true, false})
-	if ub, ok := b.UB(); !ok || ub != 1 {
-		t.Fatal("nil Prep PublishUB must degrade to a plain publish")
-	}
-}
 
 func TestPrepRewriteShape(t *testing.T) {
 	w := cnf.NewWCNF(4)
@@ -38,11 +18,11 @@ func TestPrepRewriteShape(t *testing.T) {
 	w.AddSoft(1, plit(3), plit(4)) // non-unit: gets a selector
 	w.AddSoft(2, plit(-3))         // unit: kept, variable frozen
 	w.AddSoft(3)                   // empty: constant cost
-	p := NewPrep(w, simp.Options{}, Selectors)
-	if p.HardUnsat() {
+	p := newPrep(w, selectors)
+	if p.unsat {
 		t.Fatal("satisfiable hard clauses reported unsat")
 	}
-	out := p.W()
+	out := p.out
 	if out.NumVars != 5 {
 		t.Fatalf("want 4 original + 1 selector variables, got %d", out.NumVars)
 	}
@@ -71,8 +51,8 @@ func TestPrepFoldsFixedSelectors(t *testing.T) {
 	w.AddHard(plit(1))
 	w.AddSoft(5, plit(-1))
 	w.AddSoft(7, plit(1))
-	p := NewPrep(w, simp.Options{}, Selectors)
-	out := p.W()
+	p := newPrep(w, selectors)
+	out := p.out
 	var softs []cnf.WClause
 	for _, c := range out.Clauses {
 		if !c.Hard() {
@@ -89,26 +69,9 @@ func TestPrepHardUnsat(t *testing.T) {
 	w.AddHard(plit(1))
 	w.AddHard(plit(-1))
 	w.AddSoft(1, plit(1))
-	p := NewPrep(w, simp.Options{}, Selectors)
-	if !p.HardUnsat() {
+	p := newPrep(w, selectors)
+	if !p.unsat {
 		t.Fatal("conflicting hard clauses not detected")
-	}
-}
-
-func TestPrepFinishSkipsAdoptedOriginalModels(t *testing.T) {
-	// A model already in the original space (adopted from shared bounds,
-	// published by another member through PublishUB) must pass through
-	// Finish untouched except for rescoring.
-	w := cnf.NewWCNF(3)
-	w.AddHard(plit(1), plit(2))
-	w.AddSoft(1, plit(-1), plit(3))
-	w.AddSoft(1, plit(-2), plit(3))
-	p := NewPrep(w, simp.Options{}, Selectors)
-	adopted := cnf.Assignment{true, true, true} // original space, cost 0
-	res := Result{Status: StatusOptimal, Cost: 0, Model: adopted}
-	p.Finish(&res)
-	if res.Cost != 0 || len(res.Model) != 3 {
-		t.Fatalf("adopted model mangled: cost=%d len=%d", res.Cost, len(res.Model))
 	}
 }
 
@@ -141,14 +104,14 @@ func TestPrepPreservesOptimumRandom(t *testing.T) {
 			}
 		}
 		wantCost, _, wantFeasible := brute.MinCostWCNF(w)
-		p := NewPrep(w, simp.Options{}, Selectors)
-		if p.HardUnsat() {
+		p := newPrep(w, selectors)
+		if p.unsat {
 			if wantFeasible {
 				t.Fatalf("iter %d: prep unsat on feasible instance", iter)
 			}
 			continue
 		}
-		gotCost, gotModel, gotFeasible := solvePrep(t, p.W())
+		gotCost, gotModel, gotFeasible := solvePrep(t, p.out)
 		if gotFeasible != wantFeasible {
 			t.Fatalf("iter %d: feasibility drift (got %v want %v)", iter, gotFeasible, wantFeasible)
 		}
@@ -159,7 +122,7 @@ func TestPrepPreservesOptimumRandom(t *testing.T) {
 			t.Fatalf("iter %d: optimum drift: rewritten %d, original %d\n%v",
 				iter, gotCost, wantCost, w.Clauses)
 		}
-		m := p.Restore(gotModel)
+		m := p.restore(gotModel)
 		cost, hardOK := w.CostOf(m)
 		if !hardOK {
 			t.Fatalf("iter %d: restored model violates hard clauses", iter)
@@ -167,7 +130,7 @@ func TestPrepPreservesOptimumRandom(t *testing.T) {
 		if cost != wantCost {
 			t.Fatalf("iter %d: restored model costs %d, optimum %d", iter, cost, wantCost)
 		}
-		if got := p.Score(m); got != cost {
+		if got := p.score(m); got != cost {
 			t.Fatalf("iter %d: Score %d disagrees with CostOf %d", iter, got, cost)
 		}
 	}
@@ -175,8 +138,8 @@ func TestPrepPreservesOptimumRandom(t *testing.T) {
 
 // TestPrepSolveRoundTrip runs an actual SAT solver over the rewritten hard
 // clauses with all rewritten softs enforced relaxable — the integration
-// surface every optimizer uses — and checks restored models and published
-// bounds are original-space.
+// surface every optimizer uses — and checks that bounds published on the
+// rewritten formula reach the caller's bounds original-space.
 func TestPrepSolveRoundTrip(t *testing.T) {
 	w := cnf.NewWCNF(6)
 	w.AddHard(plit(1), plit(2), plit(3))
@@ -184,8 +147,8 @@ func TestPrepSolveRoundTrip(t *testing.T) {
 	w.AddSoft(1, plit(-4), plit(5))
 	w.AddSoft(1, plit(-2), plit(6))
 	w.AddSoft(1, plit(-3))
-	p := NewPrep(w, simp.Options{}, Selectors)
-	out := p.W()
+	p := newPrep(w, selectors)
+	out := p.out
 
 	s := sat.New()
 	s.EnsureVars(out.NumVars)
@@ -203,10 +166,19 @@ func TestPrepSolveRoundTrip(t *testing.T) {
 	copy(model, s.Model())
 
 	shared := NewBounds()
-	p.PublishUB(shared, p.Score(p.Restore(model)), model)
+	inner := p.bounds(shared)
+	innerCost, _ := out.CostOf(model)
+	inner.PublishUB(innerCost, model)
+	inner.PublishLB(1)
 	cost, m, ok := shared.Best()
 	if !ok {
 		t.Fatal("publish lost")
+	}
+	if cost > innerCost {
+		t.Fatalf("lifted cost %d above the rewritten cost %d", cost, innerCost)
+	}
+	if lb, ok := shared.LB(); !ok || lb != 1 {
+		t.Fatalf("lower bound not forwarded: %d %v", lb, ok)
 	}
 	if len(m) != 6 {
 		t.Fatalf("published witness not original-space: len %d", len(m))
@@ -224,8 +196,8 @@ func TestPrepKeepSoftsMode(t *testing.T) {
 	w.AddHard(plit(-1), plit(4)) // propagates x4
 	w.AddSoft(2, plit(-1), plit(2), plit(3))
 	w.AddSoft(3, plit(-4), plit(5))
-	p := NewPrep(w, simp.Options{}, KeepSofts)
-	out := p.W()
+	p := newPrep(w, keepSofts)
+	out := p.out
 	if out.NumVars != 5 {
 		t.Fatalf("KeepSofts must not add variables, got %d", out.NumVars)
 	}
@@ -265,14 +237,14 @@ func TestPrepKeepSoftsMode(t *testing.T) {
 			}
 		}
 		wantCost, _, wantFeasible := brute.MinCostWCNF(rw)
-		kp := NewPrep(rw, simp.Options{}, KeepSofts)
-		if kp.HardUnsat() {
+		kp := newPrep(rw, keepSofts)
+		if kp.unsat {
 			if wantFeasible {
 				t.Fatalf("iter %d: KeepSofts unsat on feasible instance", iter)
 			}
 			continue
 		}
-		gotCost, gotModel, gotFeasible := brute.MinCostWCNF(kp.W())
+		gotCost, gotModel, gotFeasible := brute.MinCostWCNF(kp.out)
 		if gotFeasible != wantFeasible {
 			t.Fatalf("iter %d: feasibility drift", iter)
 		}
@@ -282,9 +254,72 @@ func TestPrepKeepSoftsMode(t *testing.T) {
 		if gotCost != wantCost {
 			t.Fatalf("iter %d: optimum drift %d != %d\n%v", iter, gotCost, wantCost, rw.Clauses)
 		}
-		m := kp.Restore(gotModel)
+		m := kp.restore(gotModel)
 		if cost, hardOK := rw.CostOf(m); !hardOK || cost != wantCost {
 			t.Fatalf("iter %d: restored cost %d (hardOK %v), want %d", iter, cost, hardOK, wantCost)
 		}
+	}
+}
+
+// stubSolver records what Preprocessed hands the optimizer and solves the
+// formula it was given by brute force.
+type stubSolver struct {
+	keep   bool
+	called bool
+	vars   int
+	bounds *Bounds
+}
+
+func (s *stubSolver) Name() string    { return "stub" }
+func (s *stubSolver) KeepSofts() bool { return s.keep }
+func (s *stubSolver) Solve(_ context.Context, w *cnf.WCNF, shared *Bounds) Result {
+	s.called, s.vars, s.bounds = true, w.NumVars, shared
+	cost, m, _ := brute.MinCostWCNF(w)
+	shared.PublishUB(cost, m)
+	return Result{Status: StatusOptimal, Cost: cost, LowerBound: cost, Model: m}
+}
+
+// TestPreprocessed covers the wrapper's boundary: the mode follows
+// KeepSofts, the optimizer gets private bounds only when the caller passes
+// some, and results and lifted bounds are original-space.
+func TestPreprocessed(t *testing.T) {
+	w := cnf.NewWCNF(3)
+	w.AddHard(plit(1), plit(2))
+	w.AddSoft(1, plit(-1), plit(3))
+	w.AddSoft(2, plit(-2), plit(3))
+	for _, keep := range []bool{false, true} {
+		stub := &stubSolver{keep: keep}
+		s := Preprocessed(stub)
+		if s.Name() != "stub" {
+			t.Fatalf("name %q", s.Name())
+		}
+		r := s.Solve(context.Background(), w, nil)
+		if wantVars := map[bool]int{false: 5, true: 3}[keep]; stub.vars != wantVars {
+			t.Fatalf("keep=%v: optimizer saw %d variables, want %d", keep, stub.vars, wantVars)
+		}
+		if stub.bounds != nil {
+			t.Fatalf("keep=%v: unobserved solve handed bounds", keep)
+		}
+		if cost, hardOK := w.CostOf(r.Model); len(r.Model) != 3 || !hardOK || cost != r.Cost {
+			t.Fatalf("keep=%v: result not original-space: %v cost %d", keep, r.Model, r.Cost)
+		}
+
+		shared := NewBounds()
+		r = Preprocessed(stub).Solve(context.Background(), w, shared)
+		if stub.bounds == nil || stub.bounds == shared {
+			t.Fatalf("keep=%v: observed solve must get private bounds", keep)
+		}
+		if ub, ok := shared.UB(); !ok || ub != r.Cost {
+			t.Fatalf("keep=%v: lifted UB %d (%v), result cost %d", keep, ub, ok, r.Cost)
+		}
+	}
+
+	unsat := cnf.NewWCNF(1)
+	unsat.AddHard(plit(1))
+	unsat.AddHard(plit(-1))
+	unsat.AddSoft(1, plit(1))
+	stub := &stubSolver{}
+	if r := Preprocessed(stub).Solve(context.Background(), unsat, NewBounds()); r.Status != StatusUnsat || stub.called {
+		t.Fatalf("hard-UNSAT: status %v, optimizer called %v", r.Status, stub.called)
 	}
 }

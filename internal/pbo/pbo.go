@@ -31,21 +31,15 @@ type Linear struct {
 // Name implements opt.Solver.
 func (l *Linear) Name() string { return "pbo" }
 
+// KeepSofts asks opt.Preprocessed to leave the soft clauses verbatim: pbo
+// adds its own blocking variables over them.
+func (l *Linear) KeepSofts() bool { return true }
+
 // Solve implements opt.Solver.
 func (l *Linear) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res opt.Result) {
 	start := time.Now()
 	res = opt.Result{Cost: -1}
 	defer func() { res.Elapsed = time.Since(start) }()
-
-	// KeepSofts mode: pbo adds its own blocking variables over the soft
-	// clauses and discounts gratuitous blockings against them, so it only
-	// wants the hard structure simplified.
-	prep, w := opt.MaybePrepKeepSofts(w, l.Opts)
-	if prep.HardUnsat() {
-		res.Status = opt.StatusUnsat
-		return res
-	}
-	defer prep.Finish(&res)
 
 	s := sat.New()
 	s.EnsureVars(w.NumVars)
@@ -72,9 +66,7 @@ func (l *Linear) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (re
 		var b cnf.Lit
 		if len(c.Clause) == 1 {
 			// A unit soft (l) needs no fresh blocking variable: ¬l is true
-			// exactly when the soft is falsified. (KeepSofts preprocessing
-			// leaves multi-literal softs verbatim; those still get fresh
-			// blocking variables below.)
+			// exactly when the soft is falsified.
 			b = c.Clause[0].Neg()
 		} else {
 			b = cnf.PosLit(s.NewVar())
@@ -119,26 +111,15 @@ func (l *Linear) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (re
 		case sat.Sat:
 			res.SatCalls++
 			model := s.Model()
-			// Recompute the true cost from the original soft clauses: the
-			// model may set blocking variables (or, under preprocessing,
-			// selectors) gratuitously. With preprocessing active the honest
-			// cost lives in the original space — restoring the model and
-			// rescoring it there discounts every selector whose underlying
-			// clause the assignment satisfies anyway, so each bound cuts as
-			// deep as it would on the raw formula.
-			var cost cnf.Weight
-			if prep != nil {
-				res.Model = prep.Restore(model)
-				cost = prep.Score(res.Model)
-			} else {
-				cost = baseCost
-				for _, ci := range softIdx {
-					if !model.Satisfies(w.Clauses[ci].Clause) {
-						cost += w.Clauses[ci].Weight
-					}
+			// Recompute the true cost from the soft clauses: the model may
+			// set blocking variables gratuitously.
+			cost := baseCost
+			for _, ci := range softIdx {
+				if !model.Satisfies(w.Clauses[ci].Clause) {
+					cost += w.Clauses[ci].Weight
 				}
-				res.Model = snapshot(model, w.NumVars)
 			}
+			res.Model = snapshot(model, w.NumVars)
 			res.Cost = cost
 			shared.PublishUB(res.Cost, res.Model)
 			// An externally improved model lets the next bound cut deeper
@@ -182,6 +163,10 @@ type BinarySearch struct {
 // Name implements opt.Solver.
 func (b *BinarySearch) Name() string { return "pbo-bin" }
 
+// KeepSofts asks opt.Preprocessed to leave the soft clauses verbatim (see
+// Linear).
+func (b *BinarySearch) KeepSofts() bool { return true }
+
 // Solve implements opt.Solver.
 func (b *BinarySearch) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) (res opt.Result) {
 	if w.Weighted() {
@@ -192,13 +177,6 @@ func (b *BinarySearch) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bound
 	start := time.Now()
 	res = opt.Result{Cost: -1}
 	defer func() { res.Elapsed = time.Since(start) }()
-
-	prep, w := opt.MaybePrepKeepSofts(w, b.Opts) // see Linear
-	if prep.HardUnsat() {
-		res.Status = opt.StatusUnsat
-		return res
-	}
-	defer prep.Finish(&res)
 
 	s := sat.New()
 	s.EnsureVars(w.NumVars)
@@ -245,14 +223,9 @@ func (b *BinarySearch) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bound
 		return res
 	}
 	res.SatCalls++
-	// evaluate maps a model to (witness, cost): under preprocessing the
-	// honest cost comes from restoring and rescoring in the original space
-	// (see Linear), otherwise from the soft clauses directly.
+	// evaluate maps a model to (witness, cost), the cost recomputed from
+	// the soft clauses (see Linear).
 	evaluate := func(model cnf.Assignment) (cnf.Assignment, cnf.Weight) {
-		if prep != nil {
-			m := prep.Restore(model)
-			return m, prep.Score(m)
-		}
 		cost := baseCost
 		for _, ci := range softIdx {
 			if !model.Satisfies(w.Clauses[ci].Clause) {

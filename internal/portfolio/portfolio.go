@@ -135,29 +135,14 @@ type outcome struct {
 // Solve implements opt.Solver: it races the members under ctx and returns
 // the first proved result, or the best shared bounds once ctx expires.
 // A caller-supplied shared bound is joined (the portfolio publishes into
-// and observes it like any member would); nil gets a fresh one.
-//
-// With Opts.Preprocess set, the formula is preprocessed once and the
-// members race clones of the simplified formula (the stage's cost is paid
-// once and its benefit multiplies across the line-up); the WalkSAT seeder
-// walks the simplified clauses too and publishes restored, rescored
-// original-space models. The final result is restored before it is
-// returned. Because the internal bound exchange then carries a mix of
-// simplified- and original-space witnesses, a caller-supplied shared bound
-// is not joined live in that mode; the portfolio publishes its final
-// bounds into it instead.
+// and observes it like any member would); nil gets a fresh one. Wrapped in
+// opt.Preprocessed, the portfolio preprocesses once for the whole line-up:
+// the members and the WalkSAT seeder all race on the rewritten formula.
 func (e *Engine) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) opt.Result {
 	start := time.Now()
-	prep, pw := opt.MaybePrep(w, e.Opts)
-	if prep.HardUnsat() {
-		return opt.Result{Status: opt.StatusUnsat, Cost: -1, Elapsed: time.Since(start)}
-	}
-	w = pw
 	memberOpts := e.Opts
-	memberOpts.Preprocess = false // already done, once, here
-
 	bounds := shared
-	if bounds == nil || prep != nil {
+	if bounds == nil {
 		bounds = opt.NewBounds()
 	}
 	members := DefaultMembers()
@@ -196,7 +181,6 @@ func (e *Engine) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) opt
 			Seed:     1,
 			MaxFlips: 50000,
 			Tries:    3,
-			Prep:     prep,
 			OnImprove: func(cost cnf.Weight, model cnf.Assignment) {
 				bounds.PublishUB(cost, model)
 			},
@@ -244,15 +228,6 @@ func (e *Engine) Solve(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds) opt
 				}
 				res.LowerBound = lb
 			}
-		}
-	}
-	prep.Finish(&res)
-	if prep != nil && shared != nil {
-		// The caller's bound channel was not joined live (space mismatch);
-		// hand it the final original-space bounds instead.
-		shared.PublishLB(res.LowerBound)
-		if res.Model != nil {
-			shared.PublishUB(res.Cost, res.Model)
 		}
 	}
 	// The work profile covers every member, not just the winner: the

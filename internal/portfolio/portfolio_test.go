@@ -55,13 +55,13 @@ func TestPortfolioMatchesMSU4(t *testing.T) {
 	}
 }
 
-// TestPortfolioPreprocessed: the preprocess-once pipeline (members race
-// clones of the simplified formula, the seeder publishes restored models)
-// proves msu4-v2's optima and returns original-space witnesses.
+// TestPortfolioPreprocessed: the preprocess-once pipeline (the members and
+// the seeder race on the simplified formula, the wrapper restores the
+// result) proves msu4-v2's optima and returns original-space witnesses.
 func TestPortfolioPreprocessed(t *testing.T) {
 	for _, in := range []gen.Instance{gen.EquivMiter(8), gen.BMCCounter(4, 10)} {
 		ref := core.NewMSU4V2(opt.Options{}).Solve(context.Background(), in.W, nil)
-		r := New(opt.Options{Preprocess: true}, 4).Solve(context.Background(), in.W, nil)
+		r := opt.Preprocessed(New(opt.Options{}, 4)).Solve(context.Background(), in.W, nil)
 		if r.Status != opt.StatusOptimal || r.Cost != ref.Cost {
 			t.Fatalf("%s: pre status %v cost %d, want optimal %d", in.Name, r.Status, r.Cost, ref.Cost)
 		}

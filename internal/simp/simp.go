@@ -9,10 +9,10 @@
 // caller keeps semantic claims about — soft-clause selectors, literals that
 // will later be assumed, variables new clauses will be added over — must be
 // listed in Options.Frozen so bounded variable elimination leaves it alone.
-// The soft-aware preprocessing stage in internal/opt (opt.Prep) uses exactly
-// that contract: it attaches a fresh frozen selector to every soft clause,
-// preprocesses the hard clauses plus selector shells here, and reconstructs
-// models back to the original variables afterwards. Frozen variables may
+// The soft-aware preprocessing stage in internal/opt (opt.Preprocessed) uses
+// exactly that contract: it attaches a fresh frozen selector to every soft
+// clause, preprocesses the hard clauses plus selector shells here, and
+// reconstructs models back to the original variables afterwards. Frozen variables may
 // still be fixed by level-0 unit propagation (a forced value is a proved
 // fact, not a rewrite); Result.Fixed exposes those values.
 //

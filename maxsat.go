@@ -169,12 +169,17 @@ type Options struct {
 	// divides the cap evenly across its racing members; algorithms that do
 	// not run a CDCL engine (AlgoBnB) ignore it. Zero means unbounded.
 	MemoryBudget int64 `json:"mem,omitempty"`
-	// Preprocess enables soft-aware SatELite preprocessing: the hard
-	// clauses (plus a frozen selector shell per soft clause) are simplified
-	// once — unit propagation, subsumption, self-subsuming resolution,
-	// bounded variable elimination — before the optimizer starts, and every
-	// model is reconstructed back to the original variables. The portfolio
-	// preprocesses once and races its members on the simplified formula.
+	// Preprocess runs the solve behind soft-aware SatELite preprocessing
+	// (opt.Preprocessed): the hard clauses (plus a frozen selector shell per
+	// soft clause, or the soft clauses' own variables frozen for maxsatz and
+	// the PBO algorithms) are simplified once — unit propagation,
+	// subsumption, self-subsuming resolution, bounded variable elimination —
+	// before the optimizer starts, and every model is reconstructed back to
+	// the original variables. The optimizer searches the rewritten formula
+	// alone: OnImprove and a served job's bounds see its improvements in
+	// original terms, and observing them leaves the search as it is. The
+	// portfolio preprocesses once and races its members on the rewritten
+	// formula.
 	Preprocess bool `json:"pre,omitempty"`
 	// Parallelism caps the number of solvers AlgoPortfolio races
 	// concurrently; 0 races the full line-up. Other algorithms ignore it.
@@ -371,10 +376,7 @@ func SolveFile(path string, o Options) (Result, error) {
 }
 
 func buildSolver(w *WCNF, o Options) (opt.Solver, Algorithm, error) {
-	io_ := opt.Options{
-		MemBytes:   o.MemoryBudget,
-		Preprocess: o.Preprocess,
-	}
+	io_ := opt.Options{MemBytes: o.MemoryBudget}
 	algo := o.Algorithm
 	if algo == AlgoAuto {
 		if w.Weighted() {
@@ -412,6 +414,9 @@ func buildSolver(w *WCNF, o Options) (opt.Solver, Algorithm, error) {
 	}
 	if algoRequiresUnitWeights(algo) && w.Weighted() {
 		return nil, algo, ErrWeighted
+	}
+	if o.Preprocess {
+		solver = opt.Preprocessed(solver)
 	}
 	return solver, algo, nil
 }
