@@ -83,12 +83,12 @@ func TestPreprocessedMatchesRawWeighted(t *testing.T) {
 	}
 }
 
-// TestPreprocessedQuickRandom is the quick-check: random small weighted
-// partial instances, every preprocessing-capable algorithm against brute
-// force, with original-formula model verification.
+// TestPreprocessedQuickRandom is the quick-check: random small unit-weight
+// partial instances, every single algorithm behind the preprocessing stage
+// against brute force, with original-formula model verification.
 func TestPreprocessedQuickRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
-	algos := []Algorithm{AlgoMSU4V2, AlgoMSU3, AlgoPBO, AlgoPBOBin, AlgoBnB}
+	algos := []Algorithm{AlgoMSU4V2, AlgoMSU1, AlgoMSU2, AlgoMSU3, AlgoWMSU1, AlgoWMSU4, AlgoOLL, AlgoPBO, AlgoPBOBin, AlgoBnB}
 	for iter := 0; iter < 80; iter++ {
 		vars := 3 + rng.Intn(5)
 		w := NewWCNF(vars)
