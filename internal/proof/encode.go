@@ -1,6 +1,7 @@
 package proof
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/cnf"
@@ -91,6 +92,11 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 		val cnf.Weight
 		lit cnf.Lit
 	}
+	// at returns the literal of value v in a node, which is sorted by value.
+	at := func(node []out, v cnf.Weight) cnf.Lit {
+		i, _ := slices.BinarySearchFunc(node, v, func(o out, v cnf.Weight) int { return cmp.Compare(o.val, v) })
+		return node[i].lit
+	}
 	nodes := make([][]out, len(softs))
 	for i, s := range softs {
 		v := s.weight / g
@@ -100,11 +106,12 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 		nodes[i] = []out{{val: v, lit: s.relax}}
 	}
 	// Balanced binary merge, left to right, until one root remains.
+	var vals []cnf.Weight // a merge's achievable sums; scratch, reused
 	for len(nodes) > 1 {
 		merged := make([][]out, 0, (len(nodes)+1)/2)
 		for i := 0; i+1 < len(nodes); i += 2 {
 			a, bn := nodes[i], nodes[i+1]
-			vals := make([]cnf.Weight, 0, len(a)+len(bn)+len(a)*len(bn))
+			vals = vals[:0]
 			for _, x := range a {
 				vals = append(vals, x.val)
 			}
@@ -122,19 +129,16 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 			}
 			slices.Sort(vals)
 			vals = slices.Compact(vals)
-			lit := make(map[cnf.Weight]cnf.Lit, len(vals))
 			node := make([]out, 0, len(vals))
 			for _, v := range vals {
-				l := cnf.PosLit(next)
+				node = append(node, out{val: v, lit: cnf.PosLit(next)})
 				next++
-				lit[v] = l
-				node = append(node, out{val: v, lit: l})
 			}
 			for _, x := range a {
-				add(nil, x.lit.Neg(), lit[x.val])
+				add(nil, x.lit.Neg(), at(node, x.val))
 			}
 			for _, y := range bn {
-				add(nil, y.lit.Neg(), lit[y.val])
+				add(nil, y.lit.Neg(), at(node, y.val))
 			}
 			for _, x := range a {
 				for _, y := range bn {
@@ -142,7 +146,7 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 					if s > cap {
 						s = cap
 					}
-					add(nil, x.lit.Neg(), y.lit.Neg(), lit[s])
+					add(nil, x.lit.Neg(), y.lit.Neg(), at(node, s))
 				}
 			}
 			merged = append(merged, node)
