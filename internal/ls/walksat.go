@@ -131,7 +131,10 @@ func Minimize(ctx context.Context, w *cnf.WCNF, p Params) Result {
 		}
 		record := func() {
 			cost, hardOK := softCost(clauses, trueCnt, baseCost)
-			if !hardOK || (best.Cost >= 0 && cost >= best.Cost) {
+			if !hardOK {
+				return
+			}
+			if best.Cost >= 0 && cost >= best.Cost {
 				return
 			}
 			best.Cost = cost

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"context"
+	"math"
 	"sync"
 	"time"
 
@@ -12,8 +13,9 @@ import (
 // Preprocessed returns s behind the soft-aware preprocessing stage, the one
 // place the stage runs. Each Solve rewrites the formula once (see prep),
 // hands s the rewritten formula, and restores the result to the original
-// variables, with Elapsed covering the stage. The stage runs in keepSofts
-// mode when s declares KeepSofts and in selectors mode otherwise.
+// variables, with Elapsed covering the stage. The stage keeps the soft
+// clauses verbatim when s has a KeepSofts method that returns true, and
+// puts each behind a selector otherwise.
 //
 // Bounds cross the boundary in original terms. s gets nil bounds when the
 // caller passes nil, and private bounds over the rewritten formula
@@ -41,7 +43,7 @@ func (p preprocessed) Solve(ctx context.Context, w *cnf.WCNF, shared *Bounds) Re
 	res := Result{Status: StatusUnsat, Cost: -1}
 	if pr := newPrep(w, mode); !pr.unsat {
 		res = p.Solver.Solve(ctx, pr.out, pr.bounds(shared))
-		pr.finish(&res)
+		pr.finish(&res, shared)
 	}
 	res.Elapsed = time.Since(start)
 	return res
@@ -92,14 +94,13 @@ type prepMode int8
 const (
 	// selectors rewrites every non-unit soft clause behind a fresh frozen
 	// selector, so the soft clauses' own variables can be eliminated. The
-	// right mode for the SAT-based optimizers (core-guided, PBO), which
-	// immediately re-express softs through selectors anyway.
+	// right mode for the core-guided optimizers, which immediately
+	// re-express softs through selectors anyway.
 	selectors prepMode = iota
 	// keepSofts leaves soft clauses verbatim and freezes every variable
 	// they mention; only hard-clause structure is simplified. The right
-	// mode for search-based optimizers (branch and bound, local search),
-	// whose bounding heuristics read the soft clauses directly and go
-	// blind behind selector indirection.
+	// mode for optimizers whose bounding reads the soft clauses directly
+	// (branch and bound, PBO) and goes blind behind selector indirection.
 	keepSofts
 )
 
@@ -247,26 +248,24 @@ func (p *prep) bounds(shared *Bounds) *Bounds {
 	}
 	inner := NewBounds()
 	var (
-		mu   sync.Mutex
-		sent = cnf.Weight(-1) // inner cost of the last model lifted
+		mu     sync.Mutex
+		lifted = cnf.Weight(math.MaxInt64) // best inner cost lifted so far
 	)
 	inner.SetObserver(func(e BoundsEvent) {
 		if e.HasLB {
 			shared.PublishLB(e.LB)
 		}
-		if !e.HasUB {
-			return
-		}
+		// Every event carries the upper bound; lift each model once.
 		mu.Lock()
-		defer mu.Unlock()
-		if sent >= 0 && e.UB >= sent {
-			return // this model, or a better one, is already lifted
+		fresh := e.HasUB && e.UB < lifted
+		if fresh {
+			lifted = e.UB
 		}
-		cost, model, ok := inner.Best()
-		if !ok {
+		mu.Unlock()
+		if !fresh {
 			return
 		}
-		sent = cost
+		_, model, _ := inner.Best()
 		m := p.restore(model)
 		shared.PublishUB(p.score(m), m)
 	})
@@ -275,13 +274,19 @@ func (p *prep) bounds(shared *Bounds) *Bounds {
 
 // finish rewrites a result of the rewritten formula into original terms:
 // the model is restored and rescored against the original softs, and the
-// lower bound is clamped to the rescored cost. Lower bounds proved on the
-// rewritten formula hold as they are, because the two optima coincide.
-func (p *prep) finish(res *Result) {
-	if res.Model == nil {
-		return
+// lower bound is clamped to the cost. Lower bounds proved on the rewritten
+// formula hold as they are, because the two optima coincide. An unproved
+// result takes shared's best model when that one is cheaper: a model lifted
+// earlier can rescore below the optimizer's final incumbent.
+func (p *prep) finish(res *Result, shared *Bounds) {
+	if res.Model != nil {
+		res.Model = p.restore(res.Model)
+		res.Cost = p.score(res.Model)
 	}
-	res.Model = p.restore(res.Model)
-	res.Cost = p.score(res.Model)
-	res.LowerBound = min(res.LowerBound, res.Cost)
+	if cost, model, ok := shared.Best(); ok && res.Status == StatusUnknown && (res.Model == nil || cost < res.Cost) {
+		res.Cost, res.Model = cost, model
+	}
+	if res.Model != nil {
+		res.LowerBound = min(res.LowerBound, res.Cost)
+	}
 }

@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/brute"
@@ -261,6 +262,40 @@ func TestPrepKeepSoftsMode(t *testing.T) {
 	}
 }
 
+// TestPrepBoundsConcurrent publishes into the private bounds from several
+// goroutines at once, as the members of a preprocessed portfolio do: the
+// caller's bounds end at the lifted best model and the best lower bound.
+func TestPrepBoundsConcurrent(t *testing.T) {
+	w := cnf.NewWCNF(4)
+	w.AddHard(plit(1), plit(2))
+	w.AddSoft(1, plit(-1), plit(3))
+	w.AddSoft(2, plit(-2), plit(4))
+	w.AddSoft(3, plit(-3), plit(-4))
+	p := newPrep(w, selectors)
+	cost, model, _ := brute.MinCostWCNF(p.out)
+	want := p.score(p.restore(model))
+	shared := NewBounds()
+	inner := p.bounds(shared)
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := cost + 50; c >= cost; c-- {
+				inner.PublishUB(c, model)
+				inner.PublishLB(2*cost - c)
+			}
+		}()
+	}
+	wg.Wait()
+	if ub, ok := shared.UB(); !ok || ub != want {
+		t.Fatalf("UB %d (%v), want the lifted optimum %d", ub, ok, want)
+	}
+	if lb, ok := shared.LB(); !ok || lb != cost {
+		t.Fatalf("LB %d (%v), want %d", lb, ok, cost)
+	}
+}
+
 // stubSolver records what Preprocessed hands the optimizer and solves the
 // formula it was given by brute force.
 type stubSolver struct {
@@ -322,4 +357,61 @@ func TestPreprocessed(t *testing.T) {
 	if r := Preprocessed(stub).Solve(context.Background(), unsat, NewBounds()); r.Status != StatusUnsat || stub.called {
 		t.Fatalf("hard-UNSAT: status %v, optimizer called %v", r.Status, stub.called)
 	}
+}
+
+// TestPreprocessedUnprovedKeepsLiftedBest: a model lifted into the
+// caller's bounds can rescore below the optimizer's final incumbent, whose
+// rewritten cost is lower. An unproved result must not report the costlier
+// one.
+func TestPreprocessedUnprovedKeepsLiftedBest(t *testing.T) {
+	w := cnf.NewWCNF(3)
+	w.AddSoft(1, plit(3), plit(-2))
+	w.AddSoft(1, plit(1), plit(-2))
+	w.AddSoft(1, plit(3))
+	p := newPrep(w, selectors)
+	// Find models a and b of the rewritten formula with b cheaper there
+	// and a cheaper once restored.
+	var models []cnf.Assignment
+	for bits := 0; bits < 1<<p.out.NumVars; bits++ {
+		m := make(cnf.Assignment, p.out.NumVars)
+		for v := range m {
+			m[v] = bits>>v&1 == 1
+		}
+		if _, hardOK := p.out.CostOf(m); hardOK {
+			models = append(models, m)
+		}
+	}
+	inner := func(m cnf.Assignment) cnf.Weight { c, _ := p.out.CostOf(m); return c }
+	lifted := func(m cnf.Assignment) cnf.Weight { return p.score(p.restore(m)) }
+	var a, b cnf.Assignment
+	for _, x := range models {
+		for _, y := range models {
+			if inner(y) < inner(x) && lifted(x) < lifted(y) {
+				a, b = x, y
+			}
+		}
+	}
+	if a == nil {
+		t.Fatal("no such pair of models")
+	}
+	stub := solverFunc(func(shared *Bounds) Result {
+		shared.PublishUB(inner(a), a)
+		shared.PublishUB(inner(b), b)
+		return Result{Status: StatusUnknown, Cost: inner(b), Model: b}
+	})
+	r := Preprocessed(stub).Solve(context.Background(), w, NewBounds())
+	if r.Cost != lifted(a) {
+		t.Fatalf("unproved result costs %d, the caller's bounds hold %d", r.Cost, lifted(a))
+	}
+	if cost, hardOK := w.CostOf(r.Model); !hardOK || cost != r.Cost {
+		t.Fatalf("model does not witness cost %d", r.Cost)
+	}
+}
+
+// solverFunc is an optimizer that answers with f(shared).
+type solverFunc func(shared *Bounds) Result
+
+func (f solverFunc) Name() string { return "func" }
+func (f solverFunc) Solve(_ context.Context, _ *cnf.WCNF, shared *Bounds) Result {
+	return f(shared)
 }
