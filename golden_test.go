@@ -292,9 +292,18 @@ func TestObservedSolveKeepsSearch(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				o := Options{Algorithm: algo, Preprocess: pre}
+				solve := func(w *cnf.WCNF, shared *opt.Bounds) (opt.Result, error) {
+					r, _, err := goldenSolve(func(ctx context.Context, w *cnf.WCNF) (opt.Result, error) {
+						s, _, err := buildSolver(w, Options{Algorithm: algo, Preprocess: pre})
+						if err != nil {
+							return opt.Result{}, err
+						}
+						return s.Solve(ctx, w, shared), nil
+					}, w)
+					return r, err
+				}
 				for _, in := range set {
-					quiet, _, err := goldenSolve(served(algo, pre), in.W)
+					quiet, err := solve(in.W, nil)
 					if errors.Is(err, ErrWeighted) {
 						continue
 					}
@@ -305,10 +314,7 @@ func TestObservedSolveKeepsSearch(t *testing.T) {
 						t.Fatalf("%s: no longer finishes under the %v cap", in.Name, goldenCap)
 					}
 					b := opt.NewBounds()
-					watched, _, _ := goldenSolve(func(ctx context.Context, w *cnf.WCNF) (opt.Result, error) {
-						s, _, err := buildSolver(w, o)
-						return s.Solve(ctx, w, b), err
-					}, in.W)
+					watched, _ := solve(in.W, b)
 					q, got := goldenLine(name, in.Name, quiet, false, false), goldenLine(name, in.Name, watched, false, false)
 					if q != got {
 						t.Errorf("observing the solve moved its search:\n nil bounds    %s\n shared bounds %s", q, got)
