@@ -64,3 +64,37 @@ func TestBoundFormulaStable(t *testing.T) {
 		t.Errorf("BoundFormula's clauses changed: digest %s, want %s", got, boundFormulaDigest)
 	}
 }
+
+// certifyDigest is the SHA-256 of opt.Certify's output over the answers
+// TestCertifyBytesStable certifies. Served certificates, the store's
+// certificate sections and cache-hit re-checks all carry these bytes, so a
+// change in the lemmas Trim keeps or in their order shows here first.
+const certifyDigest = "1e0814c0ed66b56c15455d4c3bed0debd821156ea67e10719eca5203f0f18211"
+
+// TestCertifyBytesStable pins the certificate bytes opt.Certify produces for
+// OLL's answers on gen.WeightedSuite(1) and msu4-v2's on the unit-weight
+// instances of gen.Suite(42).
+func TestCertifyBytesStable(t *testing.T) {
+	ctx := context.Background()
+	h := sha256.New()
+	certify := func(in gen.Instance, s opt.Solver) {
+		r := s.Solve(ctx, in.W, nil)
+		data, err := opt.Certify(ctx, in.W, r, opt.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		h.Write(binary.AppendUvarint(nil, uint64(len(data))))
+		h.Write(data)
+	}
+	for _, in := range gen.WeightedSuite(1) {
+		certify(in, core.NewOLL(opt.Options{}))
+	}
+	for _, in := range gen.Suite(42) {
+		if !in.W.Weighted() {
+			certify(in, core.NewMSU4V2(opt.Options{}))
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != certifyDigest {
+		t.Errorf("opt.Certify's bytes changed: digest %s, want %s", got, certifyDigest)
+	}
+}
