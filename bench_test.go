@@ -379,7 +379,7 @@ func BenchmarkPortfolio(b *testing.B) {
 			return core.NewMSU4V2(opt.Options{}).Solve(ctx, w, nil)
 		}},
 		{"maxsatz", func(ctx context.Context, w *cnf.WCNF) opt.Result {
-			return bnb.New(opt.Options{}).Solve(ctx, w, nil)
+			return bnb.New().Solve(ctx, w, nil)
 		}},
 	}
 	for _, in := range insts {

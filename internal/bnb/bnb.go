@@ -28,13 +28,12 @@ import (
 )
 
 // BnB is the branch-and-bound MaxSAT optimizer. It supports weighted
-// partial MaxSAT.
-type BnB struct {
-	Opts opt.Options
-}
+// partial MaxSAT. It has no settings: the search ignores the memory budget
+// and the SAT solver's knobs, and stops only when its context does.
+type BnB struct{}
 
-// New returns a maxsatz-style solver with the given options.
-func New(o opt.Options) *BnB { return &BnB{Opts: o} }
+// New returns a maxsatz-style solver.
+func New() *BnB { return &BnB{} }
 
 // Name implements opt.Solver.
 func (b *BnB) Name() string { return "maxsatz" }

@@ -25,7 +25,7 @@ func TestPaperExample2(t *testing.T) {
 	f.AddClause(lit(1), lit(-4))
 	f.AddClause(lit(-1), lit(4))
 	w := cnf.FromFormula(f)
-	r := New(opt.Options{}).Solve(context.Background(), w, nil)
+	r := New().Solve(context.Background(), w, nil)
 	if r.Status != opt.StatusOptimal || r.Cost != 2 {
 		t.Fatalf("status %v cost %d, want optimal 2", r.Status, r.Cost)
 	}
@@ -61,7 +61,7 @@ func TestAgainstBruteForce(t *testing.T) {
 		weighted := iter%3 == 0
 		w := randomWCNF(rng, 3+rng.Intn(8), 4+rng.Intn(24), partial, weighted)
 		want, _, feasible := brute.MinCostWCNF(w)
-		r := New(opt.Options{}).Solve(context.Background(), w, nil)
+		r := New().Solve(context.Background(), w, nil)
 		if !feasible {
 			if r.Status != opt.StatusUnsat {
 				t.Fatalf("iter %d: status %v, want UNSAT", iter, r.Status)
@@ -89,7 +89,7 @@ func TestUPLBPrunesMore(t *testing.T) {
 		w.AddSoft(1, lit(v))
 		w.AddSoft(1, lit(-v))
 	}
-	r := New(opt.Options{}).Solve(context.Background(), w, nil)
+	r := New().Solve(context.Background(), w, nil)
 	if r.Status != opt.StatusOptimal || r.Cost != 8 {
 		t.Fatalf("status %v cost %d, want OPTIMAL 8", r.Status, r.Cost)
 	}
@@ -105,7 +105,7 @@ func TestHardUnsat(t *testing.T) {
 	w.AddHard(lit(1), lit(-2))
 	w.AddHard(lit(-1), lit(-2))
 	w.AddSoft(1, lit(1))
-	if r := New(opt.Options{}).Solve(context.Background(), w, nil); r.Status != opt.StatusUnsat {
+	if r := New().Solve(context.Background(), w, nil); r.Status != opt.StatusUnsat {
 		t.Fatalf("got %v, want UNSAT", r.Status)
 	}
 }
@@ -114,7 +114,7 @@ func TestEmptyHardClauseUnsat(t *testing.T) {
 	w := cnf.NewWCNF(1)
 	w.AddHard()
 	w.AddSoft(1, lit(1))
-	if r := New(opt.Options{}).Solve(context.Background(), w, nil); r.Status != opt.StatusUnsat {
+	if r := New().Solve(context.Background(), w, nil); r.Status != opt.StatusUnsat {
 		t.Fatalf("got %v, want UNSAT", r.Status)
 	}
 }
@@ -123,7 +123,7 @@ func TestEmptySoftClauses(t *testing.T) {
 	w := cnf.NewWCNF(1)
 	w.AddSoft(2)
 	w.AddSoft(1, lit(1))
-	r := New(opt.Options{}).Solve(context.Background(), w, nil)
+	r := New().Solve(context.Background(), w, nil)
 	if r.Status != opt.StatusOptimal || r.Cost != 2 {
 		t.Fatalf("status %v cost %d, want optimal 2", r.Status, r.Cost)
 	}
@@ -133,7 +133,7 @@ func TestSatisfiableCostZero(t *testing.T) {
 	w := cnf.NewWCNF(3)
 	w.AddSoft(1, lit(1), lit(2))
 	w.AddSoft(1, lit(-1), lit(3))
-	r := New(opt.Options{}).Solve(context.Background(), w, nil)
+	r := New().Solve(context.Background(), w, nil)
 	if r.Status != opt.StatusOptimal || r.Cost != 0 {
 		t.Fatalf("status %v cost %d, want optimal 0", r.Status, r.Cost)
 	}
@@ -143,7 +143,7 @@ func TestTautologyIgnored(t *testing.T) {
 	w := cnf.NewWCNF(2)
 	w.AddSoft(1, lit(1), lit(-1))
 	w.AddSoft(1, lit(2))
-	r := New(opt.Options{}).Solve(context.Background(), w, nil)
+	r := New().Solve(context.Background(), w, nil)
 	if r.Cost != 0 {
 		t.Fatalf("cost %d, want 0 (tautology always satisfied)", r.Cost)
 	}
@@ -155,7 +155,7 @@ func TestDeadlineAbort(t *testing.T) {
 	w := randomWCNF(rng, 40, 300, false, false)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
-	r := New(opt.Options{}).Solve(ctx, w, nil)
+	r := New().Solve(ctx, w, nil)
 	if r.Status == opt.StatusUnsat {
 		t.Fatal("plain MaxSAT can never be UNSAT")
 	}
@@ -164,7 +164,7 @@ func TestDeadlineAbort(t *testing.T) {
 }
 
 func TestName(t *testing.T) {
-	if New(opt.Options{}).Name() != "maxsatz" {
+	if New().Name() != "maxsatz" {
 		t.Fatal("name")
 	}
 }

@@ -33,7 +33,7 @@ type SolverSpec struct {
 // this repository serves.
 func DefaultSolvers() []SolverSpec {
 	return []SolverSpec{
-		{Name: "maxsatz", Make: func(o opt.Options) opt.Solver { return bnb.New(o) }},
+		{Name: "maxsatz", Make: func(opt.Options) opt.Solver { return bnb.New() }},
 		{Name: "pbo", Make: func(o opt.Options) opt.Solver { return &pbo.Linear{Opts: o} }},
 		{Name: "msu4-bdd", Make: func(o opt.Options) opt.Solver {
 			return &core.MSU4{Opts: o, ReencodeBounds: true, Encoding: card.BDD}

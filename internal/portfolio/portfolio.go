@@ -55,7 +55,7 @@ func DefaultMembers() []Spec {
 	return []Spec{
 		{Name: "msu4-v2", Make: func(o opt.Options) opt.Solver { return core.NewMSU4V2(o) }},
 		{Name: "oll", Make: func(o opt.Options) opt.Solver { return core.NewOLL(o) }},
-		{Name: "maxsatz", Make: func(o opt.Options) opt.Solver { return bnb.New(o) }},
+		{Name: "maxsatz", Make: func(opt.Options) opt.Solver { return bnb.New() }},
 		{Name: "msu3", Make: func(o opt.Options) opt.Solver {
 			o.Restart = sat.RestartGlucose
 			return core.NewMSU3(o)
@@ -81,7 +81,7 @@ func WeightedMembers() []Spec {
 	return []Spec{
 		{Name: "oll", Make: func(o opt.Options) opt.Solver { return core.NewOLL(o) }},
 		{Name: "wmsu4", Make: func(o opt.Options) opt.Solver { return core.NewWMSU4(o) }},
-		{Name: "maxsatz", Make: func(o opt.Options) opt.Solver { return bnb.New(o) }},
+		{Name: "maxsatz", Make: func(opt.Options) opt.Solver { return bnb.New() }},
 		{Name: "wmsu1", Make: func(o opt.Options) opt.Solver { return core.NewWMSU1(o) }},
 		{Name: "pbo", Make: func(o opt.Options) opt.Solver { return &pbo.Linear{Opts: o} }},
 	}

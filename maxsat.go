@@ -406,7 +406,7 @@ func buildSolver(w *WCNF, o Options) (opt.Solver, Algorithm, error) {
 	case AlgoPBOBin:
 		solver = &pbo.BinarySearch{Opts: io_}
 	case AlgoBnB:
-		solver = bnb.New(io_)
+		solver = bnb.New()
 	case AlgoPortfolio:
 		solver = portfolio.New(io_, o.Parallelism)
 	default:
