@@ -59,24 +59,15 @@ func OpenJournal(path string, faults *Faults) (*Journal, error) {
 		return nil, err
 	}
 	j := &Journal{log: l, dropped: dropped, faults: faults}
-	byID := make(map[uint64]int) // id -> index into order of live submits
-	var order []RecoveredJob
+	// The done markers first, so that only pending submissions are
+	// decoded: a completed one is skipped on its leading ID alone, and its
+	// formula is never parsed.
 	completed := make(map[uint64]bool)
+	submits := 0
 	for _, r := range recs {
 		switch r.Kind {
 		case recSubmit:
-			rj, err := decodeSubmit(r.Payload)
-			if err != nil {
-				j.dropped++
-				continue
-			}
-			if rj.ID > j.maxID {
-				j.maxID = rj.ID
-			}
-			if _, dup := byID[rj.ID]; !dup {
-				byID[rj.ID] = len(order)
-				order = append(order, rj)
-			}
+			submits++
 		case recDone:
 			id, n := binary.Uvarint(r.Payload)
 			if n <= 0 {
@@ -84,19 +75,29 @@ func OpenJournal(path string, faults *Faults) (*Journal, error) {
 				continue
 			}
 			completed[id] = true
-			if id > j.maxID {
-				j.maxID = id
-			}
+			j.maxID = max(j.maxID, id)
 		default:
 			j.dropped++
 		}
 	}
-	for _, rj := range order {
-		if !completed[rj.ID] {
-			j.pending = append(j.pending, rj)
+	seen := make(map[uint64]bool) // IDs of the pending submissions decoded so far
+	for _, r := range recs {
+		if r.Kind != recSubmit {
+			continue
 		}
+		if id, n := binary.Uvarint(r.Payload); n > 0 && (completed[id] || seen[id]) {
+			continue
+		}
+		rj, err := decodeSubmit(r.Payload)
+		if err != nil {
+			j.dropped++
+			continue
+		}
+		j.maxID = max(j.maxID, rj.ID)
+		seen[rj.ID] = true
+		j.pending = append(j.pending, rj)
 	}
-	if len(j.pending) < len(order) || j.dropped > 0 {
+	if len(j.pending) < submits || j.dropped > 0 {
 		j.compactLocked()
 	}
 	return j, nil
