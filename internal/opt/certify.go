@@ -35,14 +35,24 @@ import (
 // The returned bytes have already been validated by the independent
 // checker; Certify never returns an unverified certificate.
 func Certify(ctx context.Context, w *cnf.WCNF, r Result, o Options) ([]byte, error) {
-	cert, err := buildCertificate(ctx, w, r, o)
+	cert, _, err := CertifyHinted(ctx, w, r, o)
+	return cert, err
+}
+
+// CertifyHinted is Certify that also returns the certificate's proof hints
+// (proof.Certificate.EncodeHints), nil when it has none: the conflict cones
+// proof.Trim recorded, with which the self-check, and a durable store's
+// re-proof at the next boot, verify the certificate without propagation
+// search. The certificate bytes are Certify's.
+func CertifyHinted(ctx context.Context, w *cnf.WCNF, r Result, o Options) (cert, hints []byte, err error) {
+	c, err := buildCertificate(ctx, w, r, o)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if err := proof.Check(w, cert); err != nil {
-		return nil, fmt.Errorf("opt: produced certificate failed self-check: %w", err)
+	if err := proof.Check(w, c); err != nil {
+		return nil, nil, fmt.Errorf("opt: produced certificate failed self-check: %w", err)
 	}
-	return cert.Encode(), nil
+	return c.Encode(), c.EncodeHints(), nil
 }
 
 func buildCertificate(ctx context.Context, w *cnf.WCNF, r Result, o Options) (*proof.Certificate, error) {
@@ -103,7 +113,8 @@ func refute(ctx context.Context, f *cnf.Formula, o Options) (*proof.Trace, error
 		// consumed: certificates are stored durably and served over HTTP,
 		// so the dead search effort (typically most of the trace) is pure
 		// payload cost. Trim verifies as it marks, so a trimming failure
-		// means the raw trace was already invalid.
+		// means the raw trace was already invalid; the trimmed trace
+		// carries the hints of what it marked.
 		t, err := proof.Trim(f, rec.Trace())
 		if err != nil {
 			return nil, fmt.Errorf("trimming refutation: %w", err)

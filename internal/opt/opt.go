@@ -77,6 +77,11 @@ type Result struct {
 	// proof.CheckBytes against the original instance. Optimizers never set
 	// it themselves; the certification pass attaches it after the solve.
 	Certificate []byte
+	// Hints, when non-nil, are Certificate's proof hints (CertifyHinted):
+	// what a durable store keeps beside the certificate so that the next
+	// process re-proves it without propagation search. The serving layer
+	// drops them once the store has written them; no client receives them.
+	Hints []byte
 	// Elapsed is the wall-clock optimization time.
 	Elapsed time.Duration
 }

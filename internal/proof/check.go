@@ -18,11 +18,19 @@ import (
 // the unit clauses' propagation fixpoint is derived once and kept across
 // lemma checks, until the sweep retires a clause it rests on.
 //
+// A trace that carries hints (Trace.Hints) is first verified forward
+// through them, one unit propagation over each record's hints and no
+// search (checkHinted). When the hints do not verify it, the backward check
+// decides, so hints change what a check costs and never its verdict.
+//
 // The propagation engine here runs over its own literal arena and shares
 // nothing with internal/sat — this function is the independent half of the
 // proof pipeline. Only OpLearn and OpDelete records are admitted;
 // any other op rejects the trace.
 func CheckTrace(f *cnf.Formula, t *Trace) error {
+	if t.Hints != nil && checkHinted(f, t) == nil {
+		return nil
+	}
 	_, err := newChecker(f).run(t)
 	return err
 }
@@ -36,20 +44,50 @@ func CheckTrace(f *cnf.Formula, t *Trace) error {
 // active set. The result verifies again (asserted by the trimming tests,
 // and cheap enough to re-check at the call site).
 //
+// The result carries hints: for each kept record, the clauses of the cone
+// its check marked (the conflict and the reasons it rests on), in
+// propagation order with the conflict last, numbered in the trimmed trace.
+// They are the antecedents LRAT records (Cruz-Filipe et al., CADE 2017);
+// with them CheckTrace re-proves the result without propagation search.
+//
 // Trimming a trace that fails verification returns the error.
 func Trim(f *cnf.Formula, t *Trace) (*Trace, error) {
 	c := newChecker(f)
+	c.record = true
 	emptyAt, err := c.run(t)
 	if err != nil {
 		return nil, err
 	}
+	// renum maps a checker id to its id in the trimmed trace. Cones hold
+	// only marked clauses: formula clauses, which keep their ids, and kept
+	// records.
+	m := int32(len(f.Clauses))
+	renum := make([]int32, len(c.status))
+	for id := range m {
+		renum[id] = id
+	}
 	out := &Trace{}
-	for i, rec := range t.Records[:emptyAt] {
-		if rec.Op != OpDelete && c.marked[c.byRecord[i]] {
+	var kept []int32 // checker ids of the kept records, in order
+	for i, rec := range t.Records[:emptyAt+1] {
+		if id := c.byRecord[i]; rec.Op != OpDelete && (c.marked[id] || i == emptyAt) {
+			renum[id] = m + int32(len(out.Records))
+			kept = append(kept, id)
 			out.Records = append(out.Records, rec)
 		}
 	}
-	out.Records = append(out.Records, t.Records[emptyAt])
+	n := 0
+	for _, id := range kept {
+		n += int(c.hintOf[id].to - c.hintOf[id].from)
+	}
+	ids := make([]int32, 0, n)
+	out.Hints = make([][]int32, len(kept))
+	for j, id := range kept {
+		from := len(ids)
+		for _, h := range c.cones[c.hintOf[id].from:c.hintOf[id].to] {
+			ids = append(ids, renum[h])
+		}
+		out.Hints[j] = ids[from:len(ids):len(ids)]
+	}
 	return out, nil
 }
 
@@ -97,6 +135,9 @@ func (c *checker) run(t *Trace) (int, error) {
 	if emptyAt < 0 {
 		return -1, fmt.Errorf("proof: trace does not derive the empty clause")
 	}
+	if c.record {
+		c.hintOf = make([]span, len(c.status))
+	}
 
 	// The final obligation: with everything before the empty clause
 	// active, unit propagation alone must conflict.
@@ -104,6 +145,7 @@ func (c *checker) run(t *Trace) (int, error) {
 	if err := c.rup(nil); err != nil {
 		return -1, fmt.Errorf("proof: empty clause: %w", err)
 	}
+	c.keepCone(c.byRecord[emptyAt])
 
 	// Backward sweep.
 	for i := emptyAt - 1; i >= 0; i-- {
@@ -122,6 +164,7 @@ func (c *checker) run(t *Trace) (int, error) {
 		if err := c.rup(rec.Lits); err != nil {
 			return -1, fmt.Errorf("proof: record %d (%v): %w", i, cnf.Clause(rec.Lits), err)
 		}
+		c.keepCone(id)
 	}
 	return emptyAt, nil
 }
@@ -160,7 +203,19 @@ type checker struct {
 	seen  []uint32 // per var: the markFrom call that last visited it
 	stamp uint32
 	stack []cnf.Lit
+
+	// Trim's hints. While record is set, every conflict files its cone in
+	// cones (conflict), cone spans the last one rup passed, topCone the
+	// units' own conflict, and hintOf[id] the cone of clause id's check.
+	record  bool
+	cones   []int32
+	cone    span
+	topCone span
+	hintOf  []span
 }
+
+// span is the range cones[from:to].
+type span struct{ from, to int32 }
 
 // status is a clause's standing in the sweep.
 type status uint8
@@ -309,28 +364,26 @@ func (c *checker) dropTop() {
 }
 
 // settle derives the fixpoint of the active unit clauses on an empty trail.
-// A conflict there is marked once and recorded in topConfl.
+// A conflict there is marked once and recorded in topConfl: an empty
+// clause, a unit clause whose literal is already false, or a clause
+// propagation falsified.
 func (c *checker) settle() {
 	c.topValid, c.topConfl = true, -1
 	for _, id := range c.units {
 		if c.status[id] != active {
 			continue
 		}
-		cl := c.clause(id)
-		if len(cl) == 0 {
+		if cl := c.clause(id); len(cl) == 0 || !c.enqueue(cl[0], id) {
 			c.topConfl = id
-			c.markFrom(id)
-			return
-		}
-		if !c.enqueue(cl[0], id) {
-			c.topConfl = id
-			c.markConflict(cl[0], id)
-			return
+			break
 		}
 	}
-	if confl := c.propagate(); confl >= 0 {
-		c.topConfl = confl
-		c.markFrom(confl)
+	if c.topConfl < 0 {
+		c.topConfl = c.propagate()
+	}
+	if c.topConfl >= 0 {
+		c.conflict(c.topConfl)
+		c.topCone = c.cone
 		return
 	}
 	c.top = len(c.trail)
@@ -345,6 +398,7 @@ func (c *checker) rup(lemma []cnf.Lit) error {
 		c.settle()
 	}
 	if c.topConfl >= 0 {
+		c.cone = c.topCone
 		return nil // the units alone conflict: every lemma is RUP
 	}
 	defer c.backtrack(c.top)
@@ -353,14 +407,15 @@ func (c *checker) rup(lemma []cnf.Lit) error {
 			// l is already true. The fixpoint implied it (mark why), or
 			// an earlier literal of the lemma did, which makes the lemma a
 			// tautology: trivially valid, and its reason -1 marks nothing.
+			c.cone = span{}
 			if r := c.reason[l.Var()]; r >= 0 {
-				c.markFrom(r)
+				c.conflict(r)
 			}
 			return nil
 		}
 	}
 	if confl := c.propagate(); confl >= 0 {
-		c.markFrom(confl)
+		c.conflict(confl)
 		return nil
 	}
 	return fmt.Errorf("not RUP: unit propagation does not conflict")
@@ -486,12 +541,32 @@ func (c *checker) markFrom(confl int32) {
 	c.stack = stack
 }
 
-// markConflict handles a conflict found while asserting unit clauses: the
-// unit clause id forcing ¬l plus the reason chain of l.
-func (c *checker) markConflict(l cnf.Lit, id int32) {
-	c.marked[id] = true
-	if r := c.reason[l.Var()]; r >= 0 {
-		c.markFrom(r)
+// conflict marks the antecedents of a conflict at clause confl, whose
+// literals are all false. While recording, it also files the conflict's
+// cone in cones: the reasons markFrom visited, in trail order, then confl.
+// Each of them was unit or false when propagation reached it, so unit
+// propagation over the cone alone repeats the conflict.
+func (c *checker) conflict(confl int32) {
+	c.markFrom(confl)
+	if !c.record {
+		return
+	}
+	from := int32(len(c.cones))
+	for _, l := range c.trail {
+		v := l.Var()
+		if r := c.reason[v]; r >= 0 && r != confl && c.seen[v] == c.stamp {
+			c.cones = append(c.cones, r)
+		}
+	}
+	c.cones = append(c.cones, confl)
+	c.cone = span{from, int32(len(c.cones))}
+}
+
+// keepCone files the cone of the check rup just passed as clause id's
+// hints, while recording.
+func (c *checker) keepCone(id int32) {
+	if c.record {
+		c.hintOf[id] = c.cone
 	}
 }
 

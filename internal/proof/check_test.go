@@ -266,21 +266,30 @@ func solverRefutation(t *testing.T, f *cnf.Formula) *proof.Trace {
 
 // mutate applies one fuzzer-chosen edit to a copy of tr: drop, duplicate or
 // swap a record, flip a literal, insert a deletion of an earlier clause, or
-// drop a deletion. Kind 0 (mod 7) leaves the trace as it is.
+// drop a deletion. Kind 0 (mod 7) leaves the trace as it is. A hint list
+// moves with its record (a deletion gets none), so the ids in the lists
+// keep naming records by their old positions.
 func mutate(f *cnf.Formula, tr *proof.Trace, kind, pos, arg byte) *proof.Trace {
 	recs := make([]proof.Record, len(tr.Records))
 	for i, r := range tr.Records {
 		recs[i] = proof.Record{Op: r.Op, Lits: slices.Clone(r.Lits)}
 	}
+	hints := slices.Clone(tr.Hints)
+	for len(hints) < len(recs) {
+		hints = append(hints, nil)
+	}
 	i := int(pos) % len(recs)
 	switch kind % 7 {
 	case 1:
 		recs = slices.Delete(recs, i, i+1)
+		hints = slices.Delete(hints, i, i+1)
 	case 2:
 		recs = slices.Insert(recs, i, recs[i])
+		hints = slices.Insert(hints, i, hints[i])
 	case 3:
 		if i+1 < len(recs) {
 			recs[i], recs[i+1] = recs[i+1], recs[i]
+			hints[i], hints[i+1] = hints[i+1], hints[i]
 		}
 	case 4:
 		if n := len(recs[i].Lits); n > 0 {
@@ -300,6 +309,7 @@ func mutate(f *cnf.Formula, tr *proof.Trace, kind, pos, arg byte) *proof.Trace {
 		if len(pool) > 0 {
 			d := proof.Record{Op: proof.OpDelete, Lits: slices.Clone(pool[int(arg)%len(pool)])}
 			recs = slices.Insert(recs, i, d)
+			hints = slices.Insert(hints, i, nil)
 		}
 	case 6:
 		var dels []int
@@ -311,9 +321,54 @@ func mutate(f *cnf.Formula, tr *proof.Trace, kind, pos, arg byte) *proof.Trace {
 		if len(dels) > 0 {
 			j := dels[int(arg)%len(dels)]
 			recs = slices.Delete(recs, j, j+1)
+			hints = slices.Delete(hints, j, j+1)
 		}
 	}
-	return &proof.Trace{Records: recs}
+	if tr.Hints == nil {
+		hints = nil
+	}
+	return &proof.Trace{Records: recs, Hints: hints}
+}
+
+// mutateHints applies one fuzzer-chosen edit to a copy of hints: set an id
+// to arg−8 (negative, a later record or out of range as often as not), drop
+// or duplicate an id, swap two neighbouring ids, or drop a whole list. Kind
+// 0 (mod 6) leaves them as they are.
+func mutateHints(hints [][]int32, kind, pos, arg byte) [][]int32 {
+	out := make([][]int32, len(hints))
+	for i, h := range hints {
+		out[i] = slices.Clone(h)
+	}
+	if len(out) == 0 {
+		return out
+	}
+	i := int(pos) % len(out)
+	h := out[i]
+	j := 0
+	if len(h) > 0 {
+		j = int(arg) % len(h)
+	}
+	switch kind % 6 {
+	case 1:
+		if len(h) > 0 {
+			h[j] = int32(arg) - 8
+		}
+	case 2:
+		if len(h) > 0 {
+			out[i] = slices.Delete(h, j, j+1)
+		}
+	case 3:
+		if len(h) > 0 {
+			out[i] = slices.Insert(h, j, h[j])
+		}
+	case 4:
+		if j+1 < len(h) {
+			h[j], h[j+1] = h[j+1], h[j]
+		}
+	case 5:
+		out = slices.Delete(out, i, i+1)
+	}
+	return out
 }
 
 // FuzzCheckerVsOracle checks a solver's refutation of a fuzzer-chosen
@@ -381,4 +436,100 @@ func FuzzCheckerVsOracle(f *testing.F) {
 			t.Fatalf("the oracle rejected the trimmed trace: %v", err)
 		}
 	})
+}
+
+// FuzzHintedVsOracle checks Trim's hinted refutation of a fuzzer-chosen
+// unsatisfiable formula, after a fuzzer-chosen mutation of its records
+// (mutate) and one of its hints (mutateHints), with the hinted kernel alone,
+// without CheckTrace's fallback, and with the oracle. The target is the
+// formula itself or, as the fuzzer chooses, the formula less one clause,
+// which renumbers the clauses after it. The kernel accepts every unmutated
+// hinted refutation of the formula itself, and never accepts a trace the
+// oracle rejects.
+func FuzzHintedVsOracle(f *testing.F) {
+	square := fuzzBytes([]int{1, 2}, []int{-1, 2}, []int{1, -2}, []int{-1, -2})
+	chain := fuzzBytes([]int{1}, []int{-1, 2}, []int{-2, 3}, []int{-3, 4}, []int{-4})
+	var cube [][]int // all eight ternary clauses over x1, x2, x3
+	for m := 0; m < 8; m++ {
+		c := []int{1, 2, 3}
+		for j := range c {
+			if m&(1<<j) != 0 {
+				c[j] = -c[j]
+			}
+		}
+		cube = append(cube, c)
+	}
+	f.Add(square, byte(0), byte(0), byte(0), byte(0), byte(0), byte(0), byte(4))
+	f.Add(chain, byte(0), byte(0), byte(0), byte(1), byte(2), byte(9), byte(5))
+	f.Add(fuzzBytes(cube...), byte(0), byte(0), byte(0), byte(0), byte(0), byte(0), byte(8))
+	f.Add(fuzzBytes(cube...), byte(4), byte(2), byte(1), byte(0), byte(0), byte(0), byte(8))
+	f.Add(fuzzBytes(cube...), byte(3), byte(1), byte(0), byte(4), byte(1), byte(0), byte(8))
+	f.Add(fuzzBytes(append(cube, []int{4, 5}, []int{-4, 5})...), byte(0), byte(0), byte(0), byte(2), byte(3), byte(1), byte(3))
+	f.Fuzz(func(t *testing.T, data []byte, kind, pos, arg, hkind, hpos, harg, drop byte) {
+		base := fuzzFormula(data)
+		if len(base.Clauses) == 0 {
+			t.Skip()
+		}
+		if sat, _ := brute.SAT(base); sat {
+			t.Skip()
+		}
+		trimmed, err := proof.Trim(base, solverRefutation(t, base))
+		if err != nil {
+			t.Fatalf("Trim rejected a solver refutation: %v", err)
+		}
+		tr := mutate(base, trimmed, kind, pos, arg)
+		tr.Hints = mutateHints(tr.Hints, hkind, hpos, harg)
+		target := base
+		if k := int(drop) % (len(base.Clauses) + 1); k < len(base.Clauses) {
+			target = cnf.NewFormula(base.NumVars)
+			for i, c := range base.Clauses {
+				if i != k {
+					target.AddClause(c...)
+				}
+			}
+		}
+		errHinted := proof.CheckHinted(target, tr)
+		if kind%7 == 0 && hkind%6 == 0 && target == base && errHinted != nil {
+			t.Fatalf("unmutated hinted refutation rejected: %v", errHinted)
+		}
+		if errHinted == nil {
+			if err := proof.OracleCheckTrace(target, tr); err != nil {
+				t.Fatalf("the hinted kernel accepted a trace the oracle rejects: %v", err)
+			}
+		}
+	})
+}
+
+// TestHintedKernelRejects feeds the hinted kernel invalid traces whose hints
+// look plausible. Five refute a satisfiable formula: a lemma that repeats a
+// literal, taken for a tautology; a lemma proved by itself or by a later
+// record; a hint with two unassigned literals; hints that end without a
+// conflict. The sixth refutes an unsatisfiable formula after deleting a
+// clause its empty clause needs, which the deletion's own hints "prove".
+// The kernel rejects every one, and so does CheckTrace.
+func TestHintedKernelRejects(t *testing.T) {
+	// Satisfied by x1 = 1, x2 = 0. Clause ids: 0 is (x1 ∨ x2), 1 is (¬x2),
+	// and record j is id 2+j.
+	sat := formulaOf(2, []int{1, 2}, []int{-2})
+	empty := []int32{1, 0, 2} // x2 false, then x1 true, then record 0 (¬x1) false
+	for _, tc := range []struct {
+		name string
+		f    *cnf.Formula
+		tr   *proof.Trace
+	}{
+		{"repeated-literal", sat, &proof.Trace{Records: []proof.Record{learn(-1, -1), learn()}, Hints: [][]int32{nil, empty}}},
+		{"by-itself", sat, &proof.Trace{Records: []proof.Record{learn(-1), learn()}, Hints: [][]int32{{2}, empty}}},
+		{"by-a-later-record", sat, &proof.Trace{Records: []proof.Record{learn(-1), learn()}, Hints: [][]int32{{3}, empty}}},
+		{"not-unit", sat, &proof.Trace{Records: []proof.Record{learn()}, Hints: [][]int32{{0, 1}}}},
+		{"no-conflict", sat, &proof.Trace{Records: []proof.Record{learn(-1), learn()}, Hints: [][]int32{{1, 0}, empty}}},
+		{"deletion", formulaOf(1, []int{1}, []int{-1}),
+			&proof.Trace{Records: []proof.Record{del(-1), learn()}, Hints: [][]int32{{1}, {0, 1}}}},
+	} {
+		if err := proof.CheckHinted(tc.f, tc.tr); err == nil {
+			t.Errorf("%s: the hinted kernel accepted an invalid trace", tc.name)
+		}
+		if err := proof.CheckTrace(tc.f, tc.tr); err == nil {
+			t.Errorf("%s: CheckTrace accepted an invalid trace", tc.name)
+		}
+	}
 }

@@ -14,6 +14,8 @@ import (
 
 	"repro/internal/brute"
 	"repro/internal/cnf"
+	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/opt"
 	"repro/internal/proof"
 	"repro/internal/sat"
@@ -402,6 +404,51 @@ func TestCertifyTracesAreTrimmed(t *testing.T) {
 			}
 			if len(rec.Lits) == 0 && ri != len(st.Trace.Records)-1 {
 				t.Fatalf("step %d: empty clause at %d is not the final record", si, ri)
+			}
+		}
+	}
+}
+
+// TestCertifyHintsCheckForward certifies OLL's answers on the weighted
+// suite: each hint section decodes back onto its certificate and encodes to
+// the same bytes, and the hinted kernel alone accepts every step. Flipping
+// one literal of the middle lemma of each step, it never accepts what the
+// oracle rejects.
+func TestCertifyHintsCheckForward(t *testing.T) {
+	ctx := context.Background()
+	for _, in := range gen.WeightedSuite(1) {
+		r := core.NewOLL(opt.Options{}).Solve(ctx, in.W, nil)
+		data, hints, err := opt.CertifyHinted(ctx, in.W, r, opt.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		cert, err := proof.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cert.Steps) == 0 {
+			continue
+		}
+		if err := cert.AttachHints(hints); err != nil {
+			t.Fatalf("%s: %v", in.Name, err)
+		}
+		if again := cert.EncodeHints(); !bytes.Equal(again, hints) {
+			t.Fatalf("%s: the hint section does not round-trip", in.Name)
+		}
+		for _, st := range cert.Steps {
+			f := proof.BoundFormula(in.W, st.Bound)
+			if err := proof.CheckHinted(f, st.Trace); err != nil {
+				t.Fatalf("%s bound %d: the hinted kernel rejects Certify's hints: %v", in.Name, st.Bound, err)
+			}
+			mid := &st.Trace.Records[len(st.Trace.Records)/2]
+			if len(mid.Lits) == 0 {
+				continue
+			}
+			mid.Lits[0] = mid.Lits[0].Neg()
+			if proof.CheckHinted(f, st.Trace) == nil {
+				if err := proof.OracleCheckTrace(f, st.Trace); err != nil {
+					t.Fatalf("%s bound %d: the hinted kernel accepts a flipped lemma the oracle rejects: %v", in.Name, st.Bound, err)
+				}
 			}
 		}
 	}

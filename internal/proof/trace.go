@@ -4,8 +4,8 @@
 // The package is deliberately a leaf: it imports only internal/cnf and
 // shares no propagation, clause storage, or watcher code with internal/sat.
 // A certificate that passes this package's checker is therefore vouched for
-// by a second, much smaller implementation — the trusted base is the
-// ~hundred-line RUP checker in check.go plus the bound encoder in
+// by a second, much smaller implementation — the trusted base is the RUP
+// checker in check.go, the hinted kernel in hint.go and the bound encoder in
 // encode.go, not the CDCL core, the preprocessor, or any of the eleven
 // optimizers.
 //
@@ -17,7 +17,9 @@
 //     binary format and render as standard ASCII DRAT for external
 //     cross-checking with drat-trim.
 //   - CheckTrace: backward RUP verification of a trace against a formula
-//     (its own two-watched-literal propagation; see check.go).
+//     (its own two-watched-literal propagation; see check.go), or forward
+//     verification through the trace's hints when Trim recorded them (see
+//     hint.go), falling back to the backward check when they fail.
 //   - Certificate: an optimality certificate for a MaxSAT result — the
 //     model witnesses the upper bound, and one or more UNSAT steps, each a
 //     DRAT refutation of hards ∧ (cost ≤ bound), witness the lower bound
@@ -77,6 +79,14 @@ type Record struct {
 // Trace is an ordered sequence of clause additions and deletions.
 type Trace struct {
 	Records []Record
+	// Hints, when not nil, lets CheckTrace verify the trace forward
+	// without propagation search. Hints[i] lists the clauses whose unit
+	// propagation, in order, refutes the negation of record i, the last one
+	// falsified: id k < len(f.Clauses) names formula clause k, and id
+	// len(f.Clauses)+j names record j. Trim sets them; Certificate.
+	// AttachHints decodes them. Wrong hints cost only the backward check
+	// (see CheckTrace), never a verdict.
+	Hints [][]int32
 }
 
 // Recorder accumulates a Trace. It satisfies the sat.Proof and simp proof

@@ -16,7 +16,8 @@ import (
 
 // storeLoadPayloads are the records BenchmarkStoreLoad boots from, built
 // once per process: certified OLL verdicts of 300 renamings of the weighted
-// suite, the records maxsatbench's durable-weighted workload stores.
+// suite with their proof hints, the records maxsatbench's durable-weighted
+// workload stores.
 var storeLoadPayloads = sync.OnceValues(func() ([][]byte, error) {
 	const records = 300
 	ctx := context.Background()
@@ -25,11 +26,11 @@ var storeLoadPayloads = sync.OnceValues(func() ([][]byte, error) {
 	for i := range payloads {
 		w := renamed(insts[i%len(insts)].W, rand.New(rand.NewPCG(uint64(i), 1)))
 		r := core.NewOLL(opt.Options{}).Solve(ctx, w, nil)
-		cert, err := opt.Certify(ctx, w, r, opt.Options{})
+		cert, hints, err := opt.CertifyHinted(ctx, w, r, opt.Options{})
 		if err != nil {
 			return nil, err
 		}
-		payloads[i] = encodeStoreEntry(w, "oll", cert)
+		payloads[i] = encodeStoreEntry(w, "oll", cert, hints...)
 	}
 	return payloads, nil
 })
@@ -58,7 +59,8 @@ func renamed(w *cnf.WCNF, rng *rand.Rand) *cnf.WCNF {
 
 // BenchmarkStoreLoad times a durable server's boot: OpenResultStore on a
 // log of 300 certified records, then New, which re-proves every record
-// before it returns. It reports ms/record, the boot time per stored record.
+// before it returns. It reports ms/record, the boot time per stored record,
+// and B/record, the stored payload bytes per record.
 func BenchmarkStoreLoad(b *testing.B) {
 	payloads, err := storeLoadPayloads()
 	if err != nil {
@@ -69,10 +71,12 @@ func BenchmarkStoreLoad(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	size := 0
 	for _, p := range payloads {
 		if err := l.Append(recResult, p, false); err != nil {
 			b.Fatal(err)
 		}
+		size += len(p)
 	}
 	if err := l.Close(); err != nil {
 		b.Fatal(err)
@@ -93,4 +97,5 @@ func BenchmarkStoreLoad(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*len(payloads)), "ms/record")
+	b.ReportMetric(float64(size)/float64(len(payloads)), "B/record")
 }

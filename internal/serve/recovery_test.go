@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/opt"
+	"repro/internal/pbo"
 	"repro/internal/proof"
 	"repro/internal/sat"
 	"repro/internal/store"
@@ -89,6 +90,106 @@ func TestStoreRoundTripAcrossRestart(t *testing.T) {
 	}
 	if err := proof.CheckBytes(formula, r2.Certificate); err != nil {
 		t.Fatalf("recovered certificate rejected by the checker: %v", err)
+	}
+}
+
+// certifyingHinted is certifying() with the certificate's proof hints
+// attached, as the maxsat layer serves certified jobs.
+func certifyingHinted(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
+	r := (&pbo.Linear{}).Solve(ctx, w, shared)
+	if cert, hints, err := opt.CertifyHinted(ctx, w, r, opt.Options{}); err == nil {
+		r.Certificate, r.Hints = cert, hints
+	}
+	return r
+}
+
+// TestHintsStoredNeverServed solves with a certificate and its hints: the
+// store record carries the hints, while the job's result, the retained job
+// and the memory tier do not, and the next life recovers the record.
+func TestHintsStoredNeverServed(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.log")
+	formula := pigeonholeSoft(5, 4)
+	rs := openStoreT(t, path, nil)
+	s := New(Config{Workers: 1, Store: rs})
+	h := mustSubmit(t, s, JobSpec{Formula: formula, Solve: certifyingHinted})
+	r := waitResult(t, h)
+	if r.Status != opt.StatusOptimal || len(r.Certificate) == 0 || r.Hints != nil {
+		t.Fatalf("published result: status %v, %d certificate bytes, %d hint bytes", r.Status, len(r.Certificate), len(r.Hints))
+	}
+	if retained, ok := s.Job(h.ID()); !ok || waitResult(t, retained).Hints != nil {
+		t.Fatal("the retained job lost its result or kept the hints")
+	}
+	for el := s.results.ll.Front(); el != nil; el = el.Next() {
+		if el.Value.(*verdict).res.Hints != nil {
+			t.Fatal("the memory tier keeps hints")
+		}
+	}
+	s.Close()
+	rs.Close()
+
+	rs2 := openStoreT(t, path, nil)
+	if len(rs2.entries) != 1 || len(rs2.entries[0].hints) == 0 {
+		t.Fatalf("the store record has no hint section")
+	}
+	s2 := New(Config{Workers: 1, Store: rs2})
+	defer func() { s2.Close(); rs2.Close() }()
+	if st := s2.Stats(); st.Recovered != 1 || st.RecoveredRejected != 0 {
+		t.Fatalf("recovery stats: %+v", st)
+	}
+	if rs2.entries != nil {
+		t.Fatal("the store keeps its recovered records after load")
+	}
+}
+
+// TestStoreHintsNeverChangeVerdict boots on records whose hint sections
+// are wrong inside intact CRC frames — a flipped bit, a broken frame, the
+// hints of another certificate — and on one whose certificate is corrupt
+// beside valid hints. The first three load; the last is rejected.
+func TestStoreHintsNeverChangeVerdict(t *testing.T) {
+	ctx := context.Background()
+	formulas := []*cnf.WCNF{pigeonholeSoft(4, 3), pigeonholeSoft(5, 4), pigeonholeSoft(5, 3), pigeonholeSoft(6, 4)}
+	certs, hints := make([][]byte, len(formulas)), make([][]byte, len(formulas))
+	for i, w := range formulas {
+		r := certifyingHinted(ctx, w, nil, Grant{})
+		if len(r.Hints) == 0 {
+			t.Fatalf("formula %d: no hints", i)
+		}
+		certs[i], hints[i] = r.Certificate, r.Hints
+	}
+	flipped := slices.Clone(hints[0])
+	flipped[len(flipped)/2] ^= 0x10
+	badCert := slices.Clone(certs[3])
+	badCert[4] ^= 1 // the kind byte after the magic
+	payloads := [][]byte{
+		encodeStoreEntry(formulas[0], "flipped hint", certs[0], flipped...),
+		// A hint section whose length prefix overruns the record.
+		append(encodeStoreEntry(formulas[1], "broken frame", certs[1]), 0xff, 0x7f, 1),
+		encodeStoreEntry(formulas[2], "another's hints", certs[2], hints[1]...),
+		encodeStoreEntry(formulas[3], "corrupt certificate", badCert, hints[3]...),
+	}
+	path := filepath.Join(t.TempDir(), "results.log")
+	l, _, _, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := l.Append(recResult, p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+
+	rs := openStoreT(t, path, nil)
+	s := New(Config{Workers: 1, Store: rs})
+	defer func() { s.Close(); rs.Close() }()
+	if st := s.Stats(); st.Recovered != 3 || st.RecoveredRejected != 1 {
+		t.Fatalf("Recovered = %d, RecoveredRejected = %d, want 3 and 1", st.Recovered, st.RecoveredRejected)
+	}
+	for i, w := range formulas[:3] {
+		r, ok, err := s.results.lookup(w, keyFor(w))
+		if !ok || err != nil || !slices.Equal(r.Certificate, certs[i]) {
+			t.Errorf("formula %d: hit %v (%v), certificate as stored: %v", i, ok, err, slices.Equal(r.Certificate, certs[i]))
+		}
 	}
 }
 
@@ -673,6 +774,63 @@ func TestJournalKeepsMaxIDAcrossCompaction(t *testing.T) {
 		t.Fatalf("first submission got ID %d, want 8", h.ID())
 	}
 	waitResult(t, h)
+}
+
+// unparseableSubmit is a journaled submission of job id whose formula
+// section does not parse.
+func unparseableSubmit(id uint64) []byte {
+	buf := binary.AppendUvarint(nil, id)
+	buf = binary.AppendVarint(buf, 0)
+	buf = binary.AppendUvarint(buf, 1)
+	for _, sec := range []string{"client", "k", "{}", "p wcnf garbage"} {
+		buf = binary.AppendUvarint(buf, uint64(len(sec)))
+		buf = append(buf, sec...)
+	}
+	return buf
+}
+
+// TestJournalParsesOnlyPending opens a journal whose completed submissions
+// carry formula sections that do not parse: a completed submission is
+// never decoded, so none is pending and none is counted. Then an
+// unparseable pending submission joins a good one, and only it is dropped
+// and counted.
+func TestJournalParsesOnlyPending(t *testing.T) {
+	if _, err := decodeSubmit(unparseableSubmit(1)); err == nil {
+		t.Fatal("the unparseable submission decodes")
+	}
+	path := filepath.Join(t.TempDir(), "journal.log")
+	appendAll := func(recs ...store.Record) {
+		t.Helper()
+		l, _, _, err := store.Open(path, store.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := l.Append(r.Kind, r.Payload, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l.Close()
+	}
+	var done []store.Record
+	for id := uint64(1); id <= 3; id++ {
+		done = append(done, store.Record{Kind: recSubmit, Payload: unparseableSubmit(id)},
+			store.Record{Kind: recDone, Payload: binary.AppendUvarint(nil, id)})
+	}
+	appendAll(done...)
+	jl := openJournalT(t, path, nil)
+	if n := len(jl.Pending()); n != 0 || jl.dropped != 0 || jl.MaxID() != 3 {
+		t.Fatalf("%d pending, %d dropped, MaxID %d; want 0, 0 and 3", n, jl.dropped, jl.MaxID())
+	}
+	jl.Close()
+
+	appendAll(store.Record{Kind: recSubmit, Payload: unparseableSubmit(4)},
+		store.Record{Kind: recSubmit, Payload: encodeSubmit(RecoveredJob{ID: 5, OptsKey: "k"}, contradiction())})
+	jl = openJournalT(t, path, nil)
+	defer jl.Close()
+	if p := jl.Pending(); len(p) != 1 || p[0].ID != 5 || jl.dropped != 1 {
+		t.Fatalf("pending %+v with %d dropped; want job 5 alone and 1 dropped", p, jl.dropped)
+	}
 }
 
 // TestRecoverDropsUnrebuildable journals two pending jobs whose first no

@@ -681,6 +681,7 @@ func (s *Server) finish(j *job, wk *work, res Result, cancelled bool) {
 		s.audit(AuditEvent{Client: j.client, Action: "store", JobID: j.id,
 			Detail: "append failed: " + err.Error()})
 	}
+	res.Hints = nil // written to the store if anywhere; never published or retained
 	s.mu.Lock()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)

@@ -28,9 +28,11 @@ import (
 //   - insert: a verdict enters only if it is UNSAT, or OPTIMAL with a model
 //     that opt.VerifyModel accepts against the job's own formula; UNKNOWN
 //     depends on the budget and never enters. A certified verdict is
-//     appended and fsynced to the disk tier before it enters memory, so no
+//     appended and fsynced to the disk tier, with the certificate's proof
+//     hints when the result carries them, before it enters memory, so no
 //     hit is ever served that a crash could lose; an uncertified one stays
-//     in memory. The Faults.CorruptCert bit flips in the memory copy only.
+//     in memory. The memory copy never holds hints. The Faults.CorruptCert
+//     bit flips in the memory copy only.
 //   - lookup: every hit is re-checked against the submitted formula,
 //     outside every lock: the model by opt.VerifyModel, a certificate end to
 //     end by proof.CheckBytes. A model that fails is a fingerprint
@@ -38,7 +40,10 @@ import (
 //     that fails is a corrupt entry: it is evicted and the failure reported.
 //     A hit hands out copies of the model and certificate.
 //   - load: every disk record is re-proved against its own recovered
-//     formula, and the served result is rebuilt from the certificate alone.
+//     formula, through its hints when it has them (a hint section that does
+//     not decode or does not verify leaves the backward check to decide, so
+//     hints never change a verdict), and the served result is rebuilt from
+//     the certificate alone.
 //     Every record is re-proved and counted, also past the memory tier's
 //     capacity; the records are re-proved on every CPU, then the memory
 //     tier is seeded and rejections are audited in log order. Rejected
@@ -114,13 +119,14 @@ func (vs *verifiedStore) insert(w *cnf.WCNF, k formulaKey, id uint64, r Result) 
 	}
 	var err error
 	if vs.disk != nil && len(r.Certificate) > 0 {
-		err = vs.disk.save(w, r.Meta, r.Certificate)
+		err = vs.disk.save(w, r.Meta, r.Certificate, r.Hints...)
 	}
 	// The memory copy is private: the same Result goes to the job's waiters,
 	// and a caller mutating its model must not corrupt the stored witness.
 	res := r.Result
 	res.Model = slices.Clone(res.Model)
 	res.Certificate = slices.Clone(res.Certificate)
+	res.Hints = nil
 	if bit := vs.faults.corruptCertBit(id); bit >= 0 && len(res.Certificate) > 0 {
 		res.Certificate[(bit/8)%len(res.Certificate)] ^= 1 << (bit % 8)
 	}
@@ -199,10 +205,14 @@ func forEach(n int, do func(i int)) {
 }
 
 // reproveOne rebuilds the served result of one entry from its certificate
-// alone; the decoded proof steps are dropped once checked.
+// alone; the decoded proof steps and hints are dropped once checked. A hint
+// section that does not decode is ignored.
 func reproveOne(e storeEntry) proved {
 	cert, err := proof.Decode(e.cert)
 	if err == nil {
+		if e.hints != nil {
+			_ = cert.AttachHints(e.hints)
+		}
 		err = proof.Check(e.w, cert)
 	}
 	if err != nil {
@@ -238,9 +248,10 @@ func (vs *verifiedStore) evictLocked(el *list.Element) {
 }
 
 // ResultStore is the verified-result store's disk tier: an append-only
-// CRC-framed log (internal/store) of {meta, formula, certificate} records.
-// Only certified results are persisted — the certificate is what lets the
-// next process trust a record it did not produce (see verifiedStore.load).
+// CRC-framed log (internal/store) of {meta, formula, certificate, hints}
+// records, the hint section optional. Only certified results are persisted
+// — the certificate is what lets the next process trust a record it did not
+// produce (see verifiedStore.load); the hints only make that cheaper.
 //
 // The record stores the full formula, not just its fingerprint: the checker
 // needs the instance to re-prove the certificate, and the fingerprint is
@@ -256,10 +267,11 @@ type ResultStore struct {
 }
 
 type storeEntry struct {
-	w    *cnf.WCNF
-	meta string
-	cert []byte
-	raw  []byte // original payload, for compaction without re-encoding
+	w     *cnf.WCNF
+	meta  string
+	cert  []byte
+	hints []byte // a view of raw, nil when the record has none
+	raw   []byte // original payload, for compaction without re-encoding
 }
 
 const recResult byte = 1
@@ -307,10 +319,11 @@ func OpenResultStore(path string, faults *Faults) (*ResultStore, error) {
 	return rs, nil
 }
 
-// save appends one certified result, synced before returning — once a
-// client has seen a certified answer, a crash must not lose it.
-func (rs *ResultStore) save(w *cnf.WCNF, meta string, cert []byte) error {
-	payload := encodeStoreEntry(w, meta, cert)
+// save appends one certified result, with its certificate's proof hints
+// when given, synced before returning — once a client has seen a certified
+// answer, a crash must not lose it.
+func (rs *ResultStore) save(w *cnf.WCNF, meta string, cert []byte, hints ...byte) error {
+	payload := encodeStoreEntry(w, meta, cert, hints...)
 	if bit := rs.faults.corruptStoreBit(rs.log.Len()); bit >= 0 {
 		payload[(bit/8)%len(payload)] ^= 1 << (bit % 8)
 	}
@@ -330,8 +343,9 @@ func (rs *ResultStore) compact() {
 func (rs *ResultStore) Close() error { return rs.log.Close() }
 
 // encodeStoreEntry frames {meta, formula, certificate} as length-prefixed
-// sections.
-func encodeStoreEntry(w *cnf.WCNF, meta string, cert []byte) []byte {
+// sections, and the hints as a fourth when there are any: a record without
+// hints keeps the three-section format byte for byte.
+func encodeStoreEntry(w *cnf.WCNF, meta string, cert []byte, hints ...byte) []byte {
 	var fb bytes.Buffer
 	cnf.WriteWCNF(&fb, w)
 	buf := binary.AppendUvarint(nil, uint64(len(meta)))
@@ -339,7 +353,12 @@ func encodeStoreEntry(w *cnf.WCNF, meta string, cert []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(fb.Len()))
 	buf = append(buf, fb.Bytes()...)
 	buf = binary.AppendUvarint(buf, uint64(len(cert)))
-	return append(buf, cert...)
+	buf = append(buf, cert...)
+	if len(hints) > 0 {
+		buf = binary.AppendUvarint(buf, uint64(len(hints)))
+		buf = append(buf, hints...)
+	}
+	return buf
 }
 
 func decodeStoreEntry(payload []byte) (storeEntry, error) {
@@ -365,9 +384,12 @@ func decodeStoreEntry(payload []byte) (storeEntry, error) {
 	if err != nil {
 		return storeEntry{}, err
 	}
+	// The hint section is optional and never rejects a record: one that
+	// does not frame is dropped, and the certificate is checked without it.
+	hints, _ := next()
 	w, err := cnf.ParseWCNF(bytes.NewReader(fb))
 	if err != nil {
 		return storeEntry{}, fmt.Errorf("serve: store record formula: %w", err)
 	}
-	return storeEntry{w: w, meta: string(meta), cert: append([]byte(nil), cert...), raw: raw}, nil
+	return storeEntry{w: w, meta: string(meta), cert: append([]byte(nil), cert...), hints: hints, raw: raw}, nil
 }

@@ -318,11 +318,13 @@ func solveFresh(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, o Options)
 // certifyServed attaches a certificate to a proved verdict when o asks for
 // one. Best effort under the job's own deadline: a solve that finishes but
 // cannot be certified (deadline expired mid-pass) is served uncertified
-// rather than discarded — the certificate endpoint then reports none.
+// rather than discarded — the certificate endpoint then reports none. The
+// certificate's proof hints ride along for the durable store, which drops
+// them before the result is published.
 func certifyServed(ctx context.Context, w *cnf.WCNF, r opt.Result, o Options) opt.Result {
 	if o.Certify && (r.Status == opt.StatusOptimal || r.Status == opt.StatusUnsat) {
-		if cert, err := opt.Certify(ctx, w, r, opt.Options{MemBytes: o.MemoryBudget}); err == nil {
-			r.Certificate = cert
+		if cert, hints, err := opt.CertifyHinted(ctx, w, r, opt.Options{MemBytes: o.MemoryBudget}); err == nil {
+			r.Certificate, r.Hints = cert, hints
 		}
 	}
 	return r
