@@ -58,9 +58,7 @@ func Trim(f *cnf.Formula, t *Trace) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	// renum maps a checker id to its id in the trimmed trace. Cones hold
-	// only marked clauses: formula clauses, which keep their ids, and kept
-	// records.
+	// renum maps a checker id to its id in the trimmed trace.
 	m := int32(len(f.Clauses))
 	renum := make([]int32, len(c.status))
 	for id := range m {
@@ -75,18 +73,16 @@ func Trim(f *cnf.Formula, t *Trace) (*Trace, error) {
 			out.Records = append(out.Records, rec)
 		}
 	}
-	n := 0
-	for _, id := range kept {
-		n += int(c.hintOf[id].to - c.hintOf[id].from)
+	// Every cone holds marked clauses only, formula clauses and kept
+	// records, so the cones are renumbered in place, each id once (a span
+	// may serve several records).
+	for i, id := range c.cones {
+		c.cones[i] = renum[id]
 	}
-	ids := make([]int32, 0, n)
 	out.Hints = make([][]int32, len(kept))
 	for j, id := range kept {
-		from := len(ids)
-		for _, h := range c.cones[c.hintOf[id].from:c.hintOf[id].to] {
-			ids = append(ids, renum[h])
-		}
-		out.Hints[j] = ids[from:len(ids):len(ids)]
+		s := c.hintOf[id]
+		out.Hints[j] = c.cones[s.from:s.to:s.to]
 	}
 	return out, nil
 }

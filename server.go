@@ -319,8 +319,8 @@ func solveFresh(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, o Options)
 // one. Best effort under the job's own deadline: a solve that finishes but
 // cannot be certified (deadline expired mid-pass) is served uncertified
 // rather than discarded — the certificate endpoint then reports none. The
-// certificate's proof hints ride along for the durable store, which drops
-// them before the result is published.
+// certificate's proof hints ride along for the durable store; the serving
+// layer drops them before it publishes the result.
 func certifyServed(ctx context.Context, w *cnf.WCNF, r opt.Result, o Options) opt.Result {
 	if o.Certify && (r.Status == opt.StatusOptimal || r.Status == opt.StatusUnsat) {
 		if cert, hints, err := opt.CertifyHinted(ctx, w, r, opt.Options{MemBytes: o.MemoryBudget}); err == nil {
