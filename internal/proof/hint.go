@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cnf"
 )
@@ -114,16 +115,10 @@ var hintMagic = []byte("MXH1")
 // durable store keeps beside the certificate, which Encode never includes.
 // It returns nil when no step carries hints.
 func (c *Certificate) EncodeHints() []byte {
-	var buf []byte
-	for _, st := range c.Steps {
-		if st.Trace != nil && st.Trace.Hints != nil {
-			buf = append(buf, hintMagic...)
-			break
-		}
-	}
-	if buf == nil {
+	if !slices.ContainsFunc(c.Steps, func(st Step) bool { return st.Trace != nil && st.Trace.Hints != nil }) {
 		return nil
 	}
+	buf := append([]byte(nil), hintMagic...)
 	buf = binary.AppendUvarint(buf, uint64(len(c.Steps)))
 	for _, st := range c.Steps {
 		var hints [][]int32
