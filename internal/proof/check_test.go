@@ -371,6 +371,37 @@ func mutateHints(hints [][]int32, kind, pos, arg byte) [][]int32 {
 	return out
 }
 
+// cube3 returns all eight ternary clauses over x1, x2, x3.
+func cube3() [][]int {
+	var cube [][]int
+	for m := 0; m < 8; m++ {
+		c := []int{1, 2, 3}
+		for j := range c {
+			if m&(1<<j) != 0 {
+				c[j] = -c[j]
+			}
+		}
+		cube = append(cube, c)
+	}
+	return cube
+}
+
+// lessOne returns base itself or, as drop chooses, base less one clause,
+// which may be satisfiable and renumbers the clauses after it.
+func lessOne(base *cnf.Formula, drop byte) *cnf.Formula {
+	k := int(drop) % (len(base.Clauses) + 1)
+	if k == len(base.Clauses) {
+		return base
+	}
+	f := cnf.NewFormula(base.NumVars)
+	for i, c := range base.Clauses {
+		if i != k {
+			f.AddClause(c...)
+		}
+	}
+	return f
+}
+
 // FuzzCheckerVsOracle checks a solver's refutation of a fuzzer-chosen
 // unsatisfiable formula, after a fuzzer-chosen mutation, with the checker
 // and the oracle. The target is the formula itself or, as the fuzzer
@@ -381,16 +412,7 @@ func mutateHints(hints [][]int32, kind, pos, arg byte) [][]int32 {
 func FuzzCheckerVsOracle(f *testing.F) {
 	square := fuzzBytes([]int{1, 2}, []int{-1, 2}, []int{1, -2}, []int{-1, -2})
 	chain := fuzzBytes([]int{1}, []int{-1, 2}, []int{-2, 3}, []int{-3, 4}, []int{-4})
-	var cube [][]int // all eight ternary clauses over x1, x2, x3
-	for m := 0; m < 8; m++ {
-		c := []int{1, 2, 3}
-		for j := range c {
-			if m&(1<<j) != 0 {
-				c[j] = -c[j]
-			}
-		}
-		cube = append(cube, c)
-	}
+	cube := cube3()
 	f.Add(square, byte(0), byte(0), byte(0), byte(4))
 	f.Add(chain, byte(5), byte(1), byte(2), byte(0))
 	f.Add(fuzzBytes(cube...), byte(0), byte(0), byte(0), byte(8))
@@ -405,15 +427,7 @@ func FuzzCheckerVsOracle(f *testing.F) {
 			t.Skip()
 		}
 		tr := mutate(base, solverRefutation(t, base), kind, pos, arg)
-		target := base
-		if k := int(drop) % (len(base.Clauses) + 1); k < len(base.Clauses) {
-			target = cnf.NewFormula(base.NumVars)
-			for i, c := range base.Clauses {
-				if i != k {
-					target.AddClause(c...)
-				}
-			}
-		}
+		target := lessOne(base, drop)
 		errChecker := proof.CheckTrace(target, tr)
 		errOracle := proof.OracleCheckTrace(target, tr)
 		if kind%7 == 0 && target == base && (errChecker != nil || errOracle != nil) {
@@ -449,16 +463,7 @@ func FuzzCheckerVsOracle(f *testing.F) {
 func FuzzHintedVsOracle(f *testing.F) {
 	square := fuzzBytes([]int{1, 2}, []int{-1, 2}, []int{1, -2}, []int{-1, -2})
 	chain := fuzzBytes([]int{1}, []int{-1, 2}, []int{-2, 3}, []int{-3, 4}, []int{-4})
-	var cube [][]int // all eight ternary clauses over x1, x2, x3
-	for m := 0; m < 8; m++ {
-		c := []int{1, 2, 3}
-		for j := range c {
-			if m&(1<<j) != 0 {
-				c[j] = -c[j]
-			}
-		}
-		cube = append(cube, c)
-	}
+	cube := cube3()
 	f.Add(square, byte(0), byte(0), byte(0), byte(0), byte(0), byte(0), byte(4))
 	f.Add(chain, byte(0), byte(0), byte(0), byte(1), byte(2), byte(9), byte(5))
 	f.Add(fuzzBytes(cube...), byte(0), byte(0), byte(0), byte(0), byte(0), byte(0), byte(8))
@@ -479,15 +484,7 @@ func FuzzHintedVsOracle(f *testing.F) {
 		}
 		tr := mutate(base, trimmed, kind, pos, arg)
 		tr.Hints = mutateHints(tr.Hints, hkind, hpos, harg)
-		target := base
-		if k := int(drop) % (len(base.Clauses) + 1); k < len(base.Clauses) {
-			target = cnf.NewFormula(base.NumVars)
-			for i, c := range base.Clauses {
-				if i != k {
-					target.AddClause(c...)
-				}
-			}
-		}
+		target := lessOne(base, drop)
 		errHinted := proof.CheckHinted(target, tr)
 		if kind%7 == 0 && hkind%6 == 0 && target == base && errHinted != nil {
 			t.Fatalf("unmutated hinted refutation rejected: %v", errHinted)
