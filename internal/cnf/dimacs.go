@@ -2,11 +2,14 @@ package cnf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ParseError describes a syntax error in a DIMACS stream.
@@ -38,15 +41,65 @@ func parseVarCount(line int, tok string) (int, error) {
 }
 
 // parseLit parses one DIMACS literal token; 0 is the clause terminator.
-func parseLit(line int, tok string) (int, error) {
-	v, err := strconv.Atoi(tok)
+func parseLit[T string | []byte](line int, tok T) (int, error) {
+	v, err := parseInt(tok, strconv.IntSize)
 	if err != nil {
 		return 0, parseErr(line, "bad literal %q", tok)
 	}
 	if v > MaxDIMACSVar || v < -MaxDIMACSVar {
 		return 0, parseErr(line, "literal %q out of range (variables are 1..%d)", tok, MaxDIMACSVar)
 	}
-	return v, nil
+	return int(v), nil
+}
+
+// parseInt parses a decimal token as strconv.ParseInt(string(tok), 10, bits)
+// does. A token of an optional sign and 1 to 19 digits whose value fits is
+// read here; any other is handed to strconv as a string, which reports the
+// error or reads the longer value.
+func parseInt[T string | []byte](tok T, bits int) (int64, error) {
+	i, neg := 0, false
+	if len(tok) > 0 && (tok[0] == '+' || tok[0] == '-') {
+		i, neg = 1, tok[0] == '-'
+	}
+	if n := len(tok) - i; n > 0 && n <= 19 {
+		var u uint64 // 19 digits fit
+		for ; i < len(tok) && tok[i]-'0' <= 9; i++ {
+			u = u*10 + uint64(tok[i]-'0')
+		}
+		if limit := uint64(1) << (bits - 1); i == len(tok) && (u < limit || neg && u == limit) {
+			if neg {
+				return -int64(u), nil
+			}
+			return int64(u), nil
+		}
+	}
+	return strconv.ParseInt(string(tok), 10, bits)
+}
+
+// field returns the first field of b, a run of bytes that are not white
+// space, and what follows the white space rune ending it. White space is
+// what unicode.IsSpace reports, so fields split as strings.Fields splits
+// them, non-ASCII spaces such as U+00A0 included.
+func field(b []byte) (tok, rest []byte) {
+	start := -1
+	for i := 0; i < len(b); {
+		r, n := rune(b[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRune(b[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				return b[start:i], b[i+n:]
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += n
+	}
+	if start < 0 {
+		return nil, nil
+	}
+	return b[start:], nil
 }
 
 // ParseDIMACS reads a DIMACS CNF formula. It tolerates comment lines anywhere,
@@ -158,10 +211,15 @@ func WriteDIMACS(w io.Writer, f *Formula) error {
 //   - MaxSAT Evaluation 2022: no header at all; hard clauses start with the
 //     letter "h", soft clauses with their (positive) weight. Detected by the
 //     first content line not being a "p" header.
+//
+// Clause lines are tokenized in the scanner's buffer, and the clauses share
+// backing buffers, each a view capped at its own end: parsing allocates a
+// few times per formula rather than per line and literal.
 func ParseWCNF(r io.Reader) (*WCNF, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows from the scanner's 4 KB as lines need
 	w := &WCNF{}
+	var buf []Lit // the current literal buffer; the clause being read is buf[at:]
 	line := 0
 	sawHeader := false
 	isWCNF := false
@@ -170,17 +228,18 @@ func ParseWCNF(r io.Reader) (*WCNF, error) {
 	declaredVars := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "c") {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || text[0] == 'c' {
 			continue
 		}
-		if strings.HasPrefix(text, "p") {
+		if text[0] == 'p' {
 			if is2022 {
 				return nil, parseErr(line, "p line after headerless (2022-format) clauses")
 			}
 			if sawHeader {
 				return nil, parseErr(line, "duplicate p line")
 			}
+			text := string(text)
 			fields := strings.Fields(text)
 			if len(fields) < 4 {
 				return nil, parseErr(line, "malformed header %q", text)
@@ -208,6 +267,11 @@ func ParseWCNF(r io.Reader) (*WCNF, error) {
 			if err != nil {
 				return nil, err
 			}
+			// The declared clause count only sizes the clause list, and
+			// not past 4,096 clauses: the header is not trusted.
+			if nc, err := strconv.Atoi(fields[3]); err == nil && nc > 0 {
+				w.Clauses = make([]WClause, 0, min(nc, 1<<12))
+			}
 			declaredVars = nv
 			sawHeader = true
 			continue
@@ -218,41 +282,44 @@ func ParseWCNF(r io.Reader) (*WCNF, error) {
 			is2022 = true
 			sawHeader = true
 		}
-		toks := strings.Fields(text)
 		// WCNF clauses must fit on one line (weight prefix is ambiguous
 		// otherwise); CNF clauses may span lines but we handle the common
 		// one-clause-per-line case here and multi-line via the 0 terminator.
 		var weight Weight = 1
-		start := 0
-		switch {
-		case is2022:
-			if toks[0] == "h" {
+		lits := text
+		if is2022 || isWCNF {
+			var tok []byte
+			tok, lits = field(text)
+			switch {
+			case is2022 && string(tok) == "h":
 				weight = HardWeight
-			} else {
-				wt, err := strconv.ParseInt(toks[0], 10, 64)
+			case is2022:
+				wt, err := parseInt(tok, 64)
 				if err != nil || wt <= 0 {
-					return nil, parseErr(line, "bad clause weight %q (2022 format: \"h\" or a positive weight)", toks[0])
+					return nil, parseErr(line, "bad clause weight %q (2022 format: \"h\" or a positive weight)", tok)
 				}
 				weight = Weight(wt)
+			default:
+				wt, err := parseInt(tok, 64)
+				if err != nil || wt < 0 {
+					return nil, parseErr(line, "bad clause weight %q", tok)
+				}
+				if top > 0 && wt >= top {
+					weight = HardWeight
+				} else if wt == 0 {
+					return nil, parseErr(line, "zero clause weight")
+				} else {
+					weight = Weight(wt)
+				}
 			}
-			start = 1
-		case isWCNF:
-			wt, err := strconv.ParseInt(toks[0], 10, 64)
-			if err != nil || wt < 0 {
-				return nil, parseErr(line, "bad clause weight %q", toks[0])
-			}
-			if top > 0 && wt >= top {
-				weight = HardWeight
-			} else if wt == 0 {
-				return nil, parseErr(line, "zero clause weight")
-			} else {
-				weight = Weight(wt)
-			}
-			start = 1
 		}
-		var cur Clause
+		at := len(buf)
 		closed := false
-		for _, tok := range toks[start:] {
+		for len(lits) > 0 {
+			var tok []byte
+			if tok, lits = field(lits); tok == nil {
+				break
+			}
 			v, err := parseLit(line, tok)
 			if err != nil {
 				return nil, err
@@ -261,12 +328,21 @@ func ParseWCNF(r io.Reader) (*WCNF, error) {
 				closed = true
 				break
 			}
-			cur = append(cur, FromDIMACS(v))
+			if len(buf) == cap(buf) {
+				// Move the clause read so far to a fresh, larger buffer.
+				buf = append(make([]Lit, 0, max(2*cap(buf), 256)), buf[at:]...)
+				at = 0
+			}
+			buf = append(buf, FromDIMACS(v))
 		}
 		if !closed {
 			return nil, parseErr(line, "clause not terminated by 0")
 		}
-		w.Clauses = append(w.Clauses, WClause{Clause: cur, Weight: weight})
+		var c Clause
+		if len(buf) > at {
+			c = buf[at:len(buf):len(buf)]
+		}
+		w.Clauses = append(w.Clauses, WClause{Clause: c, Weight: weight})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dimacs: %w", err)

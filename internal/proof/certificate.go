@@ -52,8 +52,24 @@ type Certificate struct {
 //
 // The bound formulas are rebuilt here from (w, bound) by the same encoder
 // the producer used; nothing clause-shaped inside the certificate is
-// trusted without a RUP check.
+// trusted without a RUP check. They are built in buffers reused from step
+// to step, and never leave Check.
 func Check(w *cnf.WCNF, cert *Certificate) error {
+	var c Checker
+	return c.Check(w, cert)
+}
+
+// A Checker validates certificates as Check does, and keeps the buffers it
+// builds their bound formulas in from one call to the next, so a caller
+// that checks many certificates in a row, such as a worker re-proving a
+// durable store, allocates them once. The zero value is ready to use. A
+// Checker must not be used by two goroutines at once.
+type Checker struct {
+	e encoder
+}
+
+// Check validates cert against w; see the function Check.
+func (c *Checker) Check(w *cnf.WCNF, cert *Certificate) error {
 	switch cert.Kind {
 	case KindUnsat:
 		if len(cert.Steps) == 0 {
@@ -91,7 +107,7 @@ func Check(w *cnf.WCNF, cert *Certificate) error {
 			if st.Bound < 0 || st.Bound >= cert.Cost {
 				return fmt.Errorf("proof: step %d bound %d outside [0, %d)", i, st.Bound, cert.Cost)
 			}
-			f := BoundFormula(w, st.Bound)
+			f := c.e.build(w, st.Bound)
 			if err := checkStep(f, st); err != nil {
 				return fmt.Errorf("proof: step %d (bound %d): %w", i, st.Bound, err)
 			}
@@ -165,7 +181,8 @@ const maxTraceVars = 1 << 28
 
 // Decode parses a certificate produced by Encode. Decoding is strict:
 // unknown kinds, truncated fields, out-of-range values, and trailing bytes
-// are all errors.
+// are all errors. The records' literals share one buffer, each a view capped
+// at its own end.
 func Decode(data []byte) (*Certificate, error) {
 	if !bytes.HasPrefix(data, certMagic) {
 		return nil, fmt.Errorf("proof: bad certificate magic")
@@ -211,6 +228,9 @@ func Decode(data []byte) (*Certificate, error) {
 	if nsteps > uint64(len(buf))+1 {
 		return nil, fmt.Errorf("proof: implausible step count %d", nsteps)
 	}
+	// Every literal is a uvarint, so one buffer of that many literals holds
+	// the records of every step.
+	lits := make([]cnf.Lit, 0, uvarints(buf))
 	for i := uint64(0); i < nsteps; i++ {
 		var b uint64
 		b, buf, err = readUvarint(buf)
@@ -218,7 +238,7 @@ func Decode(data []byte) (*Certificate, error) {
 			return nil, err
 		}
 		var t *Trace
-		t, buf, err = decodeTrace(buf, maxTraceVars)
+		t, buf, lits, err = decodeTrace(buf, maxTraceVars, lits)
 		if err != nil {
 			return nil, err
 		}

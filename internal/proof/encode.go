@@ -1,7 +1,6 @@
 package proof
 
 import (
-	"cmp"
 	"slices"
 
 	"repro/internal/cnf"
@@ -34,35 +33,78 @@ import (
 // clause, and appending to a clause copies it instead of overwriting the
 // next one.
 func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
-	f := cnf.NewFormula(w.NumVars)
-	f.Clauses = make([]cnf.Clause, 0, len(w.Clauses))
-	// add appends the clause head ∨ tail, carved from the current buffer.
-	var buf []cnf.Lit
-	add := func(head []cnf.Lit, tail ...cnf.Lit) {
-		n := len(head) + len(tail)
-		if cap(buf)-len(buf) < n {
-			buf = make([]cnf.Lit, 0, max(n, 2*cap(buf), 256))
-		}
-		at := len(buf)
-		buf = append(append(buf, head...), tail...)
-		f.Clauses = append(f.Clauses, buf[at:len(buf):len(buf)])
+	var e encoder
+	f := *e.build(w, bound) // a copy: the formula does not keep e's scratch alive
+	return &f
+}
+
+// encoder holds the buffers a bound formula is built in. BoundFormula uses
+// a fresh one for every formula, which it hands to the caller (opt.Certify
+// gives it to a SAT solver); a Checker reuses its encoder across steps and
+// certificates, since its formulas never leave the check.
+type encoder struct {
+	f      cnf.Formula
+	lits   []cnf.Lit // the clause buffer being carved
+	softs  []soft
+	outs   []out // the buffer the nodes are carved from
+	nodes  [][]out
+	merged [][]out
+	vals   []cnf.Weight // a merge's achievable sums
+}
+
+type soft struct {
+	weight cnf.Weight
+	relax  cnf.Lit
+}
+
+// out is one output of a totalizer node: the literal asserting "the relaxed
+// weight in this subtree reaches at least val".
+type out struct {
+	val cnf.Weight
+	lit cnf.Lit
+}
+
+// add appends the clause head ∨ tail, carved from the current buffer.
+func (e *encoder) add(head []cnf.Lit, tail ...cnf.Lit) {
+	n := len(head) + len(tail)
+	if cap(e.lits)-len(e.lits) < n {
+		e.lits = make([]cnf.Lit, 0, max(n, 2*cap(e.lits), 256))
 	}
-	type soft struct {
-		weight cnf.Weight
-		relax  cnf.Lit
+	at := len(e.lits)
+	e.lits = append(append(e.lits, head...), tail...)
+	e.f.Clauses = append(e.f.Clauses, e.lits[at:len(e.lits):len(e.lits)])
+}
+
+// node carves a node of n outputs from the current buffer.
+func (e *encoder) node(n int) []out {
+	if cap(e.outs)-len(e.outs) < n {
+		e.outs = make([]out, 0, max(n, 2*cap(e.outs), 256))
 	}
-	var softs []soft
+	at := len(e.outs)
+	e.outs = e.outs[:at+n]
+	return e.outs[at : at+n : at+n]
+}
+
+// build builds BoundFormula(w, bound) in e's buffers; the result is valid
+// until e builds the next one.
+func (e *encoder) build(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
+	f := &e.f
+	f.NumVars = w.NumVars
+	f.Clauses = slices.Grow(f.Clauses[:0], len(w.Clauses))
+	e.lits, e.outs = e.lits[:0], e.outs[:0]
+	softs := e.softs[:0]
 	next := cnf.Var(w.NumVars)
 	for _, c := range w.Clauses {
 		if c.Hard() {
-			add(c.Clause)
+			e.add(c.Clause)
 			continue
 		}
 		r := cnf.PosLit(next)
 		next++
-		add(c.Clause, r)
+		e.add(c.Clause, r)
 		softs = append(softs, soft{weight: c.Weight, relax: r})
 	}
+	e.softs = softs
 	if len(softs) == 0 || bound < 0 {
 		f.NumVars = int(next)
 		return f
@@ -78,40 +120,38 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 	if b == 0 {
 		// Cost ≤ 0: no soft may be relaxed.
 		for _, s := range softs {
-			add(nil, s.relax.Neg())
+			e.add(nil, s.relax.Neg())
 		}
 		f.NumVars = int(next)
 		return f
 	}
-	cap := b + 1
+	limit := b + 1
 
 	// A node maps each achievable (capped) partial sum to the literal
 	// asserting "the relaxed weight in this subtree reaches at least this
-	// value". Leaves use the relaxation literal directly.
-	type out struct {
-		val cnf.Weight
-		lit cnf.Lit
+	// value", sorted by value. Leaves use the relaxation literal directly.
+	nodes := e.nodes[:0]
+	for _, s := range softs {
+		leaf := e.node(1)
+		leaf[0] = out{val: min(s.weight/g, limit), lit: s.relax}
+		nodes = append(nodes, leaf)
 	}
-	// at returns the literal of value v in a node, which is sorted by value.
-	at := func(node []out, v cnf.Weight) cnf.Lit {
-		i, _ := slices.BinarySearchFunc(node, v, func(o out, v cnf.Weight) int { return cmp.Compare(o.val, v) })
-		return node[i].lit
-	}
-	nodes := make([][]out, len(softs))
-	for i, s := range softs {
-		v := s.weight / g
-		if v > cap {
-			v = cap
+	// seek returns the index of value v in node, which holds it at k or
+	// after: the sums each loop below looks up never decrease, so every
+	// lookup walks on from the last one.
+	seek := func(node []out, k int, v cnf.Weight) int {
+		for node[k].val < v {
+			k++
 		}
-		nodes[i] = []out{{val: v, lit: s.relax}}
+		return k
 	}
 	// Balanced binary merge, left to right, until one root remains.
-	var vals []cnf.Weight // a merge's achievable sums; scratch, reused
+	merged := e.merged
 	for len(nodes) > 1 {
-		merged := make([][]out, 0, (len(nodes)+1)/2)
+		merged = merged[:0]
 		for i := 0; i+1 < len(nodes); i += 2 {
 			a, bn := nodes[i], nodes[i+1]
-			vals = vals[:0]
+			vals := e.vals[:0]
 			for _, x := range a {
 				vals = append(vals, x.val)
 			}
@@ -120,33 +160,36 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 			}
 			for _, x := range a {
 				for _, y := range bn {
-					s := x.val + y.val
-					if s > cap {
-						s = cap
-					}
-					vals = append(vals, s)
+					vals = append(vals, min(x.val+y.val, limit))
 				}
 			}
 			slices.Sort(vals)
 			vals = slices.Compact(vals)
-			node := make([]out, 0, len(vals))
-			for _, v := range vals {
-				node = append(node, out{val: v, lit: cnf.PosLit(next)})
+			e.vals = vals
+			node := e.node(len(vals))
+			for j, v := range vals {
+				node[j] = out{val: v, lit: cnf.PosLit(next)}
 				next++
 			}
+			k := 0
 			for _, x := range a {
-				add(nil, x.lit.Neg(), at(node, x.val))
+				k = seek(node, k, x.val)
+				e.add(nil, x.lit.Neg(), node[k].lit)
 			}
+			k = 0
 			for _, y := range bn {
-				add(nil, y.lit.Neg(), at(node, y.val))
+				k = seek(node, k, y.val)
+				e.add(nil, y.lit.Neg(), node[k].lit)
 			}
+			// Each row of pairs starts its walk at its first sum, which
+			// never decreases from one row to the next.
+			row := 0
 			for _, x := range a {
+				row = seek(node, row, min(x.val+bn[0].val, limit))
+				k = row
 				for _, y := range bn {
-					s := x.val + y.val
-					if s > cap {
-						s = cap
-					}
-					add(nil, x.lit.Neg(), y.lit.Neg(), at(node, s))
+					k = seek(node, k, min(x.val+y.val, limit))
+					e.add(nil, x.lit.Neg(), y.lit.Neg(), node[k].lit)
 				}
 			}
 			merged = append(merged, node)
@@ -154,13 +197,14 @@ func BoundFormula(w *cnf.WCNF, bound cnf.Weight) *cnf.Formula {
 		if len(nodes)%2 == 1 {
 			merged = append(merged, nodes[len(nodes)-1])
 		}
-		nodes = merged
+		nodes, merged = merged, nodes
 	}
+	e.nodes, e.merged = nodes, merged
 	// Forbid every root sum exceeding the bound (with capping, exactly
-	// the cap output when present).
+	// the limit output when present).
 	for _, o := range nodes[0] {
 		if o.val > b {
-			add(nil, o.lit.Neg())
+			e.add(nil, o.lit.Neg())
 		}
 	}
 	f.NumVars = int(next)

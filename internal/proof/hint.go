@@ -153,9 +153,8 @@ func (c *Certificate) AttachHints(data []byte) error {
 	if n != uint64(len(c.Steps)) {
 		return fmt.Errorf("proof: hints for %d steps, certificate has %d", n, len(c.Steps))
 	}
-	// Every id and list length takes at least one byte, so one buffer of
-	// len(buf) ids holds them all.
-	ids := make([]int32, 0, len(buf))
+	// Every id is a uvarint, so one buffer of that many ids holds them all.
+	ids := make([]int32, 0, uvarints(buf))
 	hints := make([][][]int32, len(c.Steps))
 	for i, st := range c.Steps {
 		var lists uint64

@@ -204,47 +204,65 @@ func (t *Trace) appendBinary(buf []byte) []byte {
 	return buf
 }
 
-func decodeTrace(buf []byte, numVars int) (*Trace, []byte, error) {
+// decodeTrace decodes one trace from buf. Its records' literals are carved
+// from lits, each a view capped at its own end, while lits has room; the
+// grown buffer is returned for the next trace.
+func decodeTrace(buf []byte, numVars int, lits []cnf.Lit) (*Trace, []byte, []cnf.Lit, error) {
 	n, buf, err := readUvarint(buf)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if n > uint64(len(buf)) { // each record is ≥ 2 bytes; cheap sanity cap
-		return nil, nil, fmt.Errorf("proof: implausible record count %d", n)
+		return nil, nil, nil, fmt.Errorf("proof: implausible record count %d", n)
 	}
 	t := &Trace{Records: make([]Record, 0, n)}
 	for i := uint64(0); i < n; i++ {
 		if len(buf) == 0 {
-			return nil, nil, errTruncated
+			return nil, nil, nil, errTruncated
 		}
 		op := Op(buf[0])
 		buf = buf[1:]
 		if op != OpLearn && op != OpDelete && op != OpAxiom {
-			return nil, nil, fmt.Errorf("proof: unknown op %d", byte(op))
+			return nil, nil, nil, fmt.Errorf("proof: unknown op %d", byte(op))
 		}
 		var k uint64
 		k, buf, err = readUvarint(buf)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if k > uint64(len(buf)) {
-			return nil, nil, errTruncated
+			return nil, nil, nil, errTruncated
 		}
-		lits := make([]cnf.Lit, k)
-		for j := range lits {
+		if uint64(cap(lits)-len(lits)) < k {
+			lits = make([]cnf.Lit, 0, k)
+		}
+		at := len(lits)
+		for range k {
 			var u uint64
 			u, buf, err = readUvarint(buf)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			if u >= uint64(numVars)*2 {
-				return nil, nil, fmt.Errorf("proof: literal %d out of range (%d vars)", u, numVars)
+				return nil, nil, nil, fmt.Errorf("proof: literal %d out of range (%d vars)", u, numVars)
 			}
-			lits[j] = cnf.Lit(u)
+			lits = append(lits, cnf.Lit(u))
 		}
-		t.Records = append(t.Records, Record{Op: op, Lits: lits})
+		t.Records = append(t.Records, Record{Op: op, Lits: lits[at:len(lits):len(lits)]})
 	}
-	return t, buf, nil
+	return t, buf, lits, nil
+}
+
+// uvarints returns how many uvarints b holds at most: each one ends with
+// its only byte below 0x80.
+func uvarints(b []byte) int {
+	n := 0
+	for _, c := range b {
+		if c < 0x80 {
+			n++
+		}
+	}
+	return n
 }
 
 func readUvarint(buf []byte) (uint64, []byte, error) {

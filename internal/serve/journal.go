@@ -49,9 +49,10 @@ const (
 	recDone   byte = 11
 )
 
-// OpenJournal opens (creating if absent) the job journal at path. dropped
-// counts records the integrity layer rejected (and is folded into
-// Stats.RecoveredRejected by the server). faults injects storage faults for
+// OpenJournal opens (creating if absent) the job journal at path. Records
+// the integrity layer rejects, and records of an unknown kind or that do not
+// decode, are dropped; New folds their count into Stats.RecoveredRejected
+// and audits them as one recover event. faults injects storage faults for
 // chaos tests; production passes nil.
 func OpenJournal(path string, faults *Faults) (*Journal, error) {
 	l, recs, dropped, err := store.Open(path, store.Options{WriteHook: faults.storeWriteHook()})
@@ -101,6 +102,17 @@ func OpenJournal(path string, faults *Faults) (*Journal, error) {
 		j.compactLocked()
 	}
 	return j, nil
+}
+
+// droppedAtOpen returns how many records OpenJournal dropped; zero for a
+// nil journal.
+func (j *Journal) droppedAtOpen() int {
+	if j == nil {
+		return 0
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.dropped
 }
 
 // MaxID returns the highest job ID the journal has seen; the server seeds
@@ -226,7 +238,7 @@ func decodeSubmit(payload []byte) (RecoveredJob, error) {
 	rj.Slots = int(slots)
 	rj.Client = string(secs[0])
 	rj.OptsKey = string(secs[1])
-	rj.Payload = append([]byte(nil), secs[2]...)
+	rj.Payload = append([]byte(nil), secs[2]...) // not a view: it outlives the log's read buffer
 	rj.Formula = w
 	return rj, nil
 }

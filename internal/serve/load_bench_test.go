@@ -60,7 +60,7 @@ func renamed(w *cnf.WCNF, rng *rand.Rand) *cnf.WCNF {
 // BenchmarkStoreLoad times a durable server's boot: OpenResultStore on a
 // log of 300 certified records, then New, which re-proves every record
 // before it returns. It reports ms/record, the boot time per stored record,
-// and B/record, the stored payload bytes per record.
+// B/record, the stored payload bytes per record, and the boot's allocations.
 func BenchmarkStoreLoad(b *testing.B) {
 	payloads, err := storeLoadPayloads()
 	if err != nil {
@@ -81,6 +81,7 @@ func BenchmarkStoreLoad(b *testing.B) {
 	if err := l.Close(); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rs, err := OpenResultStore(path, nil)

@@ -833,6 +833,41 @@ func TestJournalParsesOnlyPending(t *testing.T) {
 	}
 }
 
+// TestJournalDropsCounted opens a journal holding one pending submission
+// that does not decode beside one that does: the server counts the dropped
+// record in RecoveredRejected and audits it as one recover event.
+func TestJournalDropsCounted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.log")
+	l, _, _, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][]byte{unparseableSubmit(1), encodeSubmit(RecoveredJob{ID: 2, OptsKey: "k"}, contradiction())} {
+		if err := l.Append(recSubmit, p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	jl := openJournalT(t, path, nil)
+	defer jl.Close()
+	var mu sync.Mutex
+	var events []AuditEvent
+	s := New(Config{Workers: 1, Journal: jl, Audit: func(e AuditEvent) {
+		mu.Lock()
+		events = append(events, e)
+		mu.Unlock()
+	}})
+	defer s.Close()
+	if st := s.Stats(); st.RecoveredRejected != 1 {
+		t.Errorf("RecoveredRejected = %d, want 1", st.RecoveredRejected)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(events) != 1 || events[0].Action != "recover" || events[0].Detail != "journal: 1 records dropped" {
+		t.Errorf("audit events %+v, want one recover event for the dropped record", events)
+	}
+}
+
 // TestRecoverDropsUnrebuildable journals two pending jobs whose first no
 // longer rebuilds (an algorithm a newer binary removed, say): replay drops
 // it with an audit event and a done marker, and still replays the second.

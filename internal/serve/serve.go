@@ -219,7 +219,9 @@ type Stats struct {
 	Degraded int64 `json:"degraded"`
 	// Recovered / RecoveredRejected count durable-store entries accepted
 	// into (re-proved by the independent checker) and rejected from the
-	// cache at startup.
+	// cache at startup. RecoveredRejected also counts the journal records
+	// dropped at open: frames the integrity layer cut, and records of an
+	// unknown kind or that do not decode.
 	Recovered         int64 `json:"recovered"`
 	RecoveredRejected int64 `json:"recovered_rejected"`
 	// Replayed counts journaled incomplete jobs re-enqueued by Recover.
@@ -369,6 +371,10 @@ func New(cfg Config) *Server {
 		s.nextID = cfg.Journal.MaxID()
 	}
 	s.stats.Recovered, s.stats.RecoveredRejected = s.results.load(s.audit)
+	if n := s.cfg.Journal.droppedAtOpen(); n > 0 {
+		s.stats.RecoveredRejected += int64(n)
+		s.audit(AuditEvent{Action: "recover", Detail: fmt.Sprintf("journal: %d records dropped", n)})
+	}
 	return s
 }
 

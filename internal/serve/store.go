@@ -176,19 +176,24 @@ type proved struct {
 
 // reprove decodes and checks the certificate of every entry against the
 // entry's own formula, on every CPU; the verdicts come back in entry order.
+// Each worker checks with a proof.Checker of its own, which reuses its
+// buffers from record to record; they go once reprove returns, so the
+// checks of a running server keep none.
 func reprove(entries []storeEntry) []proved {
 	out := make([]proved, len(entries))
-	forEach(len(entries), func(i int) { out[i] = reproveOne(entries[i]) })
+	checkers := make([]proof.Checker, runtime.GOMAXPROCS(0))
+	forEach(len(entries), func(worker, i int) { out[i] = reproveOne(entries[i], &checkers[worker]) })
 	return out
 }
 
-// forEach calls do(i) for every i in [0, n) on up to GOMAXPROCS goroutines,
-// each taking the next index no goroutine has taken, and returns once every
-// call has. The calls must be independent; each writes its own result slot.
-func forEach(n int, do func(i int)) {
+// forEach calls do(worker, i) for every i in [0, n) on up to GOMAXPROCS
+// goroutines, numbered from 0 by worker, each taking the next index no
+// goroutine has taken, and returns once every call has. The calls must be
+// independent; each writes its own result slot.
+func forEach(n int, do func(worker, i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), n) {
+	for worker := range min(runtime.GOMAXPROCS(0), n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -197,7 +202,7 @@ func forEach(n int, do func(i int)) {
 				if i >= n {
 					return
 				}
-				do(i)
+				do(worker, i)
 			}
 		}()
 	}
@@ -205,15 +210,15 @@ func forEach(n int, do func(i int)) {
 }
 
 // reproveOne rebuilds the served result of one entry from its certificate
-// alone; the decoded proof steps and hints are dropped once checked. A hint
-// section that does not decode is ignored.
-func reproveOne(e storeEntry) proved {
+// alone, checked with c; the decoded proof steps and hints are dropped once
+// checked. A hint section that does not decode is ignored.
+func reproveOne(e storeEntry, c *proof.Checker) proved {
 	cert, err := proof.Decode(e.cert)
 	if err == nil {
 		if e.hints != nil {
 			_ = cert.AttachHints(e.hints)
 		}
-		err = proof.Check(e.w, cert)
+		err = c.Check(e.w, cert)
 	}
 	if err != nil {
 		return proved{err: err}
@@ -269,9 +274,11 @@ type ResultStore struct {
 type storeEntry struct {
 	w     *cnf.WCNF
 	meta  string
-	cert  []byte
+	cert  []byte // a copy: the memory tier keeps it
 	hints []byte // a view of raw, nil when the record has none
-	raw   []byte // original payload, for compaction without re-encoding
+	// raw is the original payload, for compaction without re-encoding: a
+	// view of the log's read buffer, dropped with the entry after load.
+	raw []byte
 }
 
 const recResult byte = 1
@@ -291,7 +298,7 @@ func OpenResultStore(path string, faults *Faults) (*ResultStore, error) {
 	// Parse the records on every CPU. A record of another kind, or one
 	// that does not decode, leaves its slot without a formula.
 	decoded := make([]storeEntry, len(recs))
-	forEach(len(recs), func(i int) {
+	forEach(len(recs), func(_, i int) {
 		if recs[i].Kind != recResult {
 			return
 		}
@@ -391,5 +398,8 @@ func decodeStoreEntry(payload []byte) (storeEntry, error) {
 	if err != nil {
 		return storeEntry{}, fmt.Errorf("serve: store record formula: %w", err)
 	}
+	// The payload is a view of the buffer the whole log was read into, which
+	// the entry may hold only until load: the certificate, which the memory
+	// tier keeps, is copied so that it does not pin that buffer.
 	return storeEntry{w: w, meta: string(meta), cert: append([]byte(nil), cert...), hints: hints, raw: raw}, nil
 }

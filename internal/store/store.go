@@ -41,7 +41,10 @@ type Record struct {
 	Seq uint64
 	// Kind is the caller's record type tag.
 	Kind byte
-	// Payload is the record body. The slice is private to the caller.
+	// Payload is the record body. A recovered payload is a view of the
+	// buffer Open read the whole log into, capped at its own end: appending
+	// to it copies instead of overwriting the next record, but a payload kept
+	// alive keeps that buffer alive, so copy whatever outlives recovery.
 	Payload []byte
 }
 
@@ -97,8 +100,9 @@ func Open(path string, opts Options) (l *Log, recs []Record, dropped int, err er
 		return &Log{f: f, path: path, opts: opts}, nil, 0, nil
 	}
 
-	data, err := io.ReadAll(f)
-	if err != nil {
+	// One read sized from Stat: the recovered payloads are views of data.
+	data := make([]byte, st.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
 		f.Close()
 		return nil, nil, 0, err
 	}
@@ -131,6 +135,7 @@ func Open(path string, opts Options) (l *Log, recs []Record, dropped int, err er
 
 // scan parses frames from data, returning the records, the byte length of
 // the well-framed prefix, and whether anything after it had to be dropped.
+// Each payload is a view of data capped at its own end.
 func scan(data []byte) (recs []Record, good int64, bad bool) {
 	off := 0
 	for off < len(data) {
@@ -143,15 +148,16 @@ func scan(data []byte) (recs []Record, good int64, bad bool) {
 			return recs, int64(off), true
 		}
 		kind := data[off+k]
-		payload := data[off+k+1 : off+k+1+int(n)]
-		stored := binary.LittleEndian.Uint32(data[off+k+1+int(n):])
+		end := off + k + 1 + int(n)
+		payload := data[off+k+1 : end : end]
+		stored := binary.LittleEndian.Uint32(data[end:])
 		if crcOf(kind, payload) != stored {
 			return recs, int64(off), true
 		}
 		recs = append(recs, Record{
 			Seq:     uint64(len(recs)),
 			Kind:    kind,
-			Payload: append([]byte(nil), payload...),
+			Payload: payload,
 		})
 		off += frameLen
 	}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -278,5 +279,65 @@ func TestClosedLogRejectsAppend(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("double Close: %v", err)
+	}
+}
+
+// TestPayloadViewsDoNotAlias appends to each recovered payload in turn and
+// requires every other record's bytes unchanged: the payloads share Open's
+// read buffer, each capped at its own end.
+func TestPayloadViewsDoNotAlias(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _, _ := openT(t, path, Options{})
+	want := [][]byte{[]byte("one"), {}, []byte("three"), []byte("four")}
+	for _, p := range want {
+		if err := l.Append(1, p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	l2, recs, _ := openT(t, path, Options{})
+	defer l2.Close()
+	for i := range recs {
+		_ = append(recs[i].Payload, bytes.Repeat([]byte{0xFF}, 16)...) // past the CRC and a frame header
+		for j, r := range recs {
+			if !bytes.Equal(r.Payload, want[j]) {
+				t.Fatalf("appending to payload %d changed payload %d to %q", i, j, r.Payload)
+			}
+		}
+	}
+}
+
+// TestOpenAllocs requires Open of an N-byte log to allocate less than 1.5 N
+// bytes: one read of the whole file, and payloads that are views of it.
+func TestOpenAllocs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "log")
+	l, _, _ := openT(t, path, Options{})
+	rng := rand.New(rand.NewSource(7))
+	for range 300 {
+		p := make([]byte, 1000+rng.Intn(8000))
+		rng.Read(p)
+		if err := l.Append(1, p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l2, recs, _, err := Open(path, Options{})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if len(recs) != 300 {
+		t.Fatalf("recovered %d records, want 300", len(recs))
+	}
+	n := uint64(st.Size())
+	if got := after.TotalAlloc - before.TotalAlloc; 2*got >= 3*n {
+		t.Errorf("Open of a %d-byte log allocated %d bytes (%.1f× the file), want < 1.5×", n, got, float64(got)/float64(n))
 	}
 }
