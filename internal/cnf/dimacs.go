@@ -42,38 +42,14 @@ func parseVarCount(line int, tok string) (int, error) {
 
 // parseLit parses one DIMACS literal token; 0 is the clause terminator.
 func parseLit[T string | []byte](line int, tok T) (int, error) {
-	v, err := parseInt(tok, strconv.IntSize)
+	v, err := strconv.Atoi(string(tok))
 	if err != nil {
 		return 0, parseErr(line, "bad literal %q", tok)
 	}
 	if v > MaxDIMACSVar || v < -MaxDIMACSVar {
 		return 0, parseErr(line, "literal %q out of range (variables are 1..%d)", tok, MaxDIMACSVar)
 	}
-	return int(v), nil
-}
-
-// parseInt parses a decimal token as strconv.ParseInt(string(tok), 10, bits)
-// does. A token of an optional sign and 1 to 19 digits whose value fits is
-// read here; any other is handed to strconv as a string, which reports the
-// error or reads the longer value.
-func parseInt[T string | []byte](tok T, bits int) (int64, error) {
-	i, neg := 0, false
-	if len(tok) > 0 && (tok[0] == '+' || tok[0] == '-') {
-		i, neg = 1, tok[0] == '-'
-	}
-	if n := len(tok) - i; n > 0 && n <= 19 {
-		var u uint64 // 19 digits fit
-		for ; i < len(tok) && tok[i]-'0' <= 9; i++ {
-			u = u*10 + uint64(tok[i]-'0')
-		}
-		if limit := uint64(1) << (bits - 1); i == len(tok) && (u < limit || neg && u == limit) {
-			if neg {
-				return -int64(u), nil
-			}
-			return int64(u), nil
-		}
-	}
-	return strconv.ParseInt(string(tok), 10, bits)
+	return v, nil
 }
 
 // field returns the first field of b, a run of bytes that are not white
@@ -267,11 +243,6 @@ func ParseWCNF(r io.Reader) (*WCNF, error) {
 			if err != nil {
 				return nil, err
 			}
-			// The declared clause count only sizes the clause list, and
-			// not past 4,096 clauses: the header is not trusted.
-			if nc, err := strconv.Atoi(fields[3]); err == nil && nc > 0 {
-				w.Clauses = make([]WClause, 0, min(nc, 1<<12))
-			}
 			declaredVars = nv
 			sawHeader = true
 			continue
@@ -294,13 +265,13 @@ func ParseWCNF(r io.Reader) (*WCNF, error) {
 			case is2022 && string(tok) == "h":
 				weight = HardWeight
 			case is2022:
-				wt, err := parseInt(tok, 64)
+				wt, err := strconv.ParseInt(string(tok), 10, 64)
 				if err != nil || wt <= 0 {
 					return nil, parseErr(line, "bad clause weight %q (2022 format: \"h\" or a positive weight)", tok)
 				}
 				weight = Weight(wt)
 			default:
-				wt, err := parseInt(tok, 64)
+				wt, err := strconv.ParseInt(string(tok), 10, 64)
 				if err != nil || wt < 0 {
 					return nil, parseErr(line, "bad clause weight %q", tok)
 				}

@@ -182,18 +182,18 @@ type proved struct {
 func reprove(entries []storeEntry) []proved {
 	out := make([]proved, len(entries))
 	checkers := make([]proof.Checker, runtime.GOMAXPROCS(0))
-	forEach(len(entries), func(worker, i int) { out[i] = reproveOne(entries[i], &checkers[worker]) })
+	forEach(len(checkers), len(entries), func(worker, i int) { out[i] = reproveOne(entries[i], &checkers[worker]) })
 	return out
 }
 
-// forEach calls do(worker, i) for every i in [0, n) on up to GOMAXPROCS
+// forEach calls do(worker, i) for every i in [0, n) on up to workers
 // goroutines, numbered from 0 by worker, each taking the next index no
 // goroutine has taken, and returns once every call has. The calls must be
 // independent; each writes its own result slot.
-func forEach(n int, do func(worker, i int)) {
+func forEach(workers, n int, do func(worker, i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for worker := range min(runtime.GOMAXPROCS(0), n) {
+	for worker := range min(workers, n) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -298,7 +298,7 @@ func OpenResultStore(path string, faults *Faults) (*ResultStore, error) {
 	// Parse the records on every CPU. A record of another kind, or one
 	// that does not decode, leaves its slot without a formula.
 	decoded := make([]storeEntry, len(recs))
-	forEach(len(recs), func(_, i int) {
+	forEach(runtime.GOMAXPROCS(0), len(recs), func(_, i int) {
 		if recs[i].Kind != recResult {
 			return
 		}
