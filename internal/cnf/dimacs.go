@@ -83,9 +83,10 @@ func field(b []byte) (tok, rest []byte) {
 // that disagree with the body (the body wins for variables; a mismatched
 // clause count is an error only if the body has more clauses than declared
 // headroom allows — in practice we accept any count and record the larger).
+// Lines are tokenized in the scanner's buffer, as ParseWCNF does.
 func ParseDIMACS(r io.Reader) (*Formula, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	sc.Buffer(nil, 1<<24) // grows from the scanner's 4 KB as lines need
 	f := &Formula{}
 	var cur Clause
 	line := 0
@@ -93,14 +94,15 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 	declaredVars := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "c") {
+		text := bytes.TrimSpace(sc.Bytes())
+		if len(text) == 0 || text[0] == 'c' {
 			continue
 		}
-		if strings.HasPrefix(text, "p") {
+		if text[0] == 'p' {
 			if sawHeader {
 				return nil, parseErr(line, "duplicate p line")
 			}
+			text := string(text)
 			fields := strings.Fields(text)
 			if len(fields) != 4 || fields[1] != "cnf" {
 				return nil, parseErr(line, "malformed header %q (want \"p cnf <vars> <clauses>\")", text)
@@ -119,7 +121,11 @@ func ParseDIMACS(r io.Reader) (*Formula, error) {
 		if !sawHeader {
 			return nil, parseErr(line, "clause before p line")
 		}
-		for _, tok := range strings.Fields(text) {
+		for lits := text; ; {
+			var tok []byte
+			if tok, lits = field(lits); tok == nil {
+				break
+			}
 			v, err := parseLit(line, tok)
 			if err != nil {
 				return nil, err

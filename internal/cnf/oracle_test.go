@@ -138,6 +138,79 @@ func oracleParseWCNF(r io.Reader) (*cnf.WCNF, error) {
 	return w, nil
 }
 
+// oracleParseDIMACS is the DIMACS CNF parser as it was before ParseDIMACS
+// tokenized lines in place: one string per line, strings.Fields on every
+// clause line and a 64 KB scanner buffer per call. FuzzParseDIMACSVsOracle
+// requires ParseDIMACS to accept and reject what it does, with the same
+// errors, and to read the same formula.
+func oracleParseDIMACS(r io.Reader) (*cnf.Formula, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
+	f := &cnf.Formula{}
+	var cur cnf.Clause
+	line := 0
+	sawHeader := false
+	declaredVars := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" || strings.HasPrefix(text, "c") {
+			continue
+		}
+		if strings.HasPrefix(text, "p") {
+			if sawHeader {
+				return nil, oracleErr(line, "duplicate p line")
+			}
+			fields := strings.Fields(text)
+			if len(fields) != 4 || fields[1] != "cnf" {
+				return nil, oracleErr(line, "malformed header %q (want \"p cnf <vars> <clauses>\")", text)
+			}
+			nv, err := strconv.Atoi(fields[2])
+			if err != nil || nv < 0 || nv > cnf.MaxDIMACSVar {
+				return nil, oracleErr(line, "bad variable count %q (want 0..%d)", fields[2], cnf.MaxDIMACSVar)
+			}
+			if _, err := strconv.Atoi(fields[3]); err != nil {
+				return nil, oracleErr(line, "bad clause count %q", fields[3])
+			}
+			declaredVars = nv
+			sawHeader = true
+			continue
+		}
+		if !sawHeader {
+			return nil, oracleErr(line, "clause before p line")
+		}
+		for _, tok := range strings.Fields(text) {
+			v, err := strconv.Atoi(tok)
+			if err != nil {
+				return nil, oracleErr(line, "bad literal %q", tok)
+			}
+			if v > cnf.MaxDIMACSVar || v < -cnf.MaxDIMACSVar {
+				return nil, oracleErr(line, "literal %q out of range (variables are 1..%d)", tok, cnf.MaxDIMACSVar)
+			}
+			if v == 0 {
+				f.Clauses = append(f.Clauses, cur)
+				cur = nil
+				continue
+			}
+			cur = append(cur, cnf.FromDIMACS(v))
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("dimacs: %w", err)
+	}
+	if !sawHeader {
+		return nil, oracleErr(line, "missing p line")
+	}
+	if len(cur) > 0 {
+		f.Clauses = append(f.Clauses, cur)
+	}
+	f.NumVars = declaredVars
+	if mv := f.MaxVar(); int(mv)+1 > f.NumVars {
+		f.NumVars = int(mv) + 1
+	}
+	return f, nil
+}
+
 func oracleErr(line int, format string, args ...any) error {
 	return &cnf.ParseError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }

@@ -95,6 +95,72 @@ func FuzzParseWCNFVsOracle(f *testing.F) {
 	})
 }
 
+// FuzzParseDIMACSVsOracle requires ParseDIMACS to agree with the
+// strings.Fields parser it replaced (oracleParseDIMACS): the same accept or
+// reject, the same *ParseError line and message, and the same clauses and
+// NumVars.
+func FuzzParseDIMACSVsOracle(f *testing.F) {
+	for _, s := range []string{
+		// The inputs of the TestParseDIMACS tests.
+		"c a comment\np cnf 3 2\n1 -2 0\n2 3 0\n",
+		"p cnf 4 1\n1 2\n3 -4 0\n",
+		"p cnf 1 1\n5 0\n",
+		"p cnf 1 1\n-1073741824 0\n",
+		"1 2 0\n",
+		"p cnf x 2\n",
+		"p cnf 2 x\n",
+		"p dnf 2 2\n",
+		"p cnf 2 1\n1 zero 0\n",
+		"",
+		"p cnf 1 1\np cnf 1 1\n",
+		"c only a comment\n",
+		"p cnf 1\n",
+		"p cnf 1 1 1 1\n1 0\n",
+		"p cnf 5 1\n2147483648 0\n",
+		"p cnf 5 1\n3000000000 0\n",
+		"p cnf 5 1\n-3000000000 0\n",
+		"p cnf 3000000000 1\n1 0\n",
+		"p cnf 2 1\n1 2",
+		// A clause spanning lines, with a comment between them; a trailing
+		// clause without its 0; white space strings.Fields splits on beyond
+		// ASCII, U+00A0 between literals among it; invalid UTF-8.
+		"p cnf 5 2\n1 -2\nc between\n 3\t4 0 5\n-5 0\n",
+		"p cnf 3 2\n1 2 0\n-3 -1",
+		"p cnf 3 2\n1\u00a0-2 0\n2\u30003\u00850\n",
+		"p cnf 2 1\n1 2\xa0 0\n",
+		"p cnf 2 1\n+1 -0 01 -002 00\n",
+		"\u00a0p cnf 1 1\n1 0\n",
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := cnf.ParseDIMACS(bytes.NewReader(data))
+		want, werr := oracleParseDIMACS(bytes.NewReader(data))
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("ParseDIMACS error %v, oracle error %v", err, werr)
+		}
+		if err != nil {
+			var pe, wpe *cnf.ParseError
+			if errors.As(err, &pe) != errors.As(werr, &wpe) || err.Error() != werr.Error() {
+				t.Fatalf("ParseDIMACS error %q, oracle error %q", err, werr)
+			}
+			if pe != nil && (pe.Line != wpe.Line || pe.Msg != wpe.Msg) {
+				t.Fatalf("ParseDIMACS error at line %d %q, oracle at line %d %q", pe.Line, pe.Msg, wpe.Line, wpe.Msg)
+			}
+			return
+		}
+		if got.NumVars != want.NumVars || len(got.Clauses) != len(want.Clauses) {
+			t.Fatalf("ParseDIMACS read %d variables and %d clauses, oracle %d and %d",
+				got.NumVars, len(got.Clauses), want.NumVars, len(want.Clauses))
+		}
+		for i, c := range got.Clauses {
+			if !slices.Equal(c, want.Clauses[i]) {
+				t.Fatalf("clause %d: ParseDIMACS read %v, oracle %v", i, c, want.Clauses[i])
+			}
+		}
+	})
+}
+
 // BenchmarkParseWCNF parses the classic WCNF text of gen.Suite(1) and
 // gen.WeightedSuite(1), one formula after another.
 func BenchmarkParseWCNF(b *testing.B) {

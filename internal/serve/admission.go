@@ -306,7 +306,7 @@ func (s *Server) admit(a admission) (*Handle, error) {
 		h := s.doneJobLocked(newIDLocked(), key, spec.Client, hit)
 		s.mu.Unlock()
 		if a.origin == replay {
-			s.cfg.Journal.markDone(h.j.id)
+			s.journal.markDone(h.j.id)
 		}
 		s.audit(AuditEvent{Client: spec.Client, Action: au.action, JobID: h.j.id, Detail: au.hit})
 		return h, nil
@@ -404,8 +404,8 @@ func (s *Server) admit(a admission) (*Handle, error) {
 	// record itself (results have their own, stricter path). A session
 	// solve journals its accumulated snapshot, which a crash replays as a
 	// one-shot job under the same ID; a replay is journaled already.
-	if a.origin != replay && s.cfg.Journal != nil && len(spec.Payload) > 0 {
-		if err := s.cfg.Journal.record(j.id, wk.w, spec); err != nil {
+	if a.origin != replay && s.journal != nil {
+		if err := s.journal.record(j.id, wk.w, spec); err != nil {
 			s.audit(AuditEvent{Client: spec.Client, Action: "journal", JobID: j.id,
 				Detail: "append failed: " + err.Error()})
 		} else {

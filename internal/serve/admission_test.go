@@ -32,7 +32,7 @@ func (c *fakeClock) advance(d time.Duration) {
 }
 
 func TestRateLimitTokenBucket(t *testing.T) {
-	s := New(Config{Workers: 1, RatePerSec: 1, Burst: 2, CacheEntries: -1})
+	s := openT(t, Config{Workers: 1, RatePerSec: 1, Burst: 2, CacheEntries: -1})
 	defer s.Close()
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	s.now = clk.now
@@ -68,7 +68,7 @@ func TestRateLimitTokenBucket(t *testing.T) {
 }
 
 func TestClientQuota(t *testing.T) {
-	s := New(Config{Workers: 1, ClientQuota: 1})
+	s := openT(t, Config{Workers: 1, ClientQuota: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	h := mustSubmit(t, s, JobSpec{Formula: contradiction(), OptsKey: "a1",
@@ -115,7 +115,7 @@ func TestClientQuota(t *testing.T) {
 // TestDegradationUnderPressure drives the queue past the high-water mark and
 // checks a portfolio-style submission is granted a shrunken slot count.
 func TestDegradationUnderPressure(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 12, HighWater: 0.5, CacheEntries: -1})
+	s := openT(t, Config{Workers: 4, QueueDepth: 12, HighWater: 0.5, CacheEntries: -1})
 	defer s.Close()
 	release := make(chan struct{})
 	var handles []*Handle
@@ -166,7 +166,7 @@ func TestDegradationUnderPressure(t *testing.T) {
 func TestAuditTrail(t *testing.T) {
 	var mu sync.Mutex
 	var events []AuditEvent
-	s := New(Config{Workers: 1, Audit: func(e AuditEvent) {
+	s := openT(t, Config{Workers: 1, Audit: func(e AuditEvent) {
 		mu.Lock()
 		events = append(events, e)
 		mu.Unlock()
@@ -236,7 +236,7 @@ func TestAuditTrail(t *testing.T) {
 }
 
 func TestDrainLetsJobsFinish(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	release := make(chan struct{})
 	started := make(chan struct{})
 	h := mustSubmit(t, s, JobSpec{Formula: contradiction(), Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
@@ -289,7 +289,7 @@ func TestDrainLetsJobsFinish(t *testing.T) {
 }
 
 func TestDrainDeadlineCancelsStragglers(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	started := make(chan struct{})
 	h := mustSubmit(t, s, JobSpec{Formula: contradiction(), Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
 		close(started)
@@ -315,7 +315,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 // chaos suite's leak checker covers this file's tests too under -race).
 func TestCloseRacesSubscriber(t *testing.T) {
 	defer checkGoroutines(t)()
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	started := make(chan struct{})
 	h := mustSubmit(t, s, JobSpec{Formula: contradiction(), Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
 		close(started)
@@ -429,21 +429,18 @@ func TestAdmissionMatrix(t *testing.T) {
 			// ID follows the journal's highest ID on a replaying server.
 			fillID := uint64(1)
 			if r.origin == "replay" {
-				path := filepath.Join(t.TempDir(), "journal.log")
-				jl := openJournalT(t, path, nil)
+				cfg.DataDir = t.TempDir()
+				jl := openJournalT(t, filepath.Join(cfg.DataDir, journalLog), nil)
 				if err := jl.record(matrixReplayID, contradiction(),
-					JobSpec{OptsKey: "k", Client: "c", Payload: []byte("x")}); err != nil {
+					JobSpec{OptsKey: "k", Client: "c"}); err != nil {
 					t.Fatal(err)
 				}
-				jl.Close()
-				jl = openJournalT(t, path, nil)
-				defer jl.Close()
-				cfg.Journal = jl
+				jl.close()
 				fillID = matrixReplayID + 1
 			}
 			switch r.disposition {
 			case "corrupt":
-				cfg.Faults = &Faults{CorruptCert: func(id uint64) int {
+				cfg.faults = &Faults{CorruptCert: func(id uint64) int {
 					if id == fillID {
 						return 0 // the format magic: a guaranteed rejection
 					}
@@ -452,7 +449,7 @@ func TestAdmissionMatrix(t *testing.T) {
 			case "rate-limited":
 				cfg.RatePerSec, cfg.Burst = 1, 1
 			}
-			s := New(cfg)
+			s := openT(t, cfg)
 			defer s.Close() // also unblocks the coalesce row's blocker on failure
 			s.now = (&fakeClock{t: time.Unix(1000, 0)}).now
 

@@ -59,7 +59,7 @@ func TestChaosDeterministicSchedule(t *testing.T) {
 			return Fault{Kind: FaultCancel, Delay: time.Millisecond}
 		}
 	}}
-	s := New(Config{Workers: 3, CacheEntries: -1, Faults: faults})
+	s := openT(t, Config{Workers: 3, CacheEntries: -1, faults: faults})
 	defer s.Close()
 
 	var handles []*Handle
@@ -120,7 +120,7 @@ func TestFaultExhaustNeverCached(t *testing.T) {
 		}
 		return Fault{}
 	}}
-	s := New(Config{Workers: 1, Faults: faults})
+	s := openT(t, Config{Workers: 1, faults: faults})
 	defer s.Close()
 	spec := JobSpec{Formula: contradiction(), Solve: optimal(1)}
 	r1 := waitResult(t, mustSubmit(t, s, spec))
@@ -145,7 +145,7 @@ func TestFaultPanicNeverCached(t *testing.T) {
 		}
 		return Fault{}
 	}}
-	s := New(Config{Workers: 1, Faults: faults})
+	s := openT(t, Config{Workers: 1, faults: faults})
 	defer s.Close()
 	spec := JobSpec{Formula: contradiction(), Solve: optimal(1)}
 	r1 := waitResult(t, mustSubmit(t, s, spec))
@@ -188,7 +188,7 @@ func TestFaultCorruptCertNeverServed(t *testing.T) {
 		}
 		return -1
 	}}
-	s := New(Config{Workers: 1, Faults: faults})
+	s := openT(t, Config{Workers: 1, faults: faults})
 	defer s.Close()
 
 	formula := contradiction()
@@ -241,7 +241,7 @@ func TestFaultCancelMidJob(t *testing.T) {
 	faults := &Faults{Before: func(jobID uint64, optsKey string, attempt int) Fault {
 		return Fault{Kind: FaultCancel, Delay: 5 * time.Millisecond}
 	}}
-	s := New(Config{Workers: 1, Faults: faults})
+	s := openT(t, Config{Workers: 1, faults: faults})
 	defer s.Close()
 	h := mustSubmit(t, s, JobSpec{Formula: contradiction(), Solve: blocker(nil)})
 	r := waitResult(t, h)
@@ -261,7 +261,7 @@ func TestFaultSlowUnblocksOnClose(t *testing.T) {
 	faults := &Faults{Before: func(jobID uint64, optsKey string, attempt int) Fault {
 		return Fault{Kind: FaultSlow, Delay: time.Hour}
 	}}
-	s := New(Config{Workers: 1, Faults: faults})
+	s := openT(t, Config{Workers: 1, faults: faults})
 	h := mustSubmit(t, s, JobSpec{Formula: contradiction(), Solve: optimal(1)})
 	closed := make(chan struct{})
 	go func() {

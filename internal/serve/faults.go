@@ -9,13 +9,13 @@ import (
 )
 
 // Fault injection: a deterministic chaos-testing hook set for the serving
-// layer. Production servers leave Config.Faults nil — the hook is consulted
-// (and the switch below exists) only so tests can drive the server through
-// its failure paths on purpose: a member panic, a worker that stalls, a
-// budget that exhausts mid-run, a cancellation that lands mid-solve. The
-// chaos suite (chaos_test.go) uses it to assert the invariants operators
-// rely on: the worker pool never deadlocks, goroutines never leak, and an
-// unverified result is never served from the cache.
+// layer. Only this package's tests set it (the unexported Config.faults) —
+// the hook is consulted (and the switch below exists) only so tests can
+// drive the server through its failure paths on purpose: a member panic, a
+// worker that stalls, a budget that exhausts mid-run, a cancellation that
+// lands mid-solve. The chaos suite (chaos_test.go) uses it to assert the
+// invariants operators rely on: the worker pool never deadlocks, goroutines
+// never leak, and an unverified result is never served from the cache.
 
 // FaultKind enumerates the injectable faults.
 type FaultKind int8
@@ -67,38 +67,38 @@ type Faults struct {
 	// leave the hook nil) to store faithfully.
 	CorruptCert func(jobID uint64) int
 
-	// CorruptStore is consulted when a record is about to be written to the
-	// durable result store or job journal (seq is the record's position in
-	// its log): a return ≥ 0 flips that bit (modulo the record length) in
-	// the payload before it is CRC-framed — so the frame is well-formed and
-	// recovery's integrity layer passes, and the corruption must be caught
-	// by the re-validation layer (the independent proof checker) instead.
-	// Negative (or nil hook) writes faithfully.
-	CorruptStore func(seq uint64) int
-	// CrashAfterWrite, when it returns true for a record, tears that
-	// record's framed write in half and wedges the log — every later write
-	// is silently dropped, as if the process died mid-write. Recovery must
-	// truncate the torn tail cleanly.
-	CrashAfterWrite func(seq uint64) bool
+	// CorruptStore is consulted when a record is about to be written to a
+	// durable log — log names it, results.log or journal.log, and seq is
+	// the record's position in it: a return ≥ 0 flips that bit (modulo the
+	// record length) in the payload before it is CRC-framed — so the frame
+	// is well-formed and recovery's integrity layer passes, and the
+	// corruption must be caught by the re-validation layer (the independent
+	// proof checker) instead. Negative (or nil hook) writes faithfully.
+	CorruptStore func(log string, seq uint64) int
+	// CrashAfterWrite, when it returns true for a record of the named log,
+	// tears that record's framed write in half and wedges the log — every
+	// later write to it is silently dropped, as if the process died
+	// mid-write. Recovery must truncate the torn tail cleanly.
+	CrashAfterWrite func(log string, seq uint64) bool
 }
 
-// corruptStoreBit returns the bit to flip in the store/journal record at
-// seq, or -1 to write it faithfully.
-func (f *Faults) corruptStoreBit(seq uint64) int {
+// corruptStoreBit returns the bit to flip in the record at seq of the named
+// log, or -1 to write it faithfully.
+func (f *Faults) corruptStoreBit(log string, seq uint64) int {
 	if f == nil || f.CorruptStore == nil {
 		return -1
 	}
-	return f.CorruptStore(seq)
+	return f.CorruptStore(log, seq)
 }
 
-// storeWriteHook builds the store-layer fault hook (torn writes), or nil
+// storeWriteHook builds the named log's fault hook (torn writes), or nil
 // when no crash fault is configured.
-func (f *Faults) storeWriteHook() func(seq uint64, frame []byte) ([]byte, bool) {
+func (f *Faults) storeWriteHook(log string) func(seq uint64, frame []byte) ([]byte, bool) {
 	if f == nil || f.CrashAfterWrite == nil {
 		return nil
 	}
 	return func(seq uint64, frame []byte) ([]byte, bool) {
-		if f.CrashAfterWrite(seq) {
+		if f.CrashAfterWrite(log, seq) {
 			return frame[:len(frame)/2], true
 		}
 		return frame, false

@@ -14,10 +14,16 @@ import "repro/internal/cnf"
 // carries no model to re-verify).
 //
 // The fingerprint is a cache key, not a proof of identity: a 64-bit collision
-// between two different formulas is possible, so the cache additionally keys
-// on the formula's shape (variable count, clause count, soft-weight sum) and
-// re-verifies every cached model against the submitted formula before
-// serving it (see verifiedStore.lookup).
+// between two different formulas is possible, and since the finalizer is
+// invertible and the combine is a sum, one can be crafted. The cache keys on
+// the formula's shape too (variable count, clause count, soft-weight sum),
+// which a crafted collision can match as well. What a collision costs
+// depends on the verdict it hits (see verifiedStore.lookup): a certified
+// verdict is re-proved against the submitted formula, so the collision costs
+// a miss; an uncertified OPTIMAL verdict's model is re-checked for its cost
+// on the submitted formula, not for being optimal there, and an uncertified
+// UNSAT verdict is not re-checked at all, so a collision on either can serve
+// a wrong answer.
 
 // splitmix64 is the SplitMix64 finalizer.
 func splitmix64(x uint64) uint64 {

@@ -13,8 +13,8 @@ import (
 // crash-loop the daemon at boot.
 func FuzzRecordDecoders(f *testing.F) {
 	w := contradiction()
-	f.Add(encodeSubmit(RecoveredJob{ID: 7, Client: "alice", OptsKey: `{"alg":"oll"}`, Slots: 2,
-		Timeout: time.Second, Payload: []byte(`{"alg":"oll"}`)}, w))
+	f.Add(encodeSubmit(RecoveredJob{ID: 7, Client: "alice", Slots: 2, Timeout: time.Second,
+		Payload: []byte(`{"alg":"oll"}`)}, w))
 	f.Add(encodeStoreEntry(w, "msu4-v2", []byte("certificate")))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		if rj, err := decodeSubmit(payload); err == nil && rj.Formula == nil {

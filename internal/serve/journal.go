@@ -11,25 +11,27 @@ import (
 	"repro/internal/store"
 )
 
-// Journal is the durable intent log of the serving layer: a submission is
-// recorded (fsynced) before its job ID is handed back, and marked done
-// (lazily — replay is idempotent, so losing a marker only costs a re-run)
-// when it completes. After a restart, Pending lists the jobs the previous
-// life accepted but never finished; Server.Recover re-enqueues them under
-// their original IDs so a client polling GET /jobs/{id} across the restart
-// sees its job finish instead of 404.
+// journal is the durable intent log of the serving layer, journal.log
+// under Config.DataDir: a submission admitted to run is recorded (fsynced)
+// before its job ID is handed back, and marked done (lazily — replay is
+// idempotent, so losing a marker only costs a re-run) when it completes.
+// After a restart, pending lists the jobs the previous life accepted but
+// never finished; Server.Recover re-enqueues them under their original IDs
+// so a client polling GET /jobs/{id} across the restart sees its job finish
+// instead of 404.
 //
 // A SolveFunc closure cannot be persisted, so each record carries the
-// submission's opaque Payload (the maxsat layer's serialized options); the
-// Recover callback rebuilds the closure from it. Everything recovered here
-// is intent, not truth: a replayed job re-runs through the full solve (or
-// hits the re-validated result cache) — the journal never supplies answers.
-type Journal struct {
+// submission's OptsKey (the maxsat layer's serialized options) as its
+// payload; the Recover callback rebuilds the closure from it. Everything
+// recovered here is intent, not truth: a replayed job re-runs through the
+// full solve (or hits the re-validated result cache) — the journal never
+// supplies answers.
+type journal struct {
 	mu      sync.Mutex
 	log     *store.Log
 	pending []RecoveredJob
-	maxID   uint64
-	dropped int
+	maxID   uint64 // the highest job ID the journal has seen
+	dropped int    // records dropped at open
 	faults  *Faults
 }
 
@@ -37,9 +39,10 @@ type Journal struct {
 type RecoveredJob struct {
 	ID      uint64
 	Client  string
-	OptsKey string
 	Slots   int
 	Timeout time.Duration
+	// Payload is the options the job was submitted under: its
+	// JobSpec.OptsKey.
 	Payload []byte
 	Formula *cnf.WCNF
 }
@@ -49,17 +52,17 @@ const (
 	recDone   byte = 11
 )
 
-// OpenJournal opens (creating if absent) the job journal at path. Records
+// openJournal opens (creating if absent) the job journal at path. Records
 // the integrity layer rejects, and records of an unknown kind or that do not
-// decode, are dropped; New folds their count into Stats.RecoveredRejected
+// decode, are dropped; Open folds their count into Stats.RecoveredRejected
 // and audits them as one recover event. faults injects storage faults for
-// chaos tests; production passes nil.
-func OpenJournal(path string, faults *Faults) (*Journal, error) {
-	l, recs, dropped, err := store.Open(path, store.Options{WriteHook: faults.storeWriteHook()})
+// the crash tests; nil writes faithfully.
+func openJournal(path string, faults *Faults) (*journal, error) {
+	l, recs, dropped, err := store.Open(path, store.Options{WriteHook: faults.storeWriteHook(journalLog)})
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{log: l, dropped: dropped, faults: faults}
+	j := &journal{log: l, dropped: dropped, faults: faults}
 	// The done markers first, so that only pending submissions are
 	// decoded: a completed one is skipped on its leading ID alone, and its
 	// formula is never parsed.
@@ -104,28 +107,9 @@ func OpenJournal(path string, faults *Faults) (*Journal, error) {
 	return j, nil
 }
 
-// droppedAtOpen returns how many records OpenJournal dropped; zero for a
-// nil journal.
-func (j *Journal) droppedAtOpen() int {
-	if j == nil {
-		return 0
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
-}
-
-// MaxID returns the highest job ID the journal has seen; the server seeds
-// its ID counter past it so IDs stay unique across restarts.
-func (j *Journal) MaxID() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.maxID
-}
-
-// Pending returns the recovered incomplete submissions not yet handed to
-// Recover, in original submission order.
-func (j *Journal) Pending() []RecoveredJob {
+// pendingJobs returns the recovered incomplete submissions not yet handed
+// to Recover, in original submission order.
+func (j *journal) pendingJobs() []RecoveredJob {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return append([]RecoveredJob(nil), j.pending...)
@@ -135,24 +119,24 @@ func (j *Journal) Pending() []RecoveredJob {
 // every one of them: each replay holds its own snapshot, so the decoded
 // formulas and payloads here would otherwise stay reachable for the life of
 // the process. The log on disk is untouched.
-func (j *Journal) releasePending() {
+func (j *journal) releasePending() {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.pending = nil
 }
 
 // record journals one admitted submission, fsynced before returning.
-func (j *Journal) record(id uint64, w *cnf.WCNF, spec JobSpec) error {
+func (j *journal) record(id uint64, w *cnf.WCNF, spec JobSpec) error {
 	payload := encodeSubmit(RecoveredJob{
-		ID: id, Client: spec.Client, OptsKey: spec.OptsKey,
-		Slots: spec.Slots, Timeout: spec.Timeout, Payload: spec.Payload,
+		ID: id, Client: spec.Client, Slots: spec.Slots, Timeout: spec.Timeout,
+		Payload: []byte(spec.OptsKey),
 	}, w)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if id > j.maxID {
 		j.maxID = id
 	}
-	if bit := j.faults.corruptStoreBit(j.log.Len()); bit >= 0 {
+	if bit := j.faults.corruptStoreBit(journalLog, j.log.Len()); bit >= 0 {
 		payload[(bit/8)%len(payload)] ^= 1 << (bit % 8)
 	}
 	return j.log.Append(recSubmit, payload, true)
@@ -165,7 +149,7 @@ func (j *Journal) record(id uint64, w *cnf.WCNF, spec JobSpec) error {
 // runtime; the next Open rewrites it down to whatever is still pending —
 // runtime compaction would need the live in-flight picture this type does
 // not have.
-func (j *Journal) markDone(id uint64) {
+func (j *journal) markDone(id uint64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.log.Append(recDone, binary.AppendUvarint(nil, id), false)
@@ -174,7 +158,7 @@ func (j *Journal) markDone(id uint64) {
 // compactLocked rewrites the log down to the pending submissions. When no
 // pending submission carries maxID, a done marker for it is kept too, so
 // the next Open still seeds IDs past every ID ever handed out.
-func (j *Journal) compactLocked() {
+func (j *journal) compactLocked() {
 	recs := make([]store.Record, 0, len(j.pending)+1)
 	var top uint64
 	for _, rj := range j.pending {
@@ -187,16 +171,21 @@ func (j *Journal) compactLocked() {
 	j.log.Compact(recs) // best-effort; a failed compact leaves the old log
 }
 
-// Close flushes and closes the journal.
-func (j *Journal) Close() error { return j.log.Close() }
+// close flushes and closes the journal.
+func (j *journal) close() error { return j.log.Close() }
 
+// encodeSubmit frames a submit record: the ID, timeout and slots, then
+// length-prefixed sections for the client, a key, the payload and the
+// formula. The key section repeats the payload, and replay skips it: the
+// layout is the one older binaries wrote, whose key section held a
+// coalescing key of their own beside the options payload.
 func encodeSubmit(rj RecoveredJob, w *cnf.WCNF) []byte {
 	var fb bytes.Buffer
 	cnf.WriteWCNF(&fb, w)
 	buf := binary.AppendUvarint(nil, rj.ID)
 	buf = binary.AppendVarint(buf, int64(rj.Timeout))
 	buf = binary.AppendUvarint(buf, uint64(rj.Slots))
-	for _, sec := range [][]byte{[]byte(rj.Client), []byte(rj.OptsKey), rj.Payload, fb.Bytes()} {
+	for _, sec := range [][]byte{[]byte(rj.Client), rj.Payload, rj.Payload, fb.Bytes()} {
 		buf = binary.AppendUvarint(buf, uint64(len(sec)))
 		buf = append(buf, sec...)
 	}
@@ -237,7 +226,6 @@ func decodeSubmit(payload []byte) (RecoveredJob, error) {
 	rj.Timeout = time.Duration(to)
 	rj.Slots = int(slots)
 	rj.Client = string(secs[0])
-	rj.OptsKey = string(secs[1])
 	rj.Payload = append([]byte(nil), secs[2]...) // not a view: it outlives the log's read buffer
 	rj.Formula = w
 	return rj, nil

@@ -57,17 +57,17 @@ func renamed(w *cnf.WCNF, rng *rand.Rand) *cnf.WCNF {
 	return out
 }
 
-// BenchmarkStoreLoad times a durable server's boot: OpenResultStore on a
-// log of 300 certified records, then New, which re-proves every record
-// before it returns. It reports ms/record, the boot time per stored record,
+// BenchmarkStoreLoad times a durable server's boot: Open on a data
+// directory whose results.log holds 300 certified records, which it
+// re-proves before it returns. It reports ms/record, the boot time per stored record,
 // B/record, the stored payload bytes per record, and the boot's allocations.
 func BenchmarkStoreLoad(b *testing.B) {
 	payloads, err := storeLoadPayloads()
 	if err != nil {
 		b.Fatal(err)
 	}
-	path := filepath.Join(b.TempDir(), "results.log")
-	l, _, _, err := store.Open(path, store.Options{})
+	dir := b.TempDir()
+	l, _, _, err := store.Open(filepath.Join(dir, resultsLog), store.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,17 +84,12 @@ func BenchmarkStoreLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := OpenResultStore(path, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := New(Config{Workers: 1, Store: rs})
+		s := openT(b, Config{Workers: 1, DataDir: dir})
 		b.StopTimer()
 		if st := s.Stats(); st.Recovered != int64(len(payloads)) {
 			b.Fatalf("recovered %d of %d records (%d rejected)", st.Recovered, len(payloads), st.RecoveredRejected)
 		}
 		s.Close()
-		rs.Close()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(b.Elapsed())/1e6/float64(b.N*len(payloads)), "ms/record")

@@ -20,7 +20,7 @@ package serve
 // finish): readiness means the server can account for its past promises,
 // not that it has already kept them all.
 func (s *Server) Recover(rebuild func(RecoveredJob) (JobSpec, error)) error {
-	if s.cfg.Journal == nil {
+	if s.journal == nil {
 		return nil
 	}
 	// Hold every run start until all pending jobs are registered: a replay
@@ -33,10 +33,10 @@ func (s *Server) Recover(rebuild func(RecoveredJob) (JobSpec, error)) error {
 			start()
 		}
 	}()
-	for _, rj := range s.cfg.Journal.Pending() {
+	for _, rj := range s.journal.pendingJobs() {
 		spec, err := rebuild(rj)
 		if err != nil {
-			s.cfg.Journal.markDone(rj.ID)
+			s.journal.markDone(rj.ID)
 			s.audit(AuditEvent{Client: rj.Client, Action: "recover", JobID: rj.ID,
 				Detail: "replay dropped: " + err.Error()})
 			continue
@@ -48,6 +48,6 @@ func (s *Server) Recover(rebuild func(RecoveredJob) (JobSpec, error)) error {
 			return err
 		}
 	}
-	s.cfg.Journal.releasePending()
+	s.journal.releasePending()
 	return nil
 }

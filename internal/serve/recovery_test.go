@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -21,34 +23,34 @@ import (
 	"repro/internal/store"
 )
 
-// openStoreT / openJournalT open durability primitives with test fatality.
-func openStoreT(t *testing.T, path string, f *Faults) *ResultStore {
+// openStoreT / openJournalT open one durable log with test fatality, for
+// the tests that write or read a log beside a server.
+func openStoreT(t *testing.T, path string, f *Faults) *resultStore {
 	t.Helper()
-	rs, err := OpenResultStore(path, f)
+	rs, err := openResultStore(path, f)
 	if err != nil {
-		t.Fatalf("OpenResultStore: %v", err)
+		t.Fatalf("openResultStore: %v", err)
 	}
 	return rs
 }
 
-func openJournalT(t *testing.T, path string, f *Faults) *Journal {
+func openJournalT(t *testing.T, path string, f *Faults) *journal {
 	t.Helper()
-	jl, err := OpenJournal(path, f)
+	jl, err := openJournal(path, f)
 	if err != nil {
-		t.Fatalf("OpenJournal: %v", err)
+		t.Fatalf("openJournal: %v", err)
 	}
 	return jl
 }
 
 // replayCertifying is the standard rebuild callback for these tests: every
-// journaled payload maps to a real certifying solve.
+// journaled payload maps to a real certifying solve under the same OptsKey.
 func replayCertifying(rj RecoveredJob) (JobSpec, error) {
 	return JobSpec{
 		Formula: rj.Formula,
-		OptsKey: rj.OptsKey,
+		OptsKey: string(rj.Payload),
 		Client:  rj.Client,
 		Timeout: rj.Timeout,
-		Payload: rj.Payload,
 		Solve:   certifying(),
 	}, nil
 }
@@ -58,23 +60,17 @@ func replayCertifying(rj RecoveredJob) (JobSpec, error) {
 // store — with the certificate intact and verifying.
 func TestStoreRoundTripAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "results.log")
 	formula := contradiction()
 
-	rs := openStoreT(t, path, nil)
-	s := New(Config{Workers: 1, Store: rs})
+	s := openT(t, Config{Workers: 1, DataDir: dir})
 	r1 := waitResult(t, mustSubmit(t, s, JobSpec{Formula: formula, Solve: certifying()}))
 	if r1.Status != opt.StatusOptimal || len(r1.Certificate) == 0 {
 		t.Fatalf("first life solve: %+v", r1)
 	}
 	s.Close()
-	if err := rs.Close(); err != nil {
-		t.Fatalf("store close: %v", err)
-	}
 
-	rs2 := openStoreT(t, path, nil)
-	s2 := New(Config{Workers: 1, Store: rs2})
-	defer func() { s2.Close(); rs2.Close() }()
+	s2 := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s2.Close()
 	if st := s2.Stats(); st.Recovered != 1 || st.RecoveredRejected != 0 {
 		t.Fatalf("recovery stats: %+v", st)
 	}
@@ -107,10 +103,9 @@ func certifyingHinted(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Gr
 // store record carries the hints, while the job's result, the retained job
 // and the memory tier do not, and the next life recovers the record.
 func TestHintsStoredNeverServed(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.log")
+	dir := t.TempDir()
 	formula := pigeonholeSoft(5, 4)
-	rs := openStoreT(t, path, nil)
-	s := New(Config{Workers: 1, Store: rs})
+	s := openT(t, Config{Workers: 1, DataDir: dir})
 	h := mustSubmit(t, s, JobSpec{Formula: formula, Solve: certifyingHinted})
 	r := waitResult(t, h)
 	if r.Status != opt.StatusOptimal || len(r.Certificate) == 0 || r.Hints != nil {
@@ -125,18 +120,18 @@ func TestHintsStoredNeverServed(t *testing.T) {
 		}
 	}
 	s.Close()
-	rs.Close()
 
-	rs2 := openStoreT(t, path, nil)
-	if len(rs2.entries) != 1 || len(rs2.entries[0].hints) == 0 {
+	rs := openStoreT(t, filepath.Join(dir, resultsLog), nil)
+	if len(rs.entries) != 1 || len(rs.entries[0].hints) == 0 {
 		t.Fatalf("the store record has no hint section")
 	}
-	s2 := New(Config{Workers: 1, Store: rs2})
-	defer func() { s2.Close(); rs2.Close() }()
+	rs.close()
+	s2 := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s2.Close()
 	if st := s2.Stats(); st.Recovered != 1 || st.RecoveredRejected != 0 {
 		t.Fatalf("recovery stats: %+v", st)
 	}
-	if rs2.entries != nil {
+	if s2.results.disk.entries != nil {
 		t.Fatal("the store keeps its recovered records after load")
 	}
 }
@@ -167,8 +162,8 @@ func TestStoreHintsNeverChangeVerdict(t *testing.T) {
 		encodeStoreEntry(formulas[2], "another's hints", certs[2], hints[1]...),
 		encodeStoreEntry(formulas[3], "corrupt certificate", badCert, hints[3]...),
 	}
-	path := filepath.Join(t.TempDir(), "results.log")
-	l, _, _, err := store.Open(path, store.Options{})
+	dir := t.TempDir()
+	l, _, _, err := store.Open(filepath.Join(dir, resultsLog), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,9 +174,8 @@ func TestStoreHintsNeverChangeVerdict(t *testing.T) {
 	}
 	l.Close()
 
-	rs := openStoreT(t, path, nil)
-	s := New(Config{Workers: 1, Store: rs})
-	defer func() { s.Close(); rs.Close() }()
+	s := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s.Close()
 	if st := s.Stats(); st.Recovered != 3 || st.RecoveredRejected != 1 {
 		t.Fatalf("Recovered = %d, RecoveredRejected = %d, want 3 and 1", st.Recovered, st.RecoveredRejected)
 	}
@@ -198,20 +192,17 @@ func TestStoreHintsNeverChangeVerdict(t *testing.T) {
 // durable store.
 func TestUncertifiedResultsNotDurable(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "results.log")
 	formula := contradiction()
 
-	rs := openStoreT(t, path, nil)
-	s := New(Config{Workers: 1, Store: rs})
+	s := openT(t, Config{Workers: 1, DataDir: dir})
 	r := waitResult(t, mustSubmit(t, s, JobSpec{Formula: formula, Solve: optimal(1)}))
 	if r.Status != opt.StatusOptimal || len(r.Certificate) != 0 {
 		t.Fatalf("uncertified solve: %+v", r)
 	}
 	s.Close()
-	rs.Close()
 
-	rs2 := openStoreT(t, path, nil)
-	defer rs2.Close()
+	rs2 := openStoreT(t, filepath.Join(dir, resultsLog), nil)
+	defer rs2.close()
 	if n := len(rs2.entries); n != 0 {
 		t.Fatalf("uncertified result persisted: %d store entries", n)
 	}
@@ -223,22 +214,23 @@ func TestUncertifiedResultsNotDurable(t *testing.T) {
 // and the formula is re-solved rather than served.
 func TestCorruptStoreNeverServed(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "results.log")
 	formula := contradiction()
 
-	faults := &Faults{CorruptStore: func(seq uint64) int { return 9000 }}
-	rs := openStoreT(t, path, faults)
-	s := New(Config{Workers: 1, Store: rs, Faults: faults})
+	faults := &Faults{CorruptStore: func(log string, seq uint64) int {
+		if log == resultsLog {
+			return 9000
+		}
+		return -1
+	}}
+	s := openT(t, Config{Workers: 1, DataDir: dir, faults: faults})
 	r1 := waitResult(t, mustSubmit(t, s, JobSpec{Formula: formula, Solve: certifying()}))
 	if r1.Status != opt.StatusOptimal {
 		t.Fatalf("first life solve: %+v", r1)
 	}
 	s.Close()
-	rs.Close()
 
-	rs2 := openStoreT(t, path, nil)
-	s2 := New(Config{Workers: 1, Store: rs2})
-	defer func() { s2.Close(); rs2.Close() }()
+	s2 := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s2.Close()
 	st := s2.Stats()
 	if st.Recovered != 0 {
 		t.Fatalf("a corrupted store entry was admitted: %+v", st)
@@ -258,7 +250,6 @@ func TestCorruptStoreNeverServed(t *testing.T) {
 // drops the torn tail, and counts it.
 func TestCrashAfterWriteTruncatedCleanly(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "results.log")
 	f1 := contradiction()
 	f2 := cnf.NewWCNF(2)
 	f2.AddSoft(1, cnf.PosLit(0))
@@ -266,9 +257,8 @@ func TestCrashAfterWriteTruncatedCleanly(t *testing.T) {
 	f2.AddSoft(1, cnf.PosLit(1))
 	f2.AddSoft(1, cnf.NegLit(1))
 
-	faults := &Faults{CrashAfterWrite: func(seq uint64) bool { return seq == 1 }}
-	rs := openStoreT(t, path, faults)
-	s := New(Config{Workers: 1, Store: rs, Faults: faults})
+	faults := &Faults{CrashAfterWrite: func(log string, seq uint64) bool { return log == resultsLog && seq == 1 }}
+	s := openT(t, Config{Workers: 1, DataDir: dir, faults: faults})
 	if r := waitResult(t, mustSubmit(t, s, JobSpec{Formula: f1, Solve: certifying()})); r.Status != opt.StatusOptimal {
 		t.Fatalf("job 1: %+v", r)
 	}
@@ -276,11 +266,9 @@ func TestCrashAfterWriteTruncatedCleanly(t *testing.T) {
 		t.Fatalf("job 2: %+v", r)
 	}
 	s.Close()
-	rs.Close()
 
-	rs2 := openStoreT(t, path, nil)
-	s2 := New(Config{Workers: 1, Store: rs2})
-	defer func() { s2.Close(); rs2.Close() }()
+	s2 := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s2.Close()
 	st := s2.Stats()
 	if st.Recovered != 1 {
 		t.Fatalf("Recovered = %d, want 1 (the record before the crash)", st.Recovered)
@@ -300,19 +288,17 @@ func TestCrashAfterWriteTruncatedCleanly(t *testing.T) {
 // verdict serves a hit only once the record behind it is on disk, so a crash
 // cannot lose an answer a client has already seen.
 func TestStoreWritesBeforeHit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.log")
 	formula := contradiction()
 	entered, release := make(chan struct{}), make(chan struct{})
-	faults := &Faults{CrashAfterWrite: func(seq uint64) bool {
-		if seq == 0 {
+	faults := &Faults{CrashAfterWrite: func(log string, seq uint64) bool {
+		if log == resultsLog && seq == 0 {
 			close(entered)
 			<-release
 		}
 		return false
 	}}
-	rs := openStoreT(t, path, faults)
-	s := New(Config{Workers: 1, Store: rs})
-	defer func() { s.Close(); rs.Close() }()
+	s := openT(t, Config{Workers: 1, DataDir: t.TempDir(), faults: faults})
+	defer s.Close()
 	releaseOnce := sync.OnceFunc(func() { close(release) })
 	defer releaseOnce() // runs before Close, which waits for the held write
 
@@ -338,7 +324,7 @@ func TestStoreWritesBeforeHit(t *testing.T) {
 // certified verdicts than the memory tier: every record is re-proved and
 // counted, the memory tier keeps the newest, and the oldest re-solves.
 func TestStoreRecoversPastCacheCapacity(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.log")
+	dir := t.TempDir()
 	formulas := make([]*cnf.WCNF, 3)
 	for i := range formulas {
 		w := cnf.NewWCNF(i + 1)
@@ -347,19 +333,16 @@ func TestStoreRecoversPastCacheCapacity(t *testing.T) {
 		formulas[i] = w
 	}
 
-	rs := openStoreT(t, path, nil)
-	s := New(Config{Workers: 1, CacheEntries: 2, Store: rs})
+	s := openT(t, Config{Workers: 1, CacheEntries: 2, DataDir: dir})
 	for _, w := range formulas {
 		if r := waitResult(t, mustSubmit(t, s, JobSpec{Formula: w, Solve: certifying()})); r.Status != opt.StatusOptimal {
 			t.Fatalf("first life solve: %+v", r)
 		}
 	}
 	s.Close()
-	rs.Close()
 
-	rs2 := openStoreT(t, path, nil)
-	s2 := New(Config{Workers: 1, CacheEntries: 2, Store: rs2})
-	defer func() { s2.Close(); rs2.Close() }()
+	s2 := openT(t, Config{Workers: 1, CacheEntries: 2, DataDir: dir})
+	defer s2.Close()
 	if st := s2.Stats(); st.Recovered != 3 || st.RecoveredRejected != 0 || st.CacheSize != 2 {
 		t.Fatalf("recovery stats: %+v", st)
 	}
@@ -379,7 +362,7 @@ func TestStoreRecoversPastCacheCapacity(t *testing.T) {
 // open keeps what decoding the records one after another keeps: the same
 // entries in the same order, and the same count of dropped records.
 func TestStoreParallelDecodeMatchesSequential(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "results.log")
+	path := filepath.Join(t.TempDir(), resultsLog)
 	l, _, _, err := store.Open(path, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -434,7 +417,7 @@ func TestStoreParallelDecodeMatchesSequential(t *testing.T) {
 	}
 
 	rs := openStoreT(t, path, nil)
-	defer rs.Close()
+	defer rs.close()
 	if rs.dropped != wantDropped {
 		t.Errorf("dropped %d records, want %d", rs.dropped, wantDropped)
 	}
@@ -460,10 +443,11 @@ func TestStoreParallelLoadKeepsLogOrder(t *testing.T) {
 	// Each corrupted record flips one bit of its certificate's kind byte
 	// (1, OPTIMAL), so each rejection names a kind of its own.
 	corruptBit := map[int]int{1: 1, 4: 0, 5: 2, 9: 3}
-	path := filepath.Join(t.TempDir(), "results.log")
+	dir := t.TempDir()
+	path := filepath.Join(dir, resultsLog)
 
 	var payloadLen, certLen int // of the record being saved
-	faults := &Faults{CorruptStore: func(seq uint64) int {
+	faults := &Faults{CorruptStore: func(_ string, seq uint64) int {
 		bit, ok := corruptBit[int(seq)]
 		if !ok {
 			return -1
@@ -494,7 +478,7 @@ func TestStoreParallelLoadKeepsLogOrder(t *testing.T) {
 			t.Fatalf("save %d: %v", i, err)
 		}
 	}
-	rs.Close()
+	rs.close()
 
 	var accepted []int
 	var wantAudits []string
@@ -506,8 +490,7 @@ func TestStoreParallelLoadKeepsLogOrder(t *testing.T) {
 		}
 	}
 	var audits []string
-	rs2 := openStoreT(t, path, nil)
-	s := New(Config{Workers: 1, CacheEntries: capacity, Store: rs2, Audit: func(e AuditEvent) {
+	s := openT(t, Config{Workers: 1, CacheEntries: capacity, DataDir: dir, Audit: func(e AuditEvent) {
 		if e.Action == "recover" {
 			audits = append(audits, e.Detail)
 		}
@@ -536,10 +519,9 @@ func TestStoreParallelLoadKeepsLogOrder(t *testing.T) {
 		}
 	}
 	s.Close()
-	rs2.Close()
 
 	rs3 := openStoreT(t, path, nil)
-	defer rs3.Close()
+	defer rs3.close()
 	var compacted []string
 	for _, e := range rs3.entries {
 		compacted = append(compacted, e.meta)
@@ -580,26 +562,20 @@ func pigeonholeSoft(pigeons, holes int) *cnf.WCNF {
 // IDs — an admitted submission is never forgotten.
 func TestJournalReplay(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.log")
 	formula := contradiction()
 
-	jl := openJournalT(t, jpath, nil)
-	s := New(Config{Workers: 1, Journal: jl})
+	s := openT(t, Config{Workers: 1, DataDir: dir})
 	// A blocker occupies the only worker so the second job is journaled but
 	// never runs — the "in flight at shutdown" shape.
-	hBlock := mustSubmit(t, s, JobSpec{Formula: formula, OptsKey: "block",
-		Payload: []byte("x"), Solve: blocker(nil)})
-	hQueued := mustSubmit(t, s, JobSpec{Formula: formula, OptsKey: "queued",
-		Payload: []byte("x"), Solve: certifying()})
+	hBlock := mustSubmit(t, s, JobSpec{Formula: formula, OptsKey: "block", Solve: blocker(nil)})
+	hQueued := mustSubmit(t, s, JobSpec{Formula: formula, OptsKey: "queued", Solve: certifying()})
 	queuedID := hQueued.ID()
 	// Close cancels both before they finish; shutdown-cancelled jobs keep
 	// their journal entries pending.
 	s.Close()
-	jl.Close()
 
-	jl2 := openJournalT(t, jpath, nil)
-	s2 := New(Config{Workers: 1, Journal: jl2})
-	defer func() { s2.Close(); jl2.Close() }()
+	s2 := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s2.Close()
 	if err := s2.Recover(replayCertifying); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -631,41 +607,32 @@ func TestJournalReplay(t *testing.T) {
 // solver runs, and the recovered ID is addressable with the cached result.
 func TestJournalReplayIdempotent(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.log")
-	spath := filepath.Join(dir, "results.log")
 	formula := contradiction()
 
 	// First life: solve and certify, making the answer durable.
-	jl := openJournalT(t, jpath, nil)
-	rs := openStoreT(t, spath, nil)
-	s := New(Config{Workers: 1, Journal: jl, Store: rs})
-	r := waitResult(t, mustSubmit(t, s, JobSpec{Formula: formula, OptsKey: "dup",
-		Payload: []byte("x"), Solve: certifying()}))
+	s := openT(t, Config{Workers: 1, DataDir: dir})
+	r := waitResult(t, mustSubmit(t, s, JobSpec{Formula: formula, OptsKey: "dup", Solve: certifying()}))
 	if r.Status != opt.StatusOptimal {
 		t.Fatalf("first life solve: %+v", r)
 	}
 	s.Close()
-	jl.Close()
-	rs.Close()
 
 	// Simulate a submission accepted just before the crash — or equivalently
 	// a completed one whose lazy done marker was lost: a bare submit record
 	// with no marker.
-	jl = openJournalT(t, jpath, nil)
-	if err := jl.record(99, formula, JobSpec{OptsKey: "dup", Payload: []byte("x")}); err != nil {
+	jl := openJournalT(t, filepath.Join(dir, journalLog), nil)
+	if err := jl.record(99, formula, JobSpec{OptsKey: "dup"}); err != nil {
 		t.Fatal(err)
 	}
-	jl.Close()
+	jl.close()
 
 	// Second life: the pending job's formula is already answered in the
 	// re-validated store; replay must not run a solver.
-	jl2 := openJournalT(t, jpath, nil)
-	rs2 := openStoreT(t, spath, nil)
-	s2 := New(Config{Workers: 1, Journal: jl2, Store: rs2})
-	defer func() { s2.Close(); jl2.Close(); rs2.Close() }()
+	s2 := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s2.Close()
 	ranSolver := atomic.Bool{}
 	if err := s2.Recover(func(rj RecoveredJob) (JobSpec, error) {
-		return JobSpec{Formula: rj.Formula, OptsKey: rj.OptsKey, Payload: rj.Payload,
+		return JobSpec{Formula: rj.Formula, OptsKey: string(rj.Payload),
 			Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
 				ranSolver.Store(true)
 				return certifying()(ctx, w, shared, g)
@@ -694,7 +661,6 @@ func TestJournalReplayIdempotent(t *testing.T) {
 // IDs addressing the one run.
 func TestJournalReplayCoalesces(t *testing.T) {
 	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal.log")
 	formula := contradiction()
 
 	// First life: journal two identical submissions and crash before either
@@ -702,20 +668,19 @@ func TestJournalReplayCoalesces(t *testing.T) {
 	// do not reach markDone... they do — finish always marks. So simulate
 	// the crash harder: never close the first server's journal cleanly;
 	// write the journal by hand instead.)
-	jl := openJournalT(t, jpath, nil)
+	jl := openJournalT(t, filepath.Join(dir, journalLog), nil)
 	for id := uint64(1); id <= 2; id++ {
-		if err := jl.record(id, formula, JobSpec{OptsKey: "same", Payload: []byte("x")}); err != nil {
+		if err := jl.record(id, formula, JobSpec{OptsKey: "same"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	jl.Close()
+	jl.close()
 
-	jl2 := openJournalT(t, jpath, nil)
-	s := New(Config{Workers: 1, Journal: jl2})
-	defer func() { s.Close(); jl2.Close() }()
+	s := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s.Close()
 	var runs atomic.Int64
 	if err := s.Recover(func(rj RecoveredJob) (JobSpec, error) {
-		return JobSpec{Formula: rj.Formula, OptsKey: rj.OptsKey, Payload: rj.Payload,
+		return JobSpec{Formula: rj.Formula, OptsKey: string(rj.Payload),
 			Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
 				runs.Add(1)
 				return certifying()(ctx, w, shared, g)
@@ -745,30 +710,29 @@ func TestJournalReplayCoalesces(t *testing.T) {
 // to nothing pending, and the second must still know ID 7 was handed out,
 // so a server on it never hands out an ID a client may still hold.
 func TestJournalKeepsMaxIDAcrossCompaction(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "journal.log")
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, journalLog)
 	formula := contradiction()
 
 	jl := openJournalT(t, jpath, nil)
-	if err := jl.record(7, formula, JobSpec{OptsKey: "k", Payload: []byte("x")}); err != nil {
+	if err := jl.record(7, formula, JobSpec{OptsKey: "k"}); err != nil {
 		t.Fatal(err)
 	}
 	jl.markDone(7)
-	jl.Close()
+	jl.close()
 
 	for life := 2; life <= 3; life++ {
 		jl = openJournalT(t, jpath, nil)
-		if got := jl.MaxID(); got != 7 {
-			t.Fatalf("life %d: MaxID() = %d, want 7", life, got)
+		if got := jl.maxID; got != 7 {
+			t.Fatalf("life %d: maxID = %d, want 7", life, got)
 		}
-		if n := len(jl.Pending()); n != 0 {
+		if n := len(jl.pendingJobs()); n != 0 {
 			t.Fatalf("life %d: %d pending jobs, want 0", life, n)
 		}
-		if life < 3 {
-			jl.Close()
-		}
+		jl.close()
 	}
-	s := New(Config{Workers: 1, Journal: jl})
-	defer func() { s.Close(); jl.Close() }()
+	s := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s.Close()
 	h := mustSubmit(t, s, JobSpec{Formula: formula, OptsKey: "fresh", Solve: optimal(1)})
 	if h.ID() != 8 {
 		t.Fatalf("first submission got ID %d, want 8", h.ID())
@@ -798,7 +762,7 @@ func TestJournalParsesOnlyPending(t *testing.T) {
 	if _, err := decodeSubmit(unparseableSubmit(1)); err == nil {
 		t.Fatal("the unparseable submission decodes")
 	}
-	path := filepath.Join(t.TempDir(), "journal.log")
+	path := filepath.Join(t.TempDir(), journalLog)
 	appendAll := func(recs ...store.Record) {
 		t.Helper()
 		l, _, _, err := store.Open(path, store.Options{})
@@ -819,16 +783,16 @@ func TestJournalParsesOnlyPending(t *testing.T) {
 	}
 	appendAll(done...)
 	jl := openJournalT(t, path, nil)
-	if n := len(jl.Pending()); n != 0 || jl.dropped != 0 || jl.MaxID() != 3 {
-		t.Fatalf("%d pending, %d dropped, MaxID %d; want 0, 0 and 3", n, jl.dropped, jl.MaxID())
+	if n := len(jl.pendingJobs()); n != 0 || jl.dropped != 0 || jl.maxID != 3 {
+		t.Fatalf("%d pending, %d dropped, maxID %d; want 0, 0 and 3", n, jl.dropped, jl.maxID)
 	}
-	jl.Close()
+	jl.close()
 
 	appendAll(store.Record{Kind: recSubmit, Payload: unparseableSubmit(4)},
-		store.Record{Kind: recSubmit, Payload: encodeSubmit(RecoveredJob{ID: 5, OptsKey: "k"}, contradiction())})
+		store.Record{Kind: recSubmit, Payload: encodeSubmit(RecoveredJob{ID: 5, Payload: []byte("k")}, contradiction())})
 	jl = openJournalT(t, path, nil)
-	defer jl.Close()
-	if p := jl.Pending(); len(p) != 1 || p[0].ID != 5 || jl.dropped != 1 {
+	defer jl.close()
+	if p := jl.pendingJobs(); len(p) != 1 || p[0].ID != 5 || jl.dropped != 1 {
 		t.Fatalf("pending %+v with %d dropped; want job 5 alone and 1 dropped", p, jl.dropped)
 	}
 }
@@ -837,22 +801,20 @@ func TestJournalParsesOnlyPending(t *testing.T) {
 // that does not decode beside one that does: the server counts the dropped
 // record in RecoveredRejected and audits it as one recover event.
 func TestJournalDropsCounted(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.log")
-	l, _, _, err := store.Open(path, store.Options{})
+	dir := t.TempDir()
+	l, _, _, err := store.Open(filepath.Join(dir, journalLog), store.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range [][]byte{unparseableSubmit(1), encodeSubmit(RecoveredJob{ID: 2, OptsKey: "k"}, contradiction())} {
+	for _, p := range [][]byte{unparseableSubmit(1), encodeSubmit(RecoveredJob{ID: 2, Payload: []byte("k")}, contradiction())} {
 		if err := l.Append(recSubmit, p, true); err != nil {
 			t.Fatal(err)
 		}
 	}
 	l.Close()
-	jl := openJournalT(t, path, nil)
-	defer jl.Close()
 	var mu sync.Mutex
 	var events []AuditEvent
-	s := New(Config{Workers: 1, Journal: jl, Audit: func(e AuditEvent) {
+	s := openT(t, Config{Workers: 1, DataDir: dir, Audit: func(e AuditEvent) {
 		mu.Lock()
 		events = append(events, e)
 		mu.Unlock()
@@ -868,25 +830,158 @@ func TestJournalDropsCounted(t *testing.T) {
 	}
 }
 
+// TestJournalRecordBytes pins the submit record's layout: the record
+// journaled for a fixed submission equals the bytes an earlier build
+// encoded for it, with its options in both the key and the payload
+// section, and it decodes back to those options.
+func TestJournalRecordBytes(t *testing.T) {
+	const (
+		key    = `{"alg":"oll","to":3000000000,"cert":true}`
+		parent = "ac0280f882ad160205616c696365297b22616c67223a226f6c6c222c22746f223a333030303030303030302c2263657274223a747275657d297b22616c67223a226f6c6c222c22746f223a333030303030303030302c2263657274223a747275657d1a702077636e662031203220330a31203120300a31202d3120300a"
+	)
+	path := filepath.Join(t.TempDir(), journalLog)
+	jl := openJournalT(t, path, nil)
+	if err := jl.record(300, contradiction(), JobSpec{OptsKey: key, Client: "alice", Slots: 2, Timeout: 3 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	jl.close()
+	l, recs, _, err := store.Open(path, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if len(recs) != 1 || recs[0].Kind != recSubmit {
+		t.Fatalf("the journal holds %d records, want one submit record", len(recs))
+	}
+	if got := hex.EncodeToString(recs[0].Payload); got != parent {
+		t.Fatalf("submit record\n got %s\nwant %s", got, parent)
+	}
+	rj, err := decodeSubmit(recs[0].Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rj.ID != 300 || rj.Client != "alice" || rj.Slots != 2 || rj.Timeout != 3*time.Second || string(rj.Payload) != key {
+		t.Fatalf("decoded %+v", rj)
+	}
+}
+
+// TestJournalRecordsEveryJob shuts a durable server down with a one-shot
+// job and a session solve in flight, neither of which names anything to
+// journal but its OptsKey, and asserts the next life's Recover hands each
+// one back with its options.
+func TestJournalRecordsEveryJob(t *testing.T) {
+	dir := t.TempDir()
+	s := openT(t, Config{Workers: 2, DataDir: dir})
+	oneShot := mustSubmit(t, s, JobSpec{Formula: contradiction(), OptsKey: "one-shot", Solve: blocker(nil)})
+	sess := mustOpen(t, s, SessionSpec{Base: pigeonholeSoft(3, 2), OptsKey: "session",
+		Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant, _ opt.Incremental) (opt.Result, bool) {
+			return blocker(nil)(ctx, w, shared, g), false
+		}})
+	solve, err := sess.Solve(context.Background())
+	if err != nil {
+		t.Fatalf("session Solve: %v", err)
+	}
+	// Close cancels both; jobs cancelled by shutdown stay pending.
+	s.Close()
+
+	s2 := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s2.Close()
+	got := make(map[uint64]string)
+	if err := s2.Recover(func(rj RecoveredJob) (JobSpec, error) {
+		got[rj.ID] = string(rj.Payload)
+		return replayCertifying(rj)
+	}); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	want := map[uint64]string{oneShot.ID(): "one-shot", solve.ID(): "session"}
+	if !maps.Equal(got, want) {
+		t.Fatalf("Recover rebuilt %v, want %v", got, want)
+	}
+	for id := range want {
+		h, ok := s2.Job(id)
+		if !ok {
+			t.Fatalf("job %d not addressable after replay", id)
+		}
+		if r := waitResult(t, h); r.Status != opt.StatusOptimal {
+			t.Fatalf("replayed job %d: %+v", id, r)
+		}
+	}
+}
+
+// TestDrainPastDeadlineClosesLogsAndRecovers drains a durable server past
+// its deadline with one job still running, then closes it: Drain closes
+// both logs, Close after it changes nothing, and the next Open of the same
+// directory in this process recovers every certified record and replays the
+// job the deadline cancelled.
+func TestDrainPastDeadlineClosesLogsAndRecovers(t *testing.T) {
+	dir := t.TempDir()
+	certified := []*cnf.WCNF{contradiction(), pigeonholeSoft(3, 2)}
+	stuck := pigeonholeSoft(4, 3)
+	s := openT(t, Config{Workers: 2, DataDir: dir})
+	for _, w := range certified {
+		if r := waitResult(t, mustSubmit(t, s, JobSpec{Formula: w, Solve: certifying()})); len(r.Certificate) == 0 {
+			t.Fatalf("uncertified solve: %+v", r)
+		}
+	}
+	h := mustSubmit(t, s, JobSpec{Formula: stuck, OptsKey: "stuck", Solve: blocker(nil)})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := s.Drain(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Drain = %v, want the deadline", err)
+	}
+	if r := waitResult(t, h); r.Status != opt.StatusUnknown {
+		t.Fatalf("the stuck job: %+v", r)
+	}
+	for name, l := range map[string]*store.Log{resultsLog: s.results.disk.log, journalLog: s.journal.log} {
+		if err := l.Append(recDone, binary.AppendUvarint(nil, 1), false); err == nil {
+			t.Fatalf("%s is still open after Drain", name)
+		}
+	}
+	s.Close()
+
+	s2 := openT(t, Config{Workers: 1, DataDir: dir})
+	defer s2.Close()
+	if st := s2.Stats(); st.Recovered != int64(len(certified)) || st.RecoveredRejected != 0 {
+		t.Fatalf("Recovered = %d, RecoveredRejected = %d, want %d and 0", st.Recovered, st.RecoveredRejected, len(certified))
+	}
+	var replayed []uint64
+	if err := s2.Recover(func(rj RecoveredJob) (JobSpec, error) {
+		replayed = append(replayed, rj.ID)
+		return replayCertifying(rj)
+	}); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	if !slices.Equal(replayed, []uint64{h.ID()}) {
+		t.Fatalf("replayed jobs %v, want [%d]", replayed, h.ID())
+	}
+	r2, ok := s2.Job(h.ID())
+	if !ok {
+		t.Fatalf("job %d not addressable after replay", h.ID())
+	}
+	if r := waitResult(t, r2); r.Status != opt.StatusOptimal || r.Cached {
+		t.Fatalf("replayed job: %+v", r)
+	}
+}
+
 // TestRecoverDropsUnrebuildable journals two pending jobs whose first no
 // longer rebuilds (an algorithm a newer binary removed, say): replay drops
 // it with an audit event and a done marker, and still replays the second.
 func TestRecoverDropsUnrebuildable(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "journal.log")
+	dir := t.TempDir()
+	jpath := filepath.Join(dir, journalLog)
 	formula := contradiction()
 
 	jl := openJournalT(t, jpath, nil)
 	for id := uint64(1); id <= 2; id++ {
-		if err := jl.record(id, formula, JobSpec{OptsKey: fmt.Sprint("opts-", id), Payload: []byte("x")}); err != nil {
+		if err := jl.record(id, formula, JobSpec{OptsKey: fmt.Sprint("opts-", id)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	jl.Close()
+	jl.close()
 
 	var mu sync.Mutex
 	var events []AuditEvent
-	jl = openJournalT(t, jpath, nil)
-	s := New(Config{Workers: 1, Journal: jl, Audit: func(e AuditEvent) {
+	s := openT(t, Config{Workers: 1, DataDir: dir, Audit: func(e AuditEvent) {
 		mu.Lock()
 		events = append(events, e)
 		mu.Unlock()
@@ -922,11 +1017,10 @@ func TestRecoverDropsUnrebuildable(t *testing.T) {
 		t.Fatalf("recover audit events for job 1: %+v", dropped)
 	}
 	s.Close()
-	jl.Close()
 
 	jl = openJournalT(t, jpath, nil)
-	defer jl.Close()
-	for _, rj := range jl.Pending() {
+	defer jl.close()
+	for _, rj := range jl.pendingJobs() {
 		if rj.ID == 1 {
 			t.Fatal("dropped job 1 still pending in the next life")
 		}
@@ -937,7 +1031,7 @@ func TestRecoverDropsUnrebuildable(t *testing.T) {
 // heartbeat never moves, and that with retries off the failure surfaces.
 func TestWatchdogKillsStalledSolver(t *testing.T) {
 	defer checkGoroutines(t)()
-	s := New(Config{Workers: 1, StallTimeout: 30 * time.Millisecond})
+	s := openT(t, Config{Workers: 1, StallTimeout: 30 * time.Millisecond})
 	defer s.Close()
 	h := mustSubmit(t, s, JobSpec{Formula: contradiction(),
 		Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
@@ -957,7 +1051,7 @@ func TestWatchdogKillsStalledSolver(t *testing.T) {
 // ticking its heartbeat is never killed, even over many stall windows.
 func TestWatchdogSparesProgressingSolver(t *testing.T) {
 	defer checkGoroutines(t)()
-	s := New(Config{Workers: 1, StallTimeout: 40 * time.Millisecond})
+	s := openT(t, Config{Workers: 1, StallTimeout: 40 * time.Millisecond})
 	defer s.Close()
 	h := mustSubmit(t, s, JobSpec{Formula: contradiction(),
 		Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
@@ -998,7 +1092,7 @@ func TestRetryLadder(t *testing.T) {
 			return Fault{}
 		}
 	}}
-	s := New(Config{Workers: 2, MaxRetries: 3, Faults: faults})
+	s := openT(t, Config{Workers: 2, MaxRetries: 3, faults: faults})
 	defer s.Close()
 	var backoffs []time.Duration
 	s.sleep = func(ctx context.Context, d time.Duration) { backoffs = append(backoffs, d) }
@@ -1026,7 +1120,7 @@ func TestRetryExhaustion(t *testing.T) {
 	faults := &Faults{Before: func(jobID uint64, optsKey string, attempt int) Fault {
 		return Fault{Kind: FaultPanic}
 	}}
-	s := New(Config{Workers: 1, MaxRetries: 2, Faults: faults})
+	s := openT(t, Config{Workers: 1, MaxRetries: 2, faults: faults})
 	defer s.Close()
 	s.sleep = func(ctx context.Context, d time.Duration) {}
 	r := waitResult(t, mustSubmit(t, s, JobSpec{Formula: contradiction(), Solve: optimal(1)}))
@@ -1052,7 +1146,7 @@ func TestChaosRetriesRecoverPanickedJobs(t *testing.T) {
 		}
 		return Fault{}
 	}}
-	s := New(Config{Workers: 3, CacheEntries: -1, MaxRetries: 1, Faults: faults})
+	s := openT(t, Config{Workers: 3, CacheEntries: -1, MaxRetries: 1, faults: faults})
 	defer s.Close()
 	var handles []*Handle
 	for i := range jobs {

@@ -133,7 +133,7 @@ func keepsOnlyAnswer(t *testing.T, s *Server, id uint64, want Result, wps ...wea
 // which never held a formula, is the control.
 func TestFinishedJobKeepsOnlyAnswer(t *testing.T) {
 	t.Run("one-shot", func(t *testing.T) {
-		s := New(Config{Workers: 1})
+		s := openT(t, Config{Workers: 1})
 		defer s.Close()
 		tr := newTracker()
 		submitted, h, attached := func() (weak.Pointer[cnf.WCNF], *Handle, *Handle) {
@@ -152,7 +152,7 @@ func TestFinishedJobKeepsOnlyAnswer(t *testing.T) {
 	})
 
 	t.Run("session", func(t *testing.T) {
-		s := New(Config{Workers: 1})
+		s := openT(t, Config{Workers: 1})
 		defer s.Close()
 		tr := newTracker()
 		sess := mustOpen(t, s, SessionSpec{Base: contradiction(), OptsKey: "k", Meta: "m", Client: "alice",
@@ -171,15 +171,13 @@ func TestFinishedJobKeepsOnlyAnswer(t *testing.T) {
 
 	t.Run("replay", func(t *testing.T) {
 		const id = 7
-		jpath := filepath.Join(t.TempDir(), "journal.log")
-		jl := openJournalT(t, jpath, nil)
-		if err := jl.record(id, contradiction(), JobSpec{OptsKey: "k", Client: "alice", Payload: []byte("x")}); err != nil {
+		dir := t.TempDir()
+		jl := openJournalT(t, filepath.Join(dir, journalLog), nil)
+		if err := jl.record(id, contradiction(), JobSpec{OptsKey: "k", Client: "alice"}); err != nil {
 			t.Fatal(err)
 		}
-		jl.Close()
-		jl = openJournalT(t, jpath, nil)
-		defer jl.Close()
-		s := New(Config{Workers: 1, Journal: jl})
+		jl.close()
+		s := openT(t, Config{Workers: 1, DataDir: dir})
 		defer s.Close()
 		tr := newTracker()
 		if err := s.Recover(func(rj RecoveredJob) (JobSpec, error) {
@@ -198,7 +196,7 @@ func TestFinishedJobKeepsOnlyAnswer(t *testing.T) {
 	})
 
 	t.Run("cache-hit", func(t *testing.T) {
-		s := New(Config{Workers: 1})
+		s := openT(t, Config{Workers: 1})
 		defer s.Close()
 		waitResult(t, mustSubmit(t, s, JobSpec{Formula: contradiction(), Meta: "m", Solve: certifying()}))
 		submitted, h := func() (weak.Pointer[cnf.WCNF], *Handle) {
@@ -216,7 +214,7 @@ func TestFinishedJobKeepsOnlyAnswer(t *testing.T) {
 // TestSessionDropsCallerBase checks that an open session keeps its own copy
 // of the base formula, not the caller's.
 func TestSessionDropsCallerBase(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	base, sess := func() (weak.Pointer[cnf.WCNF], *Session) {
 		b := contradiction()
@@ -235,15 +233,13 @@ func TestSessionDropsCallerBase(t *testing.T) {
 // submission once Recover has admitted it, so the formula is garbage when its
 // replay finishes.
 func TestJournalReleasesReplayed(t *testing.T) {
-	jpath := filepath.Join(t.TempDir(), "journal.log")
-	jl := openJournalT(t, jpath, nil)
-	if err := jl.record(3, contradiction(), JobSpec{OptsKey: "k", Payload: []byte("x")}); err != nil {
+	dir := t.TempDir()
+	jl := openJournalT(t, filepath.Join(dir, journalLog), nil)
+	if err := jl.record(3, contradiction(), JobSpec{OptsKey: "k"}); err != nil {
 		t.Fatal(err)
 	}
-	jl.Close()
-	jl = openJournalT(t, jpath, nil)
-	defer jl.Close()
-	s := New(Config{Workers: 1, Journal: jl})
+	jl.close()
+	s := openT(t, Config{Workers: 1, DataDir: dir})
 	defer s.Close()
 	var recovered weak.Pointer[cnf.WCNF]
 	if err := s.Recover(func(rj RecoveredJob) (JobSpec, error) {
@@ -262,7 +258,7 @@ func TestJournalReleasesReplayed(t *testing.T) {
 	if !freed(recovered) {
 		t.Fatal("the journal still holds a finished replay's formula")
 	}
-	if n := len(jl.Pending()); n != 0 {
+	if n := len(s.journal.pendingJobs()); n != 0 {
 		t.Fatalf("%d submissions still pending after Recover", n)
 	}
 }
@@ -302,7 +298,7 @@ func BenchmarkRetainedJob(b *testing.B) {
 	}
 	var perJob float64
 	for b.Loop() {
-		s := New(Config{Workers: 1, CacheEntries: -1})
+		s := openT(b, Config{Workers: 1, CacheEntries: -1})
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)

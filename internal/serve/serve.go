@@ -50,6 +50,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,7 +82,11 @@ type JobSpec struct {
 	Formula *cnf.WCNF
 	// OptsKey is the canonical identity of the solve options, used to
 	// coalesce identical in-flight submissions. Submissions with equal
-	// formulas but different OptsKeys run separately.
+	// formulas but different OptsKeys run separately. It is also the
+	// durable re-description of the job: a SolveFunc closure cannot be
+	// persisted, so a durable server journals the OptsKey (the maxsat
+	// layer's options JSON), and after a restart the Recover callback
+	// rebuilds the closure from it (RecoveredJob.Payload).
 	OptsKey string
 	// Slots is the worker-slot demand (portfolio parallelism); values < 1
 	// are treated as 1 and values above the pool capacity are clamped to it.
@@ -100,82 +105,76 @@ type JobSpec struct {
 	// the peer address when authentication is off). All anonymous
 	// submissions (empty Client) share one account.
 	Client string
-	// Payload is an opaque, durable re-description of this submission (the
-	// maxsat layer stores the resolved solve options as JSON). A SolveFunc
-	// closure cannot be persisted, so the job journal records the payload
-	// instead and the Recover callback rebuilds the closure from it after a
-	// restart. Jobs with an empty Payload are not journaled — they cannot
-	// survive a restart, which is the right default for embedded callers
-	// that re-drive their own work.
-	Payload []byte
 	// Solve runs the optimization.
 	Solve SolveFunc
 }
 
-// Config configures a Server. The zero value is usable: one slot per CPU-ish
-// default is not assumed — Workers ≤ 0 falls back to 1 — so callers should
-// set Workers explicitly.
+// Config configures a Server; maxsat.ServerConfig is this type. The zero
+// value gives a single-worker pool with a 256-entry cache, no default
+// deadline and no durability.
 type Config struct {
-	// Workers is the global worker-slot budget; ≤ 0 means 1.
+	// Workers is the global worker-slot budget shared by all jobs; ≤ 0
+	// means 1. Size it to the machine (e.g. runtime.NumCPU()).
 	Workers int
-	// QueueDepth caps the number of jobs queued or running at once; further
+	// QueueDepth caps the jobs queued or running at once; further
 	// submissions fail with ErrQueueFull. ≤ 0 means unbounded.
 	QueueDepth int
-	// CacheEntries bounds the verified-result LRU cache; 0 means 256,
-	// negative disables caching.
+	// CacheEntries bounds the verified-result cache's memory tier; 0 means
+	// 256, negative disables caching.
 	CacheEntries int
 	// DefaultTimeout applies to jobs that do not set their own; 0 means
 	// unbounded.
 	DefaultTimeout time.Duration
 
 	// RatePerSec is the per-client sustained submission rate (token
-	// bucket); 0 disables rate limiting.
+	// bucket); 0 disables rate limiting. Clients are the names submissions
+	// carry (JobSpec.Client; maxsat.Server.SubmitAs); the empty name is one
+	// shared anonymous account.
 	RatePerSec float64
 	// Burst is the token-bucket capacity; 0 means max(1, 2·RatePerSec).
 	Burst int
 	// ClientQuota caps one client's queued-or-running jobs (cache hits and
 	// coalesced attaches, which occupy no workers, are exempt); 0 disables.
 	ClientQuota int
-	// HighWater enables graceful degradation under overload: once
-	// queued+running reaches HighWater·QueueDepth, multi-slot (portfolio)
-	// grants shrink linearly with the remaining queue headroom, down to a
-	// single slot as the queue approaches full — new jobs race fewer
-	// members instead of queueing whole line-ups behind each other.
-	// 0 disables; requires QueueDepth > 0 to have any effect.
+	// HighWater (a fraction of QueueDepth, e.g. 0.75) enables graceful
+	// degradation under overload: once queued+running reaches
+	// HighWater·QueueDepth, multi-slot (portfolio) grants shrink linearly
+	// with the remaining queue headroom, down to a single slot as the queue
+	// approaches full — new jobs race fewer members instead of queueing
+	// whole line-ups behind each other. Reductions are counted in
+	// Stats.Degraded. 0 disables; needs QueueDepth > 0.
 	HighWater float64
 	// Audit, when non-nil, receives one event per admission decision,
 	// cancellation vote, and completion. Called outside all server locks;
 	// the hook must not block for long (it runs on submit and worker paths).
 	Audit func(AuditEvent)
-	// Faults is the fault-injection hook set for chaos testing; nil (always,
-	// in production) runs every job normally.
-	Faults *Faults
 
-	// Store, when non-nil, is the verified-result store's disk tier: it
-	// persists certified verdicts across restarts. New re-proves every
-	// recovered record through the independent proof checker before it can
-	// serve a hit (rejections are counted in Stats.RecoveredRejected and
-	// audit-logged), and finish appends each newly certified verdict.
-	// Uncertified results stay memory-only — the certificate is what makes
-	// a recovered answer trustworthy.
-	Store *ResultStore
-	// Journal, when non-nil, records submissions durably before Submit
-	// returns and marks them done on completion; Recover re-enqueues the
-	// incomplete ones after a restart so clients polling by job ID across
-	// the restart see their job finish instead of 404.
-	Journal *Journal
-	// StallTimeout arms the stuck-solver watchdog: a running job whose
-	// progress heartbeat (fed by the CDCL conflict counter via
-	// sat.WithProgress) does not move for this long is cancelled, counted
-	// in Stats.Stalled, and treated as transiently failed (retried when
-	// MaxRetries allows). 0 disables the watchdog.
+	// DataDir, when non-empty, makes the server durable: Open opens
+	// (creating if absent) two checksummed logs there, and Close and Drain
+	// close them. results.log keeps certified verdicts across restarts;
+	// each is fsynced there before it is published, and Open re-proves each
+	// through the independent proof checker before it may serve a hit
+	// (rejections count in Stats.RecoveredRejected). Uncertified results
+	// stay in memory. journal.log records (fsynced) every job admitted to
+	// run before Submit returns and marks it done when it completes;
+	// Recover re-enqueues the incomplete ones after a restart under their
+	// original IDs. Empty disables durability.
+	DataDir string
+	// StallTimeout, when positive, arms the stuck-solver watchdog: a
+	// running job whose progress heartbeat (CDCL conflicts via
+	// sat.WithProgress, branch-and-bound nodes, bound improvements) does
+	// not move for this long is cancelled, counted in Stats.Stalled, and
+	// treated as transiently failed (retried when MaxRetries allows). 0
+	// disables the watchdog.
 	StallTimeout time.Duration
 	// MaxRetries is how many times a transiently failed attempt — solver
 	// panic, watchdog kill, or an uncancelled Unknown (budget exhaustion)
 	// — is retried server-side before the failure is surfaced to the
 	// client. Retries run degraded: the job is shrunk to one worker slot
-	// and the SolveFunc sees Grant.Attempt > 0. The first retry waits
-	// 100ms, doubled per further attempt. 0 disables retries.
+	// and the SolveFunc sees Grant.Attempt > 0 (the maxsat layer then races
+	// a solo line-up and halves the memory budget per attempt). The first
+	// retry waits 100ms, doubled per further attempt. 0 disables retries:
+	// the first failure is the job's result.
 	MaxRetries int
 
 	// MaxSessions caps concurrently open sessions (each pins one worker
@@ -187,6 +186,10 @@ type Config struct {
 	// slot and retained solver. 0 means 5 minutes; negative disables
 	// eviction (sessions then live until Close).
 	SessionIdle time.Duration
+
+	// faults is the fault-injection hook set of this package's chaos and
+	// crash tests; nil runs every job and every log write normally.
+	faults *Faults
 }
 
 // Stats is a point-in-time snapshot of the server's counters.
@@ -309,14 +312,15 @@ var (
 	ErrBadSpec   = errors.New("serve: job spec needs a formula and a solve function")
 )
 
-// Server is the solving service. Create one with New, submit with Submit,
-// shut down with Close.
+// Server is the solving service. Create one with Open, submit with Submit,
+// shut down with Close or Drain.
 type Server struct {
 	cfg     Config
 	sem     *sema
 	baseCtx context.Context
 	stop    context.CancelFunc
 	wg      sync.WaitGroup
+	journal *journal // nil unless Config.DataDir is set
 
 	now   func() time.Time                           // injectable clock for the admission tests
 	sleep func(ctx context.Context, d time.Duration) // injectable backoff wait for the retry tests
@@ -335,13 +339,36 @@ type Server struct {
 	stats     Stats
 }
 
-// New returns a running server.
-func New(cfg Config) *Server {
+// The durable logs' file names under Config.DataDir.
+const (
+	resultsLog = "results.log"
+	journalLog = "journal.log"
+)
+
+// Open starts a server. With Config.DataDir set it first opens the durable
+// logs there and re-proves every stored verdict before it returns; the
+// replay of the jobs the journal holds pending is a separate step, Recover,
+// for the caller to take once it is otherwise ready.
+func Open(cfg Config) (*Server, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
 	if cfg.CacheEntries == 0 {
 		cfg.CacheEntries = 256
+	}
+	var (
+		disk *resultStore
+		jl   *journal
+		err  error
+	)
+	if cfg.DataDir != "" {
+		if disk, err = openResultStore(filepath.Join(cfg.DataDir, resultsLog), cfg.faults); err != nil {
+			return nil, fmt.Errorf("serve: opening result store: %w", err)
+		}
+		if jl, err = openJournal(filepath.Join(cfg.DataDir, journalLog), cfg.faults); err != nil {
+			disk.close()
+			return nil, fmt.Errorf("serve: opening job journal: %w", err)
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
@@ -349,10 +376,11 @@ func New(cfg Config) *Server {
 		sem:      newSema(cfg.Workers),
 		baseCtx:  ctx,
 		stop:     cancel,
+		journal:  jl,
 		now:      time.Now,
 		inflight: make(map[jobKey]*job),
 		jobs:     make(map[uint64]*job),
-		results:  newVerifiedStore(cfg),
+		results:  newVerifiedStore(cfg, disk),
 		clients:  make(map[string]*clientState),
 		sessions: make(map[uint64]*Session),
 	}
@@ -364,18 +392,18 @@ func New(cfg Config) *Server {
 		case <-ctx.Done():
 		}
 	}
-	if cfg.Journal != nil {
+	s.stats.Recovered, s.stats.RecoveredRejected = s.results.load(s.audit)
+	if jl != nil {
 		// Job IDs must stay unique across restarts: clients hold IDs from
 		// the previous life, and Recover re-registers pending jobs under
 		// their original IDs.
-		s.nextID = cfg.Journal.MaxID()
+		s.nextID = jl.maxID
+		if jl.dropped > 0 {
+			s.stats.RecoveredRejected += int64(jl.dropped)
+			s.audit(AuditEvent{Action: "recover", Detail: fmt.Sprintf("journal: %d records dropped", jl.dropped)})
+		}
 	}
-	s.stats.Recovered, s.stats.RecoveredRejected = s.results.load(s.audit)
-	if n := s.cfg.Journal.droppedAtOpen(); n > 0 {
-		s.stats.RecoveredRejected += int64(n)
-		s.audit(AuditEvent{Action: "recover", Detail: fmt.Sprintf("journal: %d records dropped", n)})
-	}
-	return s
+	return s, nil
 }
 
 // job is the shared state behind every handle of one (possibly coalesced)
@@ -671,7 +699,7 @@ func (s *Server) solve(ctx context.Context, j *job, wk *work, g Grant) (res opt.
 			err = fmt.Errorf("serve: solver panic: %v", p)
 		}
 	}()
-	if r, handled := s.cfg.Faults.inject(ctx, j, wk, g.Attempt); handled {
+	if r, handled := s.cfg.faults.inject(ctx, j, wk, g.Attempt); handled {
 		return r, nil
 	}
 	return wk.solve(ctx, wk.w, wk.bounds, g), nil
@@ -730,9 +758,9 @@ func (s *Server) finish(j *job, wk *work, res Result, cancelled bool) {
 		// Close, and losing it merely makes the next recovery re-run a job
 		// whose answer is already durable or cached — replay is idempotent,
 		// so cheap beats synced here.
-		s.cfg.Journal.markDone(j.id)
+		s.journal.markDone(j.id)
 		for _, id := range aliases {
-			s.cfg.Journal.markDone(id)
+			s.journal.markDone(id)
 		}
 	}
 	s.audit(AuditEvent{Client: j.client, Action: "result", JobID: j.id, Detail: detail})
@@ -805,21 +833,35 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Close cancels every queued and running job and waits for them to finish.
-// Subsequent Submits fail with ErrClosed; existing handles keep working.
+// Close cancels every queued and running job, waits for them to finish and
+// closes the durable logs. Subsequent Submits fail with ErrClosed; existing
+// handles keep working. Jobs cancelled by Close keep their journal entries:
+// the next life's Recover replays them.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
-		s.shutdownSessions()
-		return
-	}
+	already := s.closed
 	s.closed = true
 	s.mu.Unlock()
-	s.stop()
+	if !already {
+		s.stop()
+	}
+	s.waitAndCloseLogs()
+}
+
+// waitAndCloseLogs waits for every job and session to stop, then closes the
+// durable logs, which nothing writes after that. It ends Close and Drain,
+// so it may run more than once: closing a closed log does nothing. The
+// close errors are dropped: a close syncs only done markers, since every
+// other record was synced at its append, and a lost marker costs a re-run.
+func (s *Server) waitAndCloseLogs() {
 	s.wg.Wait()
 	s.shutdownSessions()
+	if s.journal != nil {
+		s.journal.close()
+	}
+	if s.results.disk != nil {
+		s.results.disk.close()
+	}
 }
 
 // Drain is the graceful half of Close: it stops admissions immediately
@@ -828,16 +870,16 @@ func (s *Server) Close() {
 // real results. When ctx expires first, the stragglers are cancelled Close-
 // style and Drain returns ctx's error after they unwind; every job still
 // completes (with its best bounds), so subscribers always see a terminal
-// event. A nil error means every job finished within the deadline. Drain and
-// Close compose: calling either after the other is safe.
+// event. A nil error means every job finished within the deadline. Drain
+// closes the durable logs once every job has stopped, as Close does; Drain
+// and Close compose: calling either after the other is safe.
 func (s *Server) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.closed
 	s.closed = true
 	s.mu.Unlock()
 	if already {
-		s.wg.Wait()
-		s.shutdownSessions()
+		s.waitAndCloseLogs()
 		return nil
 	}
 	done := make(chan struct{})
@@ -845,16 +887,15 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.wg.Wait()
 		close(done)
 	}()
+	var err error
 	select {
 	case <-done:
-		s.shutdownSessions()
-		return nil
 	case <-ctx.Done():
 		s.stop() // deadline passed: cancel the stragglers
-		<-done
-		s.shutdownSessions()
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	s.waitAndCloseLogs()
+	return err
 }
 
 // ---- job internals ----

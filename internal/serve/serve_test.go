@@ -42,6 +42,16 @@ func blocker(release <-chan struct{}) SolveFunc {
 	}
 }
 
+// openT opens a server on cfg, failing the test if it cannot.
+func openT(tb testing.TB, cfg Config) *Server {
+	tb.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		tb.Fatalf("Open: %v", err)
+	}
+	return s
+}
+
 func mustSubmit(t *testing.T, s *Server, spec JobSpec) *Handle {
 	t.Helper()
 	h, err := s.Submit(spec)
@@ -123,7 +133,7 @@ func TestFingerprintCanonical(t *testing.T) {
 }
 
 func TestCacheHitServesVerifiedResult(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 
 	var calls atomic.Int32
@@ -161,7 +171,7 @@ func TestCacheHitServesVerifiedResult(t *testing.T) {
 }
 
 func TestCacheWitnessImmuneToCallerMutation(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	spec := JobSpec{Formula: contradiction(), Solve: optimal(1)}
 	r := waitResult(t, mustSubmit(t, s, spec))
@@ -178,7 +188,7 @@ func TestCacheWitnessImmuneToCallerMutation(t *testing.T) {
 }
 
 func TestUnknownResultsAreNotCached(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	var calls atomic.Int32
 	spec := JobSpec{
@@ -196,7 +206,7 @@ func TestUnknownResultsAreNotCached(t *testing.T) {
 }
 
 func TestUnverifiableOptimalIsNotCached(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	var calls atomic.Int32
 	spec := JobSpec{
@@ -217,7 +227,7 @@ func TestUnverifiableOptimalIsNotCached(t *testing.T) {
 }
 
 func TestCoalesceIdenticalInflight(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -253,7 +263,7 @@ func TestCoalesceIdenticalInflight(t *testing.T) {
 }
 
 func TestDifferentOptionsDoNotCoalesce(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := openT(t, Config{Workers: 2})
 	defer s.Close()
 	release := make(chan struct{})
 	spec := JobSpec{Formula: contradiction(), OptsKey: "a", Solve: blocker(release)}
@@ -269,7 +279,7 @@ func TestDifferentOptionsDoNotCoalesce(t *testing.T) {
 }
 
 func TestCancelIsRefCounted(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	started := make(chan struct{})
 	spec := JobSpec{
@@ -306,7 +316,7 @@ func TestCancelIsRefCounted(t *testing.T) {
 }
 
 func TestTimeoutBoundsTheSolve(t *testing.T) {
-	s := New(Config{Workers: 1, DefaultTimeout: 20 * time.Millisecond})
+	s := openT(t, Config{Workers: 1, DefaultTimeout: 20 * time.Millisecond})
 	defer s.Close()
 	h := mustSubmit(t, s, JobSpec{Formula: contradiction(), Solve: blocker(nil)})
 	r := waitResult(t, h)
@@ -320,7 +330,7 @@ func TestTimeoutBoundsTheSolve(t *testing.T) {
 }
 
 func TestWorkerBudgetClampsAndQueues(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := openT(t, Config{Workers: 2})
 	defer s.Close()
 	release := make(chan struct{})
 	granted := make(chan int, 1)
@@ -358,7 +368,7 @@ func TestWorkerBudgetClampsAndQueues(t *testing.T) {
 }
 
 func TestQueueDepthRejects(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 1})
+	s := openT(t, Config{Workers: 1, QueueDepth: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	h := mustSubmit(t, s, JobSpec{Formula: contradiction(), OptsKey: "a",
@@ -373,7 +383,7 @@ func TestQueueDepthRejects(t *testing.T) {
 }
 
 func TestSubscribeStreamsMonotoneBounds(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	h := mustSubmit(t, s, JobSpec{
 		Formula: contradiction(),
@@ -420,7 +430,7 @@ func TestSubscribeStreamsMonotoneBounds(t *testing.T) {
 }
 
 func TestJobLookupAndRetention(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	var ids []uint64
 	for range retainDone + 1 {
@@ -464,7 +474,7 @@ func TestJobLookupAndRetention(t *testing.T) {
 }
 
 func TestSolverPanicFailsJobOnly(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	h := mustSubmit(t, s, JobSpec{
 		Formula: contradiction(),
@@ -485,7 +495,7 @@ func TestSolverPanicFailsJobOnly(t *testing.T) {
 }
 
 func TestCloseCancelsEverything(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	began := make(chan struct{})
 	running := mustSubmit(t, s, JobSpec{Formula: contradiction(), OptsKey: "r",
 		Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
@@ -528,7 +538,7 @@ func TestCloseCancelsEverything(t *testing.T) {
 }
 
 func TestSubmitValidates(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	if _, err := s.Submit(JobSpec{Formula: contradiction()}); !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("missing Solve: %v", err)
@@ -656,7 +666,7 @@ func TestSemaAcquireCancel(t *testing.T) {
 // published, so a streamer that reads Result on close (the daemon's SSE
 // handler) always has a final event to send.
 func TestSubscriptionCloseImpliesResult(t *testing.T) {
-	s := New(Config{Workers: 2, CacheEntries: -1})
+	s := openT(t, Config{Workers: 2, CacheEntries: -1})
 	defer s.Close()
 	for i := range 2000 {
 		release := make(chan struct{})

@@ -103,7 +103,10 @@ type SessionSpec struct {
 	// it, so the caller may reuse its copy.
 	Base *cnf.WCNF
 	// OptsKey is the canonical identity of the solve options (see
-	// JobSpec.OptsKey); it scopes coalescing of the session's delta solves.
+	// JobSpec.OptsKey); it scopes coalescing of the session's delta solves,
+	// and a durable server journals it with each of them, so an admitted
+	// solve survives a restart as a replayed one-shot job of the
+	// accumulated snapshot.
 	OptsKey string
 	// Timeout bounds each delta solve (see JobSpec.Timeout).
 	Timeout time.Duration
@@ -112,10 +115,6 @@ type SessionSpec struct {
 	// Client is the owning client's identity. The session holds one unit of
 	// the client's in-flight quota for its whole lifetime.
 	Client string
-	// Payload re-describes the solve options durably (see JobSpec.Payload);
-	// it journals each delta solve so an admitted solve survives a restart
-	// as a replayed one-shot job of the accumulated snapshot.
-	Payload []byte
 	// Solve runs each delta solve.
 	Solve SessionSolveFunc
 	// Retained is the session's warm engine, already loaded with Base; nil
@@ -133,7 +132,6 @@ type Session struct {
 	// acc and Retained as retained, so the caller's copies are not kept.
 	client, meta, optsKey string
 	timeout               time.Duration
-	payload               []byte
 	solve                 SessionSolveFunc
 
 	mu       sync.Mutex
@@ -194,7 +192,7 @@ func (s *Server) OpenSession(ctx context.Context, spec SessionSpec) (*Session, e
 	}
 
 	sess := &Session{s: s, client: spec.Client, meta: spec.Meta, optsKey: spec.OptsKey,
-		timeout: spec.Timeout, payload: spec.Payload, solve: spec.Solve, retained: spec.Retained}
+		timeout: spec.Timeout, solve: spec.Solve, retained: spec.Retained}
 	if spec.Base != nil {
 		sess.acc = spec.Base.Clone()
 	} else {
@@ -472,7 +470,7 @@ func (sess *Session) Solve(ctx context.Context) (*Handle, error) {
 	reused := new(atomic.Bool)
 	h, err := s.admit(admission{
 		spec: JobSpec{Formula: snap, OptsKey: sess.optsKey, Slots: 1, Timeout: sess.timeout,
-			Meta: sess.meta, Client: sess.client, Payload: sess.payload,
+			Meta: sess.meta, Client: sess.client,
 			Solve: func(ctx context.Context, w *cnf.WCNF, shared *opt.Bounds, g Grant) opt.Result {
 				// Retries run degraded and from scratch: whatever sank the warm
 				// attempt (an engine bug included), the rerun must not repeat it.

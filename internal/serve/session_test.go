@@ -93,7 +93,7 @@ func sessionWait(t *testing.T, sess *Session) Result {
 
 func TestSessionLifecycle(t *testing.T) {
 	defer checkGoroutines(t)()
-	s := New(Config{Workers: 2})
+	s := openT(t, Config{Workers: 2})
 	defer s.Close()
 	eng := &fakeEngine{}
 	sess := mustOpen(t, s, SessionSpec{
@@ -151,7 +151,7 @@ func TestSessionLifecycle(t *testing.T) {
 // SessionHits), and a one-shot submission of the same accumulated formula
 // hits the session's cached answer too.
 func TestSessionCacheInterchangeable(t *testing.T) {
-	s := New(Config{Workers: 2})
+	s := openT(t, Config{Workers: 2})
 	defer s.Close()
 	sess := mustOpen(t, s, SessionSpec{
 		Base: contradiction(), OptsKey: "o", Solve: bruteSessionSolve(),
@@ -203,7 +203,7 @@ func (g *gatedEngine) SolveDelta(ctx context.Context, w *cnf.WCNF, shared *opt.B
 // a from-scratch answer.
 func TestWarmSessionSolveIsNoCoalescingTarget(t *testing.T) {
 	defer checkGoroutines(t)()
-	s := New(Config{Workers: 2})
+	s := openT(t, Config{Workers: 2})
 	defer s.Close()
 	eng := &gatedEngine{started: make(chan struct{}), release: make(chan struct{})}
 	sess := mustOpen(t, s, SessionSpec{
@@ -237,7 +237,7 @@ func TestWarmSessionSolveIsNoCoalescingTarget(t *testing.T) {
 }
 
 func TestSessionBusySerialization(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	sess := mustOpen(t, s, SessionSpec{
@@ -279,7 +279,7 @@ func TestSessionBusySerialization(t *testing.T) {
 }
 
 func TestSessionLimitAndDisabled(t *testing.T) {
-	s := New(Config{Workers: 4, MaxSessions: 1})
+	s := openT(t, Config{Workers: 4, MaxSessions: 1})
 	defer s.Close()
 	sess := mustOpen(t, s, SessionSpec{Base: contradiction(), Solve: bruteSessionSolve()})
 	_, err := s.OpenSession(context.Background(), SessionSpec{Base: contradiction(), Solve: bruteSessionSolve()})
@@ -293,7 +293,7 @@ func TestSessionLimitAndDisabled(t *testing.T) {
 	sess2 := mustOpen(t, s, SessionSpec{Base: contradiction(), Solve: bruteSessionSolve()})
 	sess2.Close()
 
-	off := New(Config{Workers: 1, MaxSessions: -1})
+	off := openT(t, Config{Workers: 1, MaxSessions: -1})
 	defer off.Close()
 	if _, err := off.OpenSession(context.Background(), SessionSpec{Solve: bruteSessionSolve()}); !errors.Is(err, ErrSessionsDisabled) {
 		t.Fatalf("disabled open: %v, want ErrSessionsDisabled", err)
@@ -303,7 +303,7 @@ func TestSessionLimitAndDisabled(t *testing.T) {
 // TestSessionQuotaHeld: a session holds one unit of its client's in-flight
 // quota for its whole lifetime.
 func TestSessionQuotaHeld(t *testing.T) {
-	s := New(Config{Workers: 2, ClientQuota: 1})
+	s := openT(t, Config{Workers: 2, ClientQuota: 1})
 	defer s.Close()
 	sess := mustOpen(t, s, SessionSpec{Base: contradiction(), Client: "c", Solve: bruteSessionSolve()})
 	_, err := s.Submit(JobSpec{Formula: contradiction(), Client: "c", OptsKey: "other", Solve: optimal(1)})
@@ -317,7 +317,7 @@ func TestSessionQuotaHeld(t *testing.T) {
 
 func TestSessionIdleEviction(t *testing.T) {
 	defer checkGoroutines(t)()
-	s := New(Config{Workers: 1, MaxSessions: 1, SessionIdle: 20 * time.Millisecond})
+	s := openT(t, Config{Workers: 1, MaxSessions: 1, SessionIdle: 20 * time.Millisecond})
 	defer s.Close()
 	eng := &fakeEngine{}
 	sess := mustOpen(t, s, SessionSpec{Base: contradiction(), Solve: bruteSessionSolve(), Retained: eng})
@@ -350,7 +350,7 @@ func TestSessionIdleEviction(t *testing.T) {
 // back, nothing leaks.
 func TestSessionCloseMidSolve(t *testing.T) {
 	defer checkGoroutines(t)()
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	release := make(chan struct{})
 	eng := &fakeEngine{}
@@ -392,7 +392,7 @@ func TestSessionCloseMidSolve(t *testing.T) {
 // finish with a real result, then tears the session down.
 func TestSessionServerDrainMidSolve(t *testing.T) {
 	defer checkGoroutines(t)()
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	release := make(chan struct{})
 	eng := &fakeEngine{}
 	sess := mustOpen(t, s, SessionSpec{
@@ -439,7 +439,7 @@ func TestSessionServerDrainMidSolve(t *testing.T) {
 // TestSessionEngineRouting: reweights retire the engine permanently;
 // assumptions bypass it for one solve but keep it alive.
 func TestSessionEngineRouting(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	var sawEngine []bool
 	var mu sync.Mutex
@@ -491,7 +491,7 @@ func TestSessionEngineRouting(t *testing.T) {
 // can take. One that refuses a delta, even a hard clause, is closed by that
 // Push, and every later solve runs from scratch.
 func TestSessionRefusedAbsorbRetiresEngine(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	eng := &fakeEngine{broken: true}
 	sess := mustOpen(t, s, SessionSpec{
@@ -514,7 +514,7 @@ func TestSessionRefusedAbsorbRetiresEngine(t *testing.T) {
 // and clause counts after every kind of push, a variable first named by an
 // assumption included.
 func TestSessionSizeMatchesAccumulated(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	sess := mustOpen(t, s, SessionSpec{Base: contradiction(), Solve: bruteSessionSolve()})
 	defer sess.Close()
@@ -536,7 +536,7 @@ func TestSessionSizeMatchesAccumulated(t *testing.T) {
 
 // TestSessionBadDelta: validation failures leave the session unchanged.
 func TestSessionBadDelta(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := openT(t, Config{Workers: 1})
 	defer s.Close()
 	sess := mustOpen(t, s, SessionSpec{Base: contradiction(), Solve: bruteSessionSolve()})
 	defer sess.Close()
@@ -557,7 +557,7 @@ func TestSessionBadDelta(t *testing.T) {
 func TestSessionsParallelInterleaved(t *testing.T) {
 	defer checkGoroutines(t)()
 	const nSessions = 4
-	s := New(Config{Workers: nSessions, MaxSessions: nSessions})
+	s := openT(t, Config{Workers: nSessions, MaxSessions: nSessions})
 	defer s.Close()
 
 	var wg sync.WaitGroup

@@ -18,10 +18,11 @@ import (
 
 // verifiedStore is the verified-result store, the only code that reads or
 // writes stored verdicts. It owns the memory tier, an LRU of
-// Config.CacheEntries verdicts, and a handle to the optional disk tier
-// (Config.Store). Both key on the formula alone (formulaKey): a verified
-// verdict is a fact about the formula, whatever algorithm proved it and
-// whatever budget it ran under, so a resubmission under other options hits.
+// Config.CacheEntries verdicts, and a handle to the disk tier, which a
+// durable server (Config.DataDir) opens. Both key on the formula alone
+// (formulaKey): a verified verdict is a fact about the formula, whatever
+// algorithm proved it and whatever budget it ran under, so a resubmission
+// under other options hits.
 //
 // The rule for trusting a stored verdict, stated here and nowhere else:
 //
@@ -37,8 +38,14 @@ import (
 //     outside every lock: the model by opt.VerifyModel, a certificate end to
 //     end by proof.CheckBytes. A model that fails is a fingerprint
 //     collision, so the lookup misses and the entry stays. A certificate
-//     that fails is a corrupt entry: it is evicted and the failure reported.
-//     A hit hands out copies of the model and certificate.
+//     that fails is a corrupt entry (or a collision): it is evicted and the
+//     failure reported. A hit hands out copies of the model and certificate.
+//     Only the certificate proves the verdict for the submitted formula:
+//     opt.VerifyModel checks that the model meets its cost there, not that
+//     the cost is optimal, and an uncertified UNSAT verdict is served on a
+//     key match alone. The key is not collision-resistant (see
+//     fingerprint.go), so a crafted collision with an uncertified verdict
+//     can serve a wrong answer.
 //   - load: every disk record is re-proved against its own recovered
 //     formula, through its hints when it has them (a hint section that does
 //     not decode or does not verify leaves the backward check to decide, so
@@ -49,7 +56,7 @@ import (
 //     tier is seeded and rejections are audited in log order. Rejected
 //     records are compacted away.
 type verifiedStore struct {
-	disk   *ResultStore // nil keeps every verdict in memory only
+	disk   *resultStore // nil keeps every verdict in memory only
 	faults *Faults
 
 	mu  sync.Mutex // guards the memory tier
@@ -65,8 +72,8 @@ type verdict struct {
 	meta string
 }
 
-func newVerifiedStore(cfg Config) *verifiedStore {
-	return &verifiedStore{disk: cfg.Store, faults: cfg.Faults, cap: cfg.CacheEntries,
+func newVerifiedStore(cfg Config, disk *resultStore) *verifiedStore {
+	return &verifiedStore{disk: disk, faults: cfg.faults, cap: cfg.CacheEntries,
 		ll: list.New(), m: make(map[formulaKey]*list.Element)}
 }
 
@@ -252,16 +259,17 @@ func (vs *verifiedStore) evictLocked(el *list.Element) {
 	vs.ll.Remove(el)
 }
 
-// ResultStore is the verified-result store's disk tier: an append-only
-// CRC-framed log (internal/store) of {meta, formula, certificate, hints}
-// records, the hint section optional. Only certified results are persisted
-// — the certificate is what lets the next process trust a record it did not
-// produce (see verifiedStore.load); the hints only make that cheaper.
+// resultStore is the verified-result store's disk tier, results.log under
+// Config.DataDir: an append-only CRC-framed log (internal/store) of {meta,
+// formula, certificate, hints} records, the hint section optional. Only
+// certified results are persisted — the certificate is what lets the next
+// process trust a record it did not produce (see verifiedStore.load); the
+// hints only make that cheaper.
 //
 // The record stores the full formula, not just its fingerprint: the checker
 // needs the instance to re-prove the certificate, and the fingerprint is
 // recomputed from the formula at load (never trusted from disk).
-type ResultStore struct {
+type resultStore struct {
 	log *store.Log
 	// entries recovered at open, already deduplicated (last write wins per
 	// formula fingerprint) but not yet validated — verifiedStore.load
@@ -283,18 +291,18 @@ type storeEntry struct {
 
 const recResult byte = 1
 
-// OpenResultStore opens (creating if absent) the durable result store at
+// openResultStore opens (creating if absent) the durable result store at
 // path. Frames the integrity layer rejects (bit rot, torn tails) are
 // truncated away and counted, and so are records that do not decode; among
 // the rest the newest one per formula wins, and the log is compacted when
-// rewriting it would reclaim space. faults injects storage faults for chaos
-// tests; production passes nil.
-func OpenResultStore(path string, faults *Faults) (*ResultStore, error) {
-	l, recs, dropped, err := store.Open(path, store.Options{WriteHook: faults.storeWriteHook()})
+// rewriting it would reclaim space. faults injects storage faults for the
+// crash tests; nil writes faithfully.
+func openResultStore(path string, faults *Faults) (*resultStore, error) {
+	l, recs, dropped, err := store.Open(path, store.Options{WriteHook: faults.storeWriteHook(resultsLog)})
 	if err != nil {
 		return nil, err
 	}
-	rs := &ResultStore{log: l, dropped: dropped, faults: faults}
+	rs := &resultStore{log: l, dropped: dropped, faults: faults}
 	// Parse the records on every CPU. A record of another kind, or one
 	// that does not decode, leaves its slot without a formula.
 	decoded := make([]storeEntry, len(recs))
@@ -329,16 +337,16 @@ func OpenResultStore(path string, faults *Faults) (*ResultStore, error) {
 // save appends one certified result, with its certificate's proof hints
 // when given, synced before returning — once a client has seen a certified
 // answer, a crash must not lose it.
-func (rs *ResultStore) save(w *cnf.WCNF, meta string, cert []byte, hints ...byte) error {
+func (rs *resultStore) save(w *cnf.WCNF, meta string, cert []byte, hints ...byte) error {
 	payload := encodeStoreEntry(w, meta, cert, hints...)
-	if bit := rs.faults.corruptStoreBit(rs.log.Len()); bit >= 0 {
+	if bit := rs.faults.corruptStoreBit(resultsLog, rs.log.Len()); bit >= 0 {
 		payload[(bit/8)%len(payload)] ^= 1 << (bit % 8)
 	}
 	return rs.log.Append(recResult, payload, true)
 }
 
 // compact rewrites the log down to the currently live entries.
-func (rs *ResultStore) compact() {
+func (rs *resultStore) compact() {
 	recs := make([]store.Record, len(rs.entries))
 	for i, e := range rs.entries {
 		recs[i] = store.Record{Kind: recResult, Payload: e.raw}
@@ -346,8 +354,8 @@ func (rs *ResultStore) compact() {
 	rs.log.Compact(recs) // best-effort: a failed compact leaves the old log
 }
 
-// Close flushes and closes the underlying log.
-func (rs *ResultStore) Close() error { return rs.log.Close() }
+// close flushes and closes the underlying log.
+func (rs *resultStore) close() error { return rs.log.Close() }
 
 // encodeStoreEntry frames {meta, formula, certificate} as length-prefixed
 // sections, and the hints as a fourth when there are any: a record without

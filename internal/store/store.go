@@ -97,6 +97,10 @@ func Open(path string, opts Options) (l *Log, recs []Record, dropped int, err er
 			f.Close()
 			return nil, nil, 0, err
 		}
+		if err := syncDir(path); err != nil {
+			f.Close()
+			return nil, nil, 0, err
+		}
 		return &Log{f: f, path: path, opts: opts}, nil, 0, nil
 	}
 
@@ -271,8 +275,10 @@ func (l *Log) Len() uint64 {
 
 // Compact atomically replaces the log's contents with the given records: the
 // replacement is written to a temporary file, fsynced, and renamed over the
-// log, so a crash at any point leaves either the old log or the new one —
-// never a mix. Sequence numbers restart from zero.
+// log, and the directory is fsynced after the rename, so a crash at any
+// point leaves either the old log or the new one — never a mix — and once
+// Compact returns, appends to the new log are not lost with its directory
+// entry. Sequence numbers restart from zero.
 func (l *Log) Compact(records []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -315,7 +321,22 @@ func (l *Log) Compact(records []Record) error {
 	l.f = f
 	l.seq = uint64(len(records))
 	l.dirty = false
-	return nil
+	return syncDir(l.path)
+}
+
+// syncDir fsyncs the directory holding path. Syncing a file does not make
+// its directory entry durable (fsync(2)), so a log created or renamed into
+// place could vanish in a power loss, with every record synced into it.
+func syncDir(path string) error {
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Close flushes and closes the log.

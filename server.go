@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"repro/internal/cnf"
@@ -33,76 +32,13 @@ import (
 // races exactly the members it was granted, so concurrent portfolio jobs
 // cannot oversubscribe the machine.
 type Server struct {
-	s  *serve.Server
-	rs *serve.ResultStore
-	jl *serve.Journal
+	s *serve.Server
 }
 
-// ServerConfig configures a Server. The zero value gives a single-worker
-// pool with a 256-entry cache and no default deadline.
-type ServerConfig struct {
-	// Workers is the global worker-slot budget shared by all jobs; ≤ 0
-	// means 1. Size it to the machine (e.g. runtime.NumCPU()).
-	Workers int
-	// QueueDepth caps jobs admitted but not yet finished; further Submits
-	// fail. ≤ 0 means unbounded.
-	QueueDepth int
-	// CacheEntries bounds the verified-result cache; 0 means 256, negative
-	// disables caching.
-	CacheEntries int
-	// DefaultTimeout applies to jobs whose Options.Timeout is zero; 0 means
-	// unbounded.
-	DefaultTimeout time.Duration
-
-	// RatePerSec is the per-client sustained submission rate (token bucket);
-	// 0 disables rate limiting. Clients are the names passed to SubmitAs;
-	// plain Submit charges a shared anonymous account.
-	RatePerSec float64
-	// Burst is the token-bucket capacity; 0 means max(1, 2·RatePerSec).
-	Burst int
-	// ClientQuota caps one client's queued-or-running jobs; cache hits and
-	// coalesced attaches are exempt. 0 disables.
-	ClientQuota int
-	// HighWater (a fraction of QueueDepth, e.g. 0.75) enables graceful
-	// degradation: past that queue pressure, portfolio jobs are granted
-	// fewer worker slots — down to a single member — instead of queueing
-	// full line-ups. Reductions are counted in ServerStats.Degraded.
-	// 0 disables; needs QueueDepth > 0.
-	HighWater float64
-	// Audit, when non-nil, receives one AuditEvent per admission decision,
-	// cancellation and completion. Called outside server locks; must not
-	// block for long.
-	Audit func(AuditEvent)
-
-	// DataDir, when non-empty, makes the server durable (requires
-	// OpenServer): certified results are persisted to an append-only,
-	// checksummed log in that directory and survive restarts — every
-	// recovered record is re-proved by the independent certificate checker
-	// before it may serve a cache hit — and submissions are journaled before
-	// admission succeeds, so a restarted server can Recover the jobs a
-	// previous life accepted but never finished. Empty disables durability.
-	DataDir string
-	// StallTimeout, when positive, arms the stuck-solver watchdog: a running
-	// job whose solver makes no measurable progress (CDCL conflicts,
-	// branch-and-bound nodes, bound improvements) for this long is cancelled
-	// — and retried, if MaxRetries allows. Zero disables.
-	StallTimeout time.Duration
-	// MaxRetries bounds server-side retries of transiently failed jobs (a
-	// solver panic, a memory-budget exhaustion, a watchdog kill). Retries run
-	// on a degraded profile — solo line-up, halved memory budget per
-	// attempt — with exponential backoff between attempts. Zero
-	// disables: the first failure is the job's result.
-	MaxRetries int
-
-	// MaxSessions caps concurrently open incremental sessions (each pins
-	// one worker slot — see OpenSession); 0 means Workers, negative
-	// disables sessions.
-	MaxSessions int
-	// SessionIdle evicts a session with no Push/Solve activity for this
-	// long, releasing its pinned slot; 0 means 5 minutes, negative disables
-	// eviction.
-	SessionIdle time.Duration
-}
+// ServerConfig configures a Server. It is serve.Config, which documents
+// each field; the zero value gives a single-worker pool with a 256-entry
+// cache, no default deadline and no durability (see DataDir).
+type ServerConfig = serve.Config
 
 // AuditEvent is one entry of the server's admission audit log.
 type AuditEvent = serve.AuditEvent
@@ -160,41 +96,11 @@ func NewServer(cfg ServerConfig) *Server {
 // cache); replay of interrupted jobs is a separate, explicit step — call
 // Recover once the server is otherwise ready.
 func OpenServer(cfg ServerConfig) (*Server, error) {
-	var (
-		rs  *serve.ResultStore
-		jl  *serve.Journal
-		err error
-	)
-	if cfg.DataDir != "" {
-		if rs, err = serve.OpenResultStore(filepath.Join(cfg.DataDir, "results.log"), nil); err != nil {
-			return nil, fmt.Errorf("maxsat: opening result store: %w", err)
-		}
-		if jl, err = serve.OpenJournal(filepath.Join(cfg.DataDir, "journal.log"), nil); err != nil {
-			rs.Close()
-			return nil, fmt.Errorf("maxsat: opening job journal: %w", err)
-		}
+	s, err := serve.Open(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return &Server{
-		s: serve.New(serve.Config{
-			Workers:        cfg.Workers,
-			QueueDepth:     cfg.QueueDepth,
-			CacheEntries:   cfg.CacheEntries,
-			DefaultTimeout: cfg.DefaultTimeout,
-			RatePerSec:     cfg.RatePerSec,
-			Burst:          cfg.Burst,
-			ClientQuota:    cfg.ClientQuota,
-			HighWater:      cfg.HighWater,
-			Audit:          cfg.Audit,
-			Store:          rs,
-			Journal:        jl,
-			StallTimeout:   cfg.StallTimeout,
-			MaxRetries:     cfg.MaxRetries,
-			MaxSessions:    cfg.MaxSessions,
-			SessionIdle:    cfg.SessionIdle,
-		}),
-		rs: rs,
-		jl: jl,
-	}, nil
+	return &Server{s: s}, nil
 }
 
 // Job is a handle on one submission. Handles returned for coalesced
@@ -270,15 +176,13 @@ func (s *Server) canonical(client string, w *WCNF, o Options) (serve.JobSpec, Op
 		spec.Slots = o.Parallelism
 	}
 	// The JSON of the canonical options, timeout included, is the key that
-	// in-flight coalescing matches on and the payload Recover rebuilds the
-	// job from: every field that changes what the job computes or how long
-	// it may run participates. Marshal cannot fail on Options' tagged
-	// fields, which are all numbers, strings and booleans.
+	// in-flight coalescing matches on and the payload a durable server
+	// journals, from which Recover rebuilds the job: every field that
+	// changes what the job computes or how long it may run participates.
+	// Marshal cannot fail on Options' tagged fields, which are all numbers,
+	// strings and booleans.
 	key, _ := json.Marshal(o)
 	spec.OptsKey = string(key)
-	if s.jl != nil {
-		spec.Payload = key
-	}
 	o.Timeout = 0 // the serving layer owns the deadline
 	return spec, o, nil
 }
@@ -377,21 +281,7 @@ func (s *Server) Stats() ServerStats { return s.s.Stats() }
 // usable (their jobs complete with Status Unknown); subsequent Submits fail.
 // Jobs cancelled by Close keep their journal entries: the next life's
 // Recover replays them.
-func (s *Server) Close() {
-	s.s.Close()
-	s.closeLogs()
-}
-
-// closeLogs flushes and closes the durability logs after the serving layer
-// has fully stopped (safe to call twice: Close after Drain is a no-op).
-func (s *Server) closeLogs() {
-	if s.jl != nil {
-		s.jl.Close()
-	}
-	if s.rs != nil {
-		s.rs.Close()
-	}
-}
+func (s *Server) Close() { s.s.Close() }
 
 // Drain shuts down gracefully: admissions stop immediately (Submit fails
 // with ErrServerClosed, ServerStats.Draining turns true) while queued and
@@ -399,12 +289,9 @@ func (s *Server) closeLogs() {
 // and Updates subscribers. When ctx expires first, the remaining jobs are
 // cancelled Close-style — they still complete, with their best bounds — and
 // Drain returns ctx's error after every worker has unwound. A nil error
-// means every job finished within the deadline.
-func (s *Server) Drain(ctx context.Context) error {
-	err := s.s.Drain(ctx)
-	s.closeLogs()
-	return err
-}
+// means every job finished within the deadline. Either way Drain closes the
+// durable logs (if any) last, as Close does.
+func (s *Server) Drain(ctx context.Context) error { return s.s.Drain(ctx) }
 
 // ID returns the server-assigned job ID (stable across polls, used by the
 // HTTP daemon's /jobs/{id} endpoint).

@@ -117,7 +117,6 @@ func (s *Server) OpenSessionAs(ctx context.Context, client string, base *WCNF, o
 		Timeout:  spec.Timeout,
 		Meta:     spec.Meta,
 		Client:   client,
-		Payload:  spec.Payload,
 		Solve:    sessionSolve(o),
 		Retained: retained,
 	})
