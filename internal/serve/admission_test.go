@@ -430,7 +430,7 @@ func TestAdmissionMatrix(t *testing.T) {
 			fillID := uint64(1)
 			if r.origin == "replay" {
 				cfg.DataDir = t.TempDir()
-				jl := openJournalT(t, filepath.Join(cfg.DataDir, journalLog), nil)
+				jl := openJournalT(t, filepath.Join(cfg.DataDir, journalLog))
 				if err := jl.record(matrixReplayID, contradiction(),
 					JobSpec{OptsKey: "k", Client: "c"}); err != nil {
 					t.Fatal(err)

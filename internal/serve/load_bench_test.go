@@ -59,8 +59,9 @@ func renamed(w *cnf.WCNF, rng *rand.Rand) *cnf.WCNF {
 
 // BenchmarkStoreLoad times a durable server's boot: Open on a data
 // directory whose results.log holds 300 certified records, which it
-// re-proves before it returns. It reports ms/record, the boot time per stored record,
-// B/record, the stored payload bytes per record, and the boot's allocations.
+// re-proves before it returns. It reports ms/record, the boot time per
+// stored record, B/record, the stored payload bytes per record, and the
+// boot's allocations.
 func BenchmarkStoreLoad(b *testing.B) {
 	payloads, err := storeLoadPayloads()
 	if err != nil {

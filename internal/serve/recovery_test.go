@@ -34,9 +34,9 @@ func openStoreT(t *testing.T, path string, f *Faults) *resultStore {
 	return rs
 }
 
-func openJournalT(t *testing.T, path string, f *Faults) *journal {
+func openJournalT(t *testing.T, path string) *journal {
 	t.Helper()
-	jl, err := openJournal(path, f)
+	jl, err := openJournal(path, nil)
 	if err != nil {
 		t.Fatalf("openJournal: %v", err)
 	}
@@ -620,7 +620,7 @@ func TestJournalReplayIdempotent(t *testing.T) {
 	// Simulate a submission accepted just before the crash — or equivalently
 	// a completed one whose lazy done marker was lost: a bare submit record
 	// with no marker.
-	jl := openJournalT(t, filepath.Join(dir, journalLog), nil)
+	jl := openJournalT(t, filepath.Join(dir, journalLog))
 	if err := jl.record(99, formula, JobSpec{OptsKey: "dup"}); err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +668,7 @@ func TestJournalReplayCoalesces(t *testing.T) {
 	// do not reach markDone... they do — finish always marks. So simulate
 	// the crash harder: never close the first server's journal cleanly;
 	// write the journal by hand instead.)
-	jl := openJournalT(t, filepath.Join(dir, journalLog), nil)
+	jl := openJournalT(t, filepath.Join(dir, journalLog))
 	for id := uint64(1); id <= 2; id++ {
 		if err := jl.record(id, formula, JobSpec{OptsKey: "same"}); err != nil {
 			t.Fatal(err)
@@ -714,7 +714,7 @@ func TestJournalKeepsMaxIDAcrossCompaction(t *testing.T) {
 	jpath := filepath.Join(dir, journalLog)
 	formula := contradiction()
 
-	jl := openJournalT(t, jpath, nil)
+	jl := openJournalT(t, jpath)
 	if err := jl.record(7, formula, JobSpec{OptsKey: "k"}); err != nil {
 		t.Fatal(err)
 	}
@@ -722,7 +722,7 @@ func TestJournalKeepsMaxIDAcrossCompaction(t *testing.T) {
 	jl.close()
 
 	for life := 2; life <= 3; life++ {
-		jl = openJournalT(t, jpath, nil)
+		jl = openJournalT(t, jpath)
 		if got := jl.maxID; got != 7 {
 			t.Fatalf("life %d: maxID = %d, want 7", life, got)
 		}
@@ -782,7 +782,7 @@ func TestJournalParsesOnlyPending(t *testing.T) {
 			store.Record{Kind: recDone, Payload: binary.AppendUvarint(nil, id)})
 	}
 	appendAll(done...)
-	jl := openJournalT(t, path, nil)
+	jl := openJournalT(t, path)
 	if n := len(jl.pendingJobs()); n != 0 || jl.dropped != 0 || jl.maxID != 3 {
 		t.Fatalf("%d pending, %d dropped, maxID %d; want 0, 0 and 3", n, jl.dropped, jl.maxID)
 	}
@@ -790,7 +790,7 @@ func TestJournalParsesOnlyPending(t *testing.T) {
 
 	appendAll(store.Record{Kind: recSubmit, Payload: unparseableSubmit(4)},
 		store.Record{Kind: recSubmit, Payload: encodeSubmit(RecoveredJob{ID: 5, Payload: []byte("k")}, contradiction())})
-	jl = openJournalT(t, path, nil)
+	jl = openJournalT(t, path)
 	defer jl.close()
 	if p := jl.pendingJobs(); len(p) != 1 || p[0].ID != 5 || jl.dropped != 1 {
 		t.Fatalf("pending %+v with %d dropped; want job 5 alone and 1 dropped", p, jl.dropped)
@@ -840,7 +840,7 @@ func TestJournalRecordBytes(t *testing.T) {
 		parent = "ac0280f882ad160205616c696365297b22616c67223a226f6c6c222c22746f223a333030303030303030302c2263657274223a747275657d297b22616c67223a226f6c6c222c22746f223a333030303030303030302c2263657274223a747275657d1a702077636e662031203220330a31203120300a31202d3120300a"
 	)
 	path := filepath.Join(t.TempDir(), journalLog)
-	jl := openJournalT(t, path, nil)
+	jl := openJournalT(t, path)
 	if err := jl.record(300, contradiction(), JobSpec{OptsKey: key, Client: "alice", Slots: 2, Timeout: 3 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
@@ -971,7 +971,7 @@ func TestRecoverDropsUnrebuildable(t *testing.T) {
 	jpath := filepath.Join(dir, journalLog)
 	formula := contradiction()
 
-	jl := openJournalT(t, jpath, nil)
+	jl := openJournalT(t, jpath)
 	for id := uint64(1); id <= 2; id++ {
 		if err := jl.record(id, formula, JobSpec{OptsKey: fmt.Sprint("opts-", id)}); err != nil {
 			t.Fatal(err)
@@ -1018,7 +1018,7 @@ func TestRecoverDropsUnrebuildable(t *testing.T) {
 	}
 	s.Close()
 
-	jl = openJournalT(t, jpath, nil)
+	jl = openJournalT(t, jpath)
 	defer jl.close()
 	for _, rj := range jl.pendingJobs() {
 		if rj.ID == 1 {

@@ -172,7 +172,7 @@ func TestFinishedJobKeepsOnlyAnswer(t *testing.T) {
 	t.Run("replay", func(t *testing.T) {
 		const id = 7
 		dir := t.TempDir()
-		jl := openJournalT(t, filepath.Join(dir, journalLog), nil)
+		jl := openJournalT(t, filepath.Join(dir, journalLog))
 		if err := jl.record(id, contradiction(), JobSpec{OptsKey: "k", Client: "alice"}); err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestSessionDropsCallerBase(t *testing.T) {
 // replay finishes.
 func TestJournalReleasesReplayed(t *testing.T) {
 	dir := t.TempDir()
-	jl := openJournalT(t, filepath.Join(dir, journalLog), nil)
+	jl := openJournalT(t, filepath.Join(dir, journalLog))
 	if err := jl.record(3, contradiction(), JobSpec{OptsKey: "k"}); err != nil {
 		t.Fatal(err)
 	}
